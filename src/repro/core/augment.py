@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Hashable, Iterator, List, Optional, Set, Tuple
 
 from ..planar.rotation import EmbeddingError
-from .config import PlanarConfiguration
+from .config import ConfigurationError, PlanarConfiguration
 from .faces import FaceView, face_view
 
 Node = Hashable
@@ -95,7 +95,7 @@ def _build_variants(
     for anchor in anchors:
         try:
             out.append(PlanarConfiguration(graph, rotation, cfg.tree, root_anchor=anchor))
-        except Exception:  # pragma: no cover - anchor not a neighbor
+        except ConfigurationError:  # anchor not a neighbor of the root
             continue
     return out
 
