@@ -10,8 +10,13 @@ splits the part into two light sides (Lemma 5's Jordan argument).
 This module enumerates all rotation slots for such an insertion, preferring
 the slots Section 3.1.3's augmentation recipe names (adjacent to the parent
 edge at the inner endpoint; adjacent to the fundamental edge at the face
-endpoint; adjacent to the virtual-root gap at the root), and validates every
-attempt with the Euler planarity check plus the face-interior computation.
+endpoint; adjacent to the virtual-root gap at the root).  A slot pair is
+planar exactly when its two corners lie on one face of the current
+embedding: the new edge then splits that face, while corners on two faces
+would merge them and break Euler's formula.  One walk of the face at the
+first corner (:meth:`~repro.planar.rotation.RotationSystem.corners_share_face`)
+decides this in O(face length), so only planar slot pairs are copied,
+inserted and handed to the face-interior computation.
 
 A calibration finding recorded in DESIGN.md: for *virtual* faces the paper's
 sweep formulas are predictions, not exact counts — which subtrees hang on
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 from typing import Hashable, Iterator, List, Optional, Set, Tuple
 
-from ..planar.rotation import EmbeddingError
 from .config import ConfigurationError, PlanarConfiguration
 from .faces import FaceView, face_view
 
@@ -79,12 +83,10 @@ def _build_variants(
     gap splits; both sub-corner (anchor) designations are produced so the
     caller can pick the side its checks accept.
     """
-    rotation = cfg.rotation.copy()
-    try:
-        rotation.insert_edge(a, b, after_u=ref_a, after_v=ref_b)
-        rotation.validate()
-    except EmbeddingError:
+    if not cfg.rotation.corners_share_face(a, ref_a, b, ref_b):
         return []
+    rotation = cfg.rotation.copy()
+    rotation.insert_edge(a, b, after_u=ref_a, after_v=ref_b)
     graph = cfg.graph.copy()
     graph.add_edge(a, b)
     root = cfg.tree.root

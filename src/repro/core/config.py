@@ -24,7 +24,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from ..planar.checks import require_planar_connected
+from ..planar.checks import require_connected, require_planar
 from ..planar.construct import embed, embed_subgraph
 from ..planar.rotation import RotationSystem
 from ..trees.rooted import RootedTree
@@ -88,12 +88,16 @@ class PlanarConfiguration:
         rotation: Optional[RotationSystem] = None,
     ) -> "PlanarConfiguration":
         """Convenience constructor: embed + BFS spanning tree by default."""
-        require_planar_connected(graph)
-        if root is None:
-            root = tree.root if tree is not None else min(graph.nodes, key=repr)
+        require_connected(graph)
         if rotation is None:
             rotation = embed(graph)
+        else:
+            require_planar(graph)
         if tree is None:
+            if root is None:
+                root = min(graph.nodes, key=repr)
+            elif root not in graph:
+                raise ValueError(f"root {root!r} is not a graph node")
             tree = bfs_tree(graph, root)
         return cls(graph, rotation, tree)
 

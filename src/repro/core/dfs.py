@@ -27,7 +27,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from ..planar.checks import require_planar_connected
+from ..planar.checks import require_connected, require_planar
 from ..planar.construct import embed, embed_subgraph
 from ..planar.rotation import RotationSystem
 from ..trees.rooted import RootedTree
@@ -103,13 +103,16 @@ def dfs_tree(
     This is Theorem 2's algorithm; the returned structure carries the
     per-phase statistics the experiment harness reports.
     """
-    require_planar_connected(graph)
+    require_connected(graph)
+    embedded = rotation is None
+    if embedded:
+        rotation = embed(graph)
+    else:
+        require_planar(graph)
     if root not in graph:
         raise ValueError(f"root {root!r} is not a graph node")
-    if rotation is None:
-        rotation = embed(graph)
-        if ledger is not None:
-            ledger.charge_subroutine("planar-embedding")
+    if embedded and ledger is not None:
+        ledger.charge_subroutine("planar-embedding")
     result = DFSResult(root)
     in_tree: Set[Node] = {root}
     n = len(graph)

@@ -6,8 +6,8 @@ a time while keeping both standing hypotheses of Theorems 1 and 2 intact:
 * **insert** — the edge must keep the graph planar.  The embedding is
   repaired locally when the two endpoints share a face of the current
   rotation system (the new edge becomes a chord of that face); otherwise
-  the candidate graph is re-validated via :mod:`repro.planar.checks` and,
-  if planar, re-embedded from scratch.  A planarity-breaking insert is
+  the candidate graph is re-embedded from scratch by one planarity run
+  (:func:`repro.planar.construct.embed`).  A planarity-breaking insert is
   rejected with :class:`MutationError` *before* any state changes.
 * **delete** — always planar, but a bridge delete would disconnect the
   graph and is rejected (the pipeline's oracles are only defined on
@@ -32,7 +32,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from ..congest.faults import FaultPlan
-from ..planar.checks import NotPlanarError, require_planar
+from ..planar.checks import NotPlanarError
+from ..planar.construct import embed
 from ..planar.rotation import EmbeddingError, RotationSystem
 
 Node = Hashable
@@ -125,12 +126,11 @@ class DynamicPlanarGraph:
         candidate = self.graph.copy()
         candidate.add_edge(u, v)
         try:
-            require_planar(candidate)
+            self.rotation = embed(candidate)
         except NotPlanarError as exc:
             raise MutationError(
                 f"insert {u!r}-{v!r} rejected: {exc}"
             ) from exc
-        self.rotation = RotationSystem.from_graph(candidate)
         self.graph = candidate
         self.reembeds += 1
 

@@ -21,19 +21,29 @@ __all__ = [
 class NotPlanarError(ValueError):
     """The input graph is not planar."""
 
+    @classmethod
+    def of(cls, graph: nx.Graph) -> "NotPlanarError":
+        """The error reported for the non-planar ``graph``."""
+        return cls(
+            f"graph with {len(graph)} nodes / {graph.number_of_edges()} edges "
+            "is not planar"
+        )
+
 
 class NotConnectedError(ValueError):
     """The input graph (or an induced part) is not connected."""
 
 
 def require_planar(graph: nx.Graph) -> None:
-    """Raise :class:`NotPlanarError` unless ``graph`` is planar."""
+    """Raise :class:`NotPlanarError` unless ``graph`` is planar.
+
+    Callers that also need the embedding use
+    :func:`repro.planar.construct.embed`, which runs the same test once
+    and raises the same error.
+    """
     is_planar, _ = nx.check_planarity(graph, counterexample=False)
     if not is_planar:
-        raise NotPlanarError(
-            f"graph with {len(graph)} nodes / {graph.number_of_edges()} edges "
-            "is not planar"
-        )
+        raise NotPlanarError.of(graph)
 
 
 def require_connected(graph: nx.Graph, what: str = "graph") -> None:

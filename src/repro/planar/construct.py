@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import networkx as nx
 
-from .checks import require_planar
+from .checks import NotPlanarError
 from .rotation import RotationSystem
 
 __all__ = ["embed", "embed_subgraph"]
@@ -20,10 +20,13 @@ __all__ = ["embed", "embed_subgraph"]
 def embed(graph: nx.Graph) -> RotationSystem:
     """Compute a rotation system for a planar graph.
 
-    Raises :class:`repro.planar.checks.NotPlanarError` on non-planar input.
+    Runs the left-right planarity test once and raises
+    :class:`repro.planar.checks.NotPlanarError` on non-planar input.
     """
-    require_planar(graph)
-    return RotationSystem.from_graph(graph)
+    is_planar, embedding = nx.check_planarity(graph, counterexample=False)
+    if not is_planar:
+        raise NotPlanarError.of(graph)
+    return RotationSystem.from_networkx_embedding(embedding)
 
 
 def embed_subgraph(rotation: RotationSystem, nodes) -> RotationSystem:

@@ -49,7 +49,8 @@ class RotationSystem:
     def __init__(self, order: Dict[Node, Sequence[Node]]):
         self._order: Dict[Node, List[Node]] = {v: list(nbrs) for v, nbrs in order.items()}
         self._pos: Dict[Node, Dict[Node, int]] = {}
-        self._rebuild_positions()
+        for v in self._order:
+            self._index_row(v)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -186,6 +187,40 @@ class RotationSystem:
         """Number of faces of the (sphere) embedding."""
         return len(self.faces())
 
+    def _corner(self, x: Node, after: Node | None) -> HalfEdge:
+        """Half-edge leaving the corner of ``x`` that an insertion
+        ``after`` that neighbor (``None``: before ``t_x[0]``) occupies."""
+        if after is None:
+            return (x, self._order[x][0])
+        return (x, self.successor_cw(x, after))
+
+    def corners_share_face(
+        self, u: Node, after_u: Node | None, v: Node, after_v: Node | None
+    ) -> bool:
+        """Whether ``insert_edge(u, v, after_u=..., after_v=...)`` keeps
+        this embedding planar, in O(face length).
+
+        The insertion slot at ``u`` is a corner of exactly one face: the
+        face of the half-edge leaving that corner.  On a connected
+        embedding the new edge is a chord of one face when both corners
+        lie on it (one face becomes two, so Euler's formula still holds)
+        and otherwise joins two faces into one (Euler's formula fails).
+        Walking the face of ``u``'s corner and looking for ``v``'s corner
+        therefore decides exactly what :meth:`validate` would after the
+        insertion.  Both endpoints need at least one neighbor.
+        """
+        start = self._corner(u, after_u)
+        target = self._corner(v, after_v)
+        order, pos = self._order, self._pos
+        a, b = start
+        while (a, b) != target:
+            # next_face_half_edge, inlined: this walk is the augment hot path.
+            nbrs = order[b]
+            a, b = b, nbrs[(pos[b][a] + 1) % len(nbrs)]
+            if (a, b) == start:
+                return False
+        return True
+
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -211,7 +246,6 @@ class RotationSystem:
             raise EmbeddingError("self-loops are not supported")
         self._insert_half_edge(u, v, after_u)
         self._insert_half_edge(v, u, after_v)
-        self._rebuild_positions()
 
     def delete_edge(self, u: Node, v: Node) -> None:
         """Remove edge ``uv`` from the embedding.
@@ -225,7 +259,8 @@ class RotationSystem:
             raise EmbeddingError(f"edge {u!r}-{v!r} is not embedded")
         self._order[u].remove(v)
         self._order[v].remove(u)
-        self._rebuild_positions()
+        self._index_row(u)
+        self._index_row(v)
 
     def add_isolated_node(self, v: Node) -> None:
         """Add a node with no incident edges."""
@@ -236,27 +271,28 @@ class RotationSystem:
 
     def _insert_half_edge(self, v: Node, new: Node, after: Node | None) -> None:
         nbrs = self._order.setdefault(v, [])
-        if after is None:
-            nbrs.insert(0, new)
-        else:
-            idx = self.position(v, after)
-            nbrs.insert(idx + 1, new)
+        idx = 0 if after is None else self.position(v, after) + 1
+        nbrs.insert(idx, new)
+        self._index_row(v)
+
+    def _index_row(self, v: Node) -> None:
+        """Recompute the position map of ``t_v`` alone."""
+        nbrs = self._order[v]
+        pos = {u: i for i, u in enumerate(nbrs)}
+        if len(pos) != len(nbrs):
+            raise EmbeddingError(f"duplicate neighbor in rotation of {v!r}")
+        self._pos[v] = pos
 
     # ------------------------------------------------------------------
     # validation / export
     # ------------------------------------------------------------------
-    def _rebuild_positions(self) -> None:
-        self._pos = {
-            v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in self._order.items()
-        }
-        for v, nbrs in self._order.items():
-            if len(self._pos[v]) != len(nbrs):
-                raise EmbeddingError(f"duplicate neighbor in rotation of {v!r}")
-
     def validate(self) -> None:
         """Check structural validity and planarity (Euler's formula).
 
-        Raises :class:`EmbeddingError` on the first violation found.
+        A whole-graph test and debug oracle: it enumerates every face and
+        builds a graph, so no algorithm path calls it.  Insertions decide
+        planarity locally with :meth:`corners_share_face`.  Raises
+        :class:`EmbeddingError` on the first violation found.
         """
         for v, nbrs in self._order.items():
             for u in nbrs:

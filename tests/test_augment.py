@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.core import augment
+from repro.core.dfs import dfs_tree
 from repro.core.augment import (
     AugmentationError,
     balanced_insertion,
@@ -11,7 +12,8 @@ from repro.core.augment import (
     insertion_variants,
 )
 from repro.core.faces import face_view
-from repro.core.verify import separator_report
+from repro.core.verify import check_dfs_tree, separator_report
+from repro.planar import RotationSystem
 from repro.planar import generators as gen
 
 from conftest import make_config
@@ -96,6 +98,37 @@ class TestRootAnchorVariants:
         monkeypatch.setattr(augment, "PlanarConfiguration", broken)
         with pytest.raises(RuntimeError, match="unexpected"):
             list(insertion_variants(cfg, cfg.tree.root, 15))
+
+
+class TestHotPath:
+    """The DFS hot path decides planarity locally and embeds once."""
+
+    def test_grid_dfs_runs_one_planarity_test_and_no_validation(self, monkeypatch):
+        def no_validate(self):
+            raise AssertionError("validate() is a test oracle, not an algorithm step")
+
+        lr_runs = []
+        real_check = nx.check_planarity
+
+        def counted_check(*args, **kwargs):
+            lr_runs.append(1)
+            return real_check(*args, **kwargs)
+
+        corner_tests = []
+        real_corners = RotationSystem.corners_share_face
+
+        def counted_corners(self, *args):
+            corner_tests.append(1)
+            return real_corners(self, *args)
+
+        monkeypatch.setattr(RotationSystem, "validate", no_validate)
+        monkeypatch.setattr(RotationSystem, "corners_share_face", counted_corners)
+        monkeypatch.setattr(nx, "check_planarity", counted_check)
+        g = gen.grid(12, 12)
+        result = dfs_tree(g, 0)
+        check_dfs_tree(g, result.parent, 0)
+        assert len(lr_runs) == 1
+        assert corner_tests  # the grid reaches the rooted sweep's insertions
 
 
 class TestBalancedInsertion:

@@ -5,9 +5,11 @@ import math
 import networkx as nx
 import pytest
 
+from repro.core.config import PlanarConfiguration
 from repro.core.dfs import DFSError, dfs_tree
 from repro.core.verify import check_dfs_tree
 from repro.congest import CostModel, RoundLedger
+from repro.planar import embed
 from repro.planar import generators as gen
 from repro.planar.checks import NotConnectedError, NotPlanarError
 
@@ -106,6 +108,39 @@ class TestEdgeCasesAndErrors:
     def test_disconnected_rejected(self):
         with pytest.raises(NotConnectedError):
             dfs_tree(nx.Graph([(0, 1), (2, 3)]), 0)
+
+
+def _build(graph, root, rotation=None):
+    return PlanarConfiguration.build(graph, root=root, rotation=rotation)
+
+
+class TestErrorPrecedence:
+    """Disconnected before non-planar before a missing root, with or
+    without a caller-supplied rotation."""
+
+    K5_PLUS_EDGE = nx.disjoint_union(nx.complete_graph(5), nx.path_graph(2))
+    CASES = [
+        (K5_PLUS_EDGE, 99, NotConnectedError),
+        (nx.Graph([(0, 1), (2, 3)]), 99, NotConnectedError),
+        (nx.complete_graph(5), 99, NotPlanarError),
+        (nx.complete_bipartite_graph(3, 3), 99, NotPlanarError),
+        (gen.grid(3, 3), 99, ValueError),
+    ]
+
+    @pytest.mark.parametrize("entry", [dfs_tree, _build], ids=["dfs_tree", "build"])
+    @pytest.mark.parametrize("supplied", [False, True], ids=["embedded", "supplied"])
+    @pytest.mark.parametrize("graph,root,error", CASES)
+    def test_first_failing_hypothesis_wins(self, entry, supplied, graph, root, error):
+        rotation = embed(gen.grid(3, 3)) if supplied else None
+        with pytest.raises(error) as info:
+            entry(graph, root, rotation=rotation)
+        if error is ValueError:
+            assert not isinstance(info.value, (NotConnectedError, NotPlanarError))
+            assert "root 99 is not a graph node" in str(info.value)
+
+    def test_embed_reports_non_planar_graph(self):
+        with pytest.raises(NotPlanarError, match=r"^graph with 5 nodes / 10 edges is not planar$"):
+            embed(nx.complete_graph(5))
 
 
 class TestDFSRuleInvariants:

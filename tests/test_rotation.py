@@ -2,9 +2,13 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.planar import EmbeddingError, RotationSystem, embed
 from repro.planar import generators as gen
+
+from test_properties import COMMON, planar_instances
 
 
 def square_with_diagonal() -> RotationSystem:
@@ -139,6 +143,127 @@ class TestMutation:
         assert rot.degree(9) == 0
         with pytest.raises(EmbeddingError):
             rot.add_isolated_node(9)
+
+
+def insertion_stays_planar(rot, u, after_u, v, after_v) -> bool:
+    """The global oracle: copy, insert, and run the Euler check."""
+    attempt = rot.copy()
+    attempt.insert_edge(u, v, after_u=after_u, after_v=after_v)
+    try:
+        attempt.validate()
+    except EmbeddingError:
+        return False
+    return True
+
+
+def slot_pairs(rot, u, v):
+    for after_u in (None,) + rot.neighbors_cw(u):
+        for after_v in (None,) + rot.neighbors_cw(v):
+            yield after_u, after_v
+
+
+def cut_vertices_and_bridges() -> nx.Graph:
+    """Two triangles sharing node 2, a bridge 4-5 and a pendant path."""
+    return nx.Graph(
+        [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (6, 7), (5, 8)]
+    )
+
+
+CORNER_GRAPHS = [
+    ("grid3x3", gen.grid(3, 3)),
+    ("grid3x4", gen.grid(3, 4)),
+    ("tree", gen.random_tree(9, seed=3)),
+    ("star", gen.star_graph(6)),
+    ("wheel", gen.wheel(7)),
+    ("outerplanar", gen.outerplanar(9, chords=3, seed=1)),
+    ("cuts_and_bridges", cut_vertices_and_bridges()),
+]
+
+
+class TestCornersShareFace:
+    """``corners_share_face`` decides exactly what copy + insert + validate do."""
+
+    @pytest.mark.parametrize("name,graph", CORNER_GRAPHS, ids=[n for n, _ in CORNER_GRAPHS])
+    def test_matches_validate_on_every_slot_pair(self, name, graph):
+        rot = embed(graph)
+        nodes = sorted(graph.nodes)
+        accepted = rejected = 0
+        for i, u in enumerate(nodes):
+            for v in nodes[i + 1:]:
+                if graph.has_edge(u, v):
+                    continue
+                for after_u, after_v in slot_pairs(rot, u, v):
+                    local = rot.corners_share_face(u, after_u, v, after_v)
+                    assert local == insertion_stays_planar(rot, u, after_u, v, after_v), (
+                        u, after_u, v, after_v)
+                    accepted += local
+                    rejected += not local
+        assert accepted > 0
+        if name not in ("tree", "star"):  # one face: every slot pair is planar
+            assert rejected > 0
+
+    def test_none_is_the_corner_before_the_first_neighbor(self):
+        rot = square_with_diagonal()
+        last = rot.neighbors_cw(1)[-1]
+        for after_v in (None,) + rot.neighbors_cw(3):
+            assert rot.corners_share_face(1, None, 3, after_v) == rot.corners_share_face(
+                1, last, 3, after_v)
+
+    def test_does_not_mutate(self):
+        rot = square_with_diagonal()
+        before = {v: rot.neighbors_cw(v) for v in rot.nodes}
+        for after_u, after_v in slot_pairs(rot, 1, 3):
+            rot.corners_share_face(1, after_u, 3, after_v)
+        assert {v: rot.neighbors_cw(v) for v in rot.nodes} == before
+
+    @given(planar_instances(max_n=30), st.data())
+    @settings(**COMMON)
+    def test_matches_validate_on_random_instances(self, instance, data):
+        g, cfg = instance
+        rot = cfg.rotation
+        nodes = sorted(g.nodes)
+        pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]
+                 if not g.has_edge(u, v)]
+        if not pairs:
+            return
+        for u, v in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5)):
+            for after_u, after_v in slot_pairs(rot, u, v):
+                assert rot.corners_share_face(u, after_u, v, after_v) == (
+                    insertion_stays_planar(rot, u, after_u, v, after_v))
+
+
+class TestIncrementalPositions:
+    """Mutations re-index only the touched rows and keep them exact."""
+
+    def assert_positions_exact(self, rot):
+        for v in rot.nodes:
+            for i, u in enumerate(rot.neighbors_cw(v)):
+                assert rot.position(v, u) == i
+            assert set(rot._pos[v]) == set(rot.neighbors_cw(v))
+
+    def test_insert_and_delete_keep_positions(self):
+        rot = embed(gen.grid(4, 4))
+        rot.insert_edge(0, 5, after_u=None, after_v=rot.neighbors_cw(5)[0])
+        self.assert_positions_exact(rot)
+        rot.delete_edge(0, 1)
+        self.assert_positions_exact(rot)
+        rot.delete_edge(0, 5)
+        self.assert_positions_exact(rot)
+
+    def test_untouched_rows_are_not_rebuilt(self):
+        rot = embed(gen.grid(4, 4))
+        maps = {v: rot._pos[v] for v in rot.nodes}
+        rot.insert_edge(0, 5, after_u=None, after_v=None)
+        rot.delete_edge(14, 15)
+        touched = {0, 5, 14, 15}
+        for v in rot.nodes:
+            assert (rot._pos[v] is maps[v]) == (v not in touched), v
+
+    def test_duplicate_neighbor_still_rejected_on_insert(self):
+        rot = square_with_diagonal()
+        rot._order[1].append(0)  # corrupt row 1 behind the API's back
+        with pytest.raises(EmbeddingError, match="duplicate"):
+            rot.insert_edge(1, 3, after_u=None, after_v=None)
 
 
 class TestExport:
