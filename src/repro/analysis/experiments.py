@@ -383,7 +383,7 @@ def _e7_unit(unit: Dict) -> Dict:
                     weight_bad += 1
                 if interior_by_orders(cfg, fv) != interior:
                     member_bad += 1
-                left, right = side_sets(cfg, fv, interior)
+                left, right = side_sets(cfg, fv)
                 outside = set(g.nodes) - interior - set(fv.border)
                 if left | right != outside or (left & right):
                     side_bad += 1

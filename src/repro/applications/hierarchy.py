@@ -23,6 +23,7 @@ import networkx as nx
 from ..core.config import PlanarConfiguration
 from ..core.separator import cycle_separator
 from ..planar.checks import require_planar_connected
+from ..planar.construct import induced_copy
 
 Node = Hashable
 
@@ -188,7 +189,7 @@ def build_hierarchy(
         max_levels = 4 * max(len(graph), 2).bit_length() + 4
 
     def split(nodes: List[Node], level: int) -> Region:
-        subgraph = graph.subgraph(nodes).copy()
+        subgraph = induced_copy(graph, nodes)
         if len(nodes) <= leaf_size or level >= max_levels:
             return Region(level, nodes, list(nodes), "leaf")
         cfg = PlanarConfiguration.build(subgraph, root=min(nodes, key=repr))

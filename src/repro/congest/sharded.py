@@ -84,6 +84,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 import networkx as nx
 
+from ..planar.construct import induced_copy
 from .network import CongestViolation, NodeContext, RunResult, payload_words
 from .transport import TransportStats, _checksum
 
@@ -104,7 +105,7 @@ def _split_part(graph: nx.Graph, part: List[Node]) -> List[List[Node]]:
     separator; fall back to balanced halves of the repr-sorted part when
     the separator machinery does not apply (tiny, disconnected or
     non-planar pieces)."""
-    sub = graph.subgraph(part).copy()
+    sub = induced_copy(graph, part)
     sep: Optional[List[Node]] = None
     if len(part) >= 4 and nx.is_connected(sub):
         try:

@@ -27,7 +27,7 @@ semantic (is the real face balanced / heavy?), never formula-equality.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, List, Optional, Set, Tuple
+from typing import Hashable, Iterator, List, Optional, Tuple
 
 from .config import ConfigurationError, PlanarConfiguration
 from .faces import FaceView, face_view
@@ -152,7 +152,6 @@ def heavy_nested_insertion(
     fv: FaceView,
     z: Node,
     n: int,
-    interior: Optional[Set[Node]] = None,
 ) -> Optional[Tuple[PlanarConfiguration, FaceView]]:
     """Insert ``u z`` so the new face is heavy but strictly inside
     :math:`F_e` — the containment-descent step of Lemma 7's proof.
@@ -161,8 +160,7 @@ def heavy_nested_insertion(
     fundamental edge with interior > 2n/3, strictly fewer interior nodes
     than :math:`F_e`) or ``None``.
     """
-    if interior is None:
-        interior = fv.interior()
+    interior = fv.interior()
     face_nodes = interior | set(fv.border)
     for cfg2, view in insertion_variants(cfg, fv.u, z, prefer_a=fv.v, prefer_b=None):
         new_interior = view.interior()

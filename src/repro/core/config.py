@@ -25,7 +25,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from ..planar.checks import require_connected, require_planar
-from ..planar.construct import embed, embed_subgraph
+from ..planar.construct import embed, embed_subgraph, induced_copy
 from ..planar.rotation import RotationSystem
 from ..trees.rooted import RootedTree
 from ..trees.spanning import bfs_tree
@@ -110,7 +110,7 @@ class PlanarConfiguration:
         tree: RootedTree,
     ) -> "PlanarConfiguration":
         """Configuration of an induced part with the inherited embedding."""
-        subgraph = graph.subgraph(part).copy()
+        subgraph = induced_copy(graph, part)
         sub_rotation = embed_subgraph(rotation, part)
         return cls(subgraph, sub_rotation, tree)
 

@@ -28,7 +28,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from ..planar.checks import require_connected, require_planar
-from ..planar.construct import embed, embed_subgraph
+from ..planar.construct import embed, embed_subgraph, induced_copy
 from ..planar.rotation import RotationSystem
 from ..trees.rooted import RootedTree
 from .config import PlanarConfiguration
@@ -163,7 +163,7 @@ def _component_separator(
     The component's spanning tree is rooted at the node with the deepest
     neighbor in the partial tree — the same root the JOIN step will use.
     """
-    subgraph = graph.subgraph(component).copy()
+    subgraph = induced_copy(graph, component)
     root = _deepest_attachment(graph, component, result)[0]
     tree = _attachment_spanning_tree(subgraph, root, set())
     cfg = PlanarConfiguration(subgraph, embed_subgraph(rotation, component), tree)
@@ -242,7 +242,7 @@ def _join(
         next_pending: List[Tuple[Set[Node], Set[Node]]] = []
         for nodes, todo in pending:
             r, attach = _deepest_attachment(graph, nodes, result)
-            tree = _attachment_spanning_tree(graph.subgraph(nodes).copy(), r, todo)
+            tree = _attachment_spanning_tree(induced_copy(graph, nodes), r, todo)
             target = _farthest_marked(tree, todo)
             path = tree.path(r, target)
             # DFS-RULE: hang the path below the attachment point; parents

@@ -14,6 +14,12 @@ questions the distributed algorithm needs:
 * whether another fundamental edge is *contained in* :math:`F_e` (used by
   NOT-CONTAINED / NOT-CONTAINS, Section 5.2.4).
 
+A view answers these lazily: the border walk, the LCA and the side
+decision are fixed at construction, while a border node's inside arc is
+computed from its rotation the first time it is asked for, and the interior
+once on first use.  Definition 2's weight reads only the two endpoints'
+arcs (Lemma 12), so it touches two rotations however long the border is.
+
 The side decision is made **chirality-free**: at the topmost border node
 (the LCA ``w``), the outside is the side holding ``w``'s parent slot — for
 the root, the virtual-root gap between the last and first rotation position.
@@ -24,7 +30,7 @@ which is exactly how a face traversal follows one side of a closed walk.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from .config import PlanarConfiguration
 
@@ -48,8 +54,10 @@ def _arc(start: int, end: int, degree: int) -> List[int]:
 class FaceView:
     """All border-local information about one real fundamental face.
 
-    Built once per fundamental edge; everything else (p-values, interiors,
-    containment tests, weights) reads from here.
+    Construction fixes the border walk and the side decision.  A border
+    node's inside arc is computed on its first query and the interior on
+    first use, both cached on the view; p-values, containment tests and
+    weights read from those.
     """
 
     __slots__ = (
@@ -60,6 +68,7 @@ class FaceView:
         "border",
         "_border_index",
         "_inside_positions",
+        "_interior",
         "inside_is_A",
     )
 
@@ -74,9 +83,9 @@ class FaceView:
         }
         if len(self._border_index) != len(self.border):  # pragma: no cover
             raise ValueError("border walk revisits a node")
-        self._inside_positions: Dict[Node, Set[int]] = {}
+        self._inside_positions: Dict[Node, FrozenSet[int]] = {}
+        self._interior: Optional[FrozenSet[Node]] = None
         self.inside_is_A = self._decide_side()
-        self._compute_inside_positions()
 
     # ------------------------------------------------------------------
     # side decision (chirality-free, see module docstring)
@@ -101,15 +110,6 @@ class FaceView:
         # i.e. when i > o.  The inside is the other side.
         return i < o
 
-    def _compute_inside_positions(self) -> None:
-        for x in self.border:
-            prev, nxt = self._walk_neighbors(x)
-            i = self.cfg.t_position(x, prev)
-            o = self.cfg.t_position(x, nxt)
-            degree = self.cfg.rotation.degree(x)
-            arc = _arc(i, o, degree) if self.inside_is_A else _arc(o, i, degree)
-            self._inside_positions[x] = set(arc)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -122,14 +122,26 @@ class FaceView:
         """Whether ``x`` is on the border path."""
         return x in self._border_index
 
-    def inside_positions(self, x: Node) -> Set[int]:
-        """Rotation positions of border node ``x`` pointing inside."""
-        return self._inside_positions[x]
+    def inside_positions(self, x: Node) -> FrozenSet[int]:
+        """Rotation positions of border node ``x`` pointing inside.
+
+        The arc between the walk's incoming and outgoing edges at ``x``,
+        computed from ``x``'s rotation on the first query and cached.
+        """
+        arc = self._inside_positions.get(x)
+        if arc is None:
+            prev, nxt = self._walk_neighbors(x)
+            i = self.cfg.t_position(x, prev)
+            o = self.cfg.t_position(x, nxt)
+            degree = self.cfg.rotation.degree(x)
+            arc = frozenset(_arc(i, o, degree) if self.inside_is_A else _arc(o, i, degree))
+            self._inside_positions[x] = arc
+        return arc
 
     def neighbors_inside(self, x: Node) -> List[Node]:
         """Neighbors of border node ``x`` attached on the inside."""
         t = self.cfg.t(x)
-        return [t[p] for p in sorted(self._inside_positions[x])]
+        return [t[p] for p in sorted(self.inside_positions(x))]
 
     def children_inside(self, x: Node) -> List[Node]:
         """T-children of border node ``x`` whose subtree hangs inside."""
@@ -147,32 +159,31 @@ class FaceView:
         sizes = self.cfg.tree.subtree_size
         return sum(sizes[c] for c in self.children_inside(x))
 
-    def interior(self) -> Set[Node]:
+    def interior(self) -> FrozenSet[Node]:
         """:math:`\\mathring{F}_e`: all nodes strictly inside the face.
 
         Every interior node hangs, in T, below an inside T-child of a border
         node (Claim 3's decomposition), so the interior is a disjoint union
-        of full subtrees.
+        of full subtrees.  Computed once, on first use.
         """
-        tree = self.cfg.tree
-        out: Set[Node] = set()
-        for x in self.border:
-            for c in self.children_inside(x):
-                out.update(tree.subtree_nodes(c))
-        return out
+        if self._interior is None:
+            tree = self.cfg.tree
+            out: Set[Node] = set()
+            for x in self.border:
+                for c in self.children_inside(x):
+                    out.update(tree.subtree_nodes(c))
+            self._interior = frozenset(out)
+        return self._interior
 
     def face_nodes(self) -> Set[Node]:
         """All of :math:`V(F_e)`: border plus interior."""
         return set(self.border) | self.interior()
 
-    def contains_point(self, x: Node, interior_cache: Set[Node] | None = None) -> bool:
+    def contains_point(self, x: Node) -> bool:
         """Whether node ``x`` lies on :math:`F_e` (border or interior)."""
-        if x in self._border_index:
-            return True
-        interior = interior_cache if interior_cache is not None else self.interior()
-        return x in interior
+        return x in self._border_index or x in self.interior()
 
-    def contains_edge(self, f: Edge, interior_cache: Set[Node] | None = None) -> bool:
+    def contains_edge(self, f: Edge) -> bool:
         """Whether fundamental edge ``f`` is drawn inside :math:`F_e`.
 
         An edge is inside iff each endpoint is inside, where a border
@@ -182,12 +193,11 @@ class FaceView:
         a, b = f
         if {a, b} == {self.u, self.v}:
             return False
-        interior = interior_cache if interior_cache is not None else self.interior()
         for x, y in ((a, b), (b, a)):
             if x in self._border_index:
-                if self.cfg.t_position(x, y) not in self._inside_positions[x]:
+                if self.cfg.t_position(x, y) not in self.inside_positions(x):
                     return False
-            elif x not in interior:
+            elif x not in self.interior():
                 return False
         return True
 

@@ -22,7 +22,7 @@ Edge = Tuple[Node, Node]
 __all__ = ["hiding_edges", "is_hidden", "hiding_edges_in_region"]
 
 
-def _t_u_face_nodes(cfg: PlanarConfiguration, fv: FaceView, interior: Set[Node]) -> Set[Node]:
+def _t_u_face_nodes(cfg: PlanarConfiguration, fv: FaceView) -> Set[Node]:
     """:math:`V(T_u) \\cap V(F_e)` — ``u`` plus its inside child subtrees."""
     tree = cfg.tree
     out: Set[Node] = {fv.u}
@@ -35,24 +35,21 @@ def hiding_edges(
     cfg: PlanarConfiguration,
     fv: FaceView,
     z: Node,
-    interior: Set[Node] | None = None,
 ) -> List[Tuple[Edge, FaceView]]:
     """All real fundamental edges hiding ``z`` in :math:`F_e`.
 
     Returns pairs ``(f, face_view_of_f)``; empty means ``z`` is
     :math:`(T, F_e)`-compatible with ``u`` (for a leaf ``z``, by Lemma 6).
     """
-    if interior is None:
-        interior = fv.interior()
-    if z not in interior:
+    if z not in fv.interior():
         raise ValueError(f"{z!r} is not inside the face")
     u = fv.u
-    t_u_nodes = _t_u_face_nodes(cfg, fv, interior)
+    t_u_nodes = _t_u_face_nodes(cfg, fv)
     out: List[Tuple[Edge, FaceView]] = []
     for f in cfg.real_fundamental_edges():
         if set(f) == {fv.u, fv.v}:
             continue
-        if not fv.contains_edge(f, interior_cache=interior):
+        if not fv.contains_edge(f):
             continue
         f_view = face_view(cfg, f)
         f_interior = f_view.interior()
@@ -69,10 +66,9 @@ def is_hidden(
     cfg: PlanarConfiguration,
     fv: FaceView,
     z: Node,
-    interior: Set[Node] | None = None,
 ) -> bool:
     """Whether ``z`` is hidden in :math:`F_e` (Definition 4)."""
-    return bool(hiding_edges(cfg, fv, z, interior))
+    return bool(hiding_edges(cfg, fv, z))
 
 
 def hiding_edges_in_region(

@@ -199,8 +199,7 @@ def _separate(
     e = _containment_maximal(cfg, views, fundamental)
     _charge(ledger, "not-contained")
     fv = views[e]
-    interior = fv.interior()
-    left, right = side_sets(cfg, fv, interior)
+    left, right = side_sets(cfg, fv)
     _charge(ledger, "partwise-aggregation")  # broadcast of |F_l|, |F_r|
     if 3 * len(left) <= n and 3 * len(right) <= n:
         # Both outside sets light: the whole outside is at most 2n/3 and the
@@ -282,7 +281,7 @@ def _phase4(
         # Claim 6's fallback via a containment-maximal hiding edge of the
         # leftmost window node.
         z = window[0]
-        return _hidden_fallback(cfg, fv, z, interior, suffix, ledger, ablation)
+        return _hidden_fallback(cfg, fv, z, suffix, ledger, ablation)
 
     heavy = [z for z in candidates if z in aug and 3 * aug[z] > 2 * n]
     if not heavy:
@@ -307,11 +306,11 @@ def _phase4(
     if balanced_insertion(cfg, fv.u, t, n, prefer_a=fv.v, prefer_b=prefer_b) is not None:
         _charge(ledger, "mark-path")
         return SeparatorResult(tree.path(fv.u, t), "phase4.1" + suffix)
-    heavy_step = heavy_nested_insertion(cfg, fv, t, n, interior)
+    heavy_step = heavy_nested_insertion(cfg, fv, t, n)
     if heavy_step is not None:
         cfg2, _ = heavy_step
         return _separate(cfg2, n, depth + 1, ledger, ablation)
-    return _hidden_fallback(cfg, fv, t, interior, suffix, ledger, ablation)
+    return _hidden_fallback(cfg, fv, t, suffix, ledger, ablation)
 
 
 
@@ -393,14 +392,13 @@ def _hidden_fallback(
     cfg: PlanarConfiguration,
     fv: FaceView,
     z: Node,
-    interior: Set[Node],
     suffix: str,
     ledger,
     ablation: frozenset = frozenset(),
 ) -> SeparatorResult:
     """Claim 6: mark the path to the far endpoint of a containment-maximal
     hiding edge of ``z``."""
-    hidden = hiding_edges(cfg, fv, z, interior)
+    hidden = hiding_edges(cfg, fv, z)
     _charge(ledger, "hidden-problem")
     _charge(ledger, "not-contained")
     if not hidden:
@@ -431,10 +429,7 @@ def _containment_minimal(
     order = sorted(candidates, key=lambda e: (len(views[e].face_nodes()), repr(e)))
     for e in order:
         fv = views[e]
-        interior = fv.interior()
-        if not any(
-            f != e and fv.contains_edge(f, interior_cache=interior) for f in candidates
-        ):
+        if not any(f != e and fv.contains_edge(f) for f in candidates):
             return e
     raise SeparatorError("no containment-minimal fundamental edge found")
 
@@ -450,11 +445,7 @@ def _containment_maximal(
         candidates, key=lambda e: (-len(views[e].face_nodes()), repr(e))
     )
     for e in order:
-        if not any(
-            f != e
-            and views[f].contains_edge(e, interior_cache=views[f].interior())
-            for f in candidates
-        ):
+        if not any(f != e and views[f].contains_edge(e) for f in candidates):
             return e
     raise SeparatorError("no containment-maximal fundamental edge found")
 
@@ -491,7 +482,7 @@ def compute_cycle_separators(
         Optional :class:`repro.congest.ledger.RoundLedger`; per-part costs
         are charged as parallel blocks.
     """
-    from ..planar.construct import embed, embed_subgraph
+    from ..planar.construct import embed, embed_subgraph, induced_copy
     from ..trees.spanning import boruvka_part_spanning_trees
 
     for i, part in enumerate(parts):
@@ -508,7 +499,7 @@ def compute_cycle_separators(
     if ledger is not None:
         ledger.begin_parallel()
     for i, part in enumerate(parts):
-        subgraph = graph.subgraph(part).copy()
+        subgraph = induced_copy(graph, part)
         require_connected(subgraph, what=f"part {i}")
         cfg = PlanarConfiguration(subgraph, embed_subgraph(rotation, part), trees[i])
         if ledger is not None:

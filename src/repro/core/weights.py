@@ -128,7 +128,6 @@ def augmented_weight(
 def side_sets(
     cfg: PlanarConfiguration,
     fv: FaceView,
-    interior: Set[Node] | None = None,
 ) -> Tuple[Set[Node], Set[Node]]:
     """The outside split :math:`(F^e_\\ell, F^e_r)` of Lemma 8 (Phase 5).
 
@@ -141,9 +140,7 @@ def side_sets(
     reduction also needs the membership.
     """
     u, v = fv.u, fv.v
-    if interior is None:
-        interior = fv.interior()
-    face_nodes = interior | set(fv.border)
+    face_nodes = fv.face_nodes()
     pi = cfg.pi_left
     left: Set[Node] = set()
     right: Set[Node] = set()

@@ -54,6 +54,7 @@ from ..core.config import PlanarConfiguration
 from ..core.dfs import dfs_tree
 from ..core.separator import cycle_separator
 from ..core.verify import VerificationError, check_dfs_tree, check_separator
+from ..planar.construct import induced_copy
 from ..trees.rooted import RootedTree
 from .mutations import DynamicPlanarGraph, MutationError, Update
 
@@ -466,7 +467,7 @@ class DynamicPipeline:
             self._recompute_all()
             return
         graph = self.dyn.graph
-        sub = graph.subgraph(region).copy()
+        sub = induced_copy(graph, region)
         ledger = self._ledger(sub, w)
         repaired = dfs_tree(sub, w, ledger=ledger)
         for node in region:

@@ -7,7 +7,7 @@ from .checks import (
     require_planar,
     require_planar_connected,
 )
-from .construct import embed, embed_subgraph
+from .construct import embed, embed_subgraph, induced_copy
 from .drawing import (
     OnBoundaryError,
     point_in_polygon,
@@ -26,6 +26,7 @@ __all__ = [
     "embed",
     "embed_subgraph",
     "generators",
+    "induced_copy",
     "point_in_polygon",
     "polygon_signed_area2",
     "require_connected",

@@ -14,7 +14,7 @@ import networkx as nx
 from .checks import NotPlanarError
 from .rotation import RotationSystem
 
-__all__ = ["embed", "embed_subgraph"]
+__all__ = ["embed", "embed_subgraph", "induced_copy"]
 
 
 def embed(graph: nx.Graph) -> RotationSystem:
@@ -45,3 +45,33 @@ def embed_subgraph(rotation: RotationSystem, nodes) -> RotationSystem:
         if v in keep
     }
     return RotationSystem(order)
+
+
+def induced_copy(graph: nx.Graph, nodes) -> nx.Graph:
+    """An independent copy of the subgraph of ``graph`` induced on ``nodes``.
+
+    Equal to copying networkx's ``graph.subgraph(nodes)`` view in node
+    order, per-node adjacency order and (freshly copied) node/edge data,
+    but read straight from ``graph._adj`` instead of through the view's
+    filters.  The
+    orders matter: spanning-tree searches walk neighbours in adjacency
+    order, so another order yields other trees.  Nodes absent from
+    ``graph`` are ignored; ``graph`` must be a simple undirected graph.
+    """
+    adj = graph._adj
+    keep = set(n for n in nodes if n in adj)
+    # networkx's filtered views iterate the kept set when it is under half
+    # the graph, and the graph's own order otherwise.
+    order = keep if 2 * len(keep) < len(adj) else [n for n in adj if n in keep]
+    sub_adj = {n: {} for n in order}
+    for u in order:
+        row = sub_adj[u]
+        for v, data in adj[u].items():
+            if v in keep and v not in row:
+                row[v] = sub_adj[v][u] = data.copy()
+    node_data = graph._node
+    sub = graph.__class__()
+    sub.graph.update(graph.graph)
+    sub._node = {n: node_data[n].copy() for n in order}
+    sub._adj = sub_adj
+    return sub

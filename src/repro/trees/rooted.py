@@ -138,27 +138,36 @@ class RootedTree:
         return a != b and self.is_ancestor(a, b)
 
     def lca(self, u: Node, v: Node) -> Node:
-        """Lowest common ancestor, by depth-walking (O(path length))."""
+        """Lowest common ancestor: O(1) for an ancestor-descendant pair (the
+        Euler intervals), otherwise by depth-walking (O(path length))."""
+        if self.is_ancestor(u, v):
+            return u
+        if self.is_ancestor(v, u):
+            return v
+        depth, parent = self.depth, self.parent
         while u != v:
-            if self.depth[u] >= self.depth[v]:
-                u = self.parent[u]  # type: ignore[assignment]
+            if depth[u] >= depth[v]:
+                u = parent[u]  # type: ignore[assignment]
             else:
-                v = self.parent[v]  # type: ignore[assignment]
+                v = parent[v]  # type: ignore[assignment]
         return u
 
     def path(self, u: Node, v: Node) -> List[Node]:
         """The unique T-path from ``u`` to ``v`` (inclusive)."""
+        depth, parent = self.depth, self.parent
         up_u: List[Node] = []
         up_v: List[Node] = []
         a, b = u, v
         while a != b:
-            if self.depth[a] >= self.depth[b]:
+            if depth[a] >= depth[b]:
                 up_u.append(a)
-                a = self.parent[a]  # type: ignore[assignment]
+                a = parent[a]  # type: ignore[assignment]
             else:
                 up_v.append(b)
-                b = self.parent[b]  # type: ignore[assignment]
-        return up_u + [a] + list(reversed(up_v))
+                b = parent[b]  # type: ignore[assignment]
+        up_u.append(a)
+        up_u.extend(reversed(up_v))
+        return up_u
 
     def path_to_root(self, v: Node) -> List[Node]:
         """T-path from ``v`` up to the root (inclusive)."""

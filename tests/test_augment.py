@@ -179,7 +179,7 @@ class TestHeavyNestedInsertion:
                 for z in sorted(interior, key=repr):
                     if cfg.tree.children[z] or cfg.graph.has_edge(fv.u, z):
                         continue
-                    result = heavy_nested_insertion(cfg, fv, z, n, interior)
+                    result = heavy_nested_insertion(cfg, fv, z, n)
                     if result is None:
                         continue
                     cfg2, view = result

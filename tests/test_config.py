@@ -1,10 +1,12 @@
 """Unit tests for planar configurations and DFS orders."""
 
+import random
+
 import networkx as nx
 import pytest
 
 from repro.core.config import ConfigurationError, PlanarConfiguration
-from repro.planar import embed, embed_subgraph
+from repro.planar import embed, embed_subgraph, induced_copy
 from repro.planar import generators as gen
 from repro.trees import bfs_tree, dfs_spanning_tree
 
@@ -134,3 +136,68 @@ class TestSubgraphEmbedding:
         rot = embed(g)
         sub = embed_subgraph(rot, range(12))
         sub.validate()
+
+
+def assert_same_copy(graph, make_nodes):
+    """``induced_copy`` equals networkx's view-then-copy in every order."""
+    expected = graph.subgraph(make_nodes()).copy()
+    got = induced_copy(graph, make_nodes())
+    assert type(got) is type(expected)
+    assert list(got) == list(expected)
+    for v in expected:
+        assert list(got.adj[v]) == list(expected.adj[v]), v
+        assert got.adj[v] == expected.adj[v], v
+        assert got.nodes[v] == expected.nodes[v], v
+    assert list(got.edges(data=True)) == list(expected.edges(data=True))
+    assert got.graph == expected.graph
+
+
+class TestInducedCopy:
+    GRAPHS = {
+        "delaunay": lambda: gen.delaunay(80, seed=2),
+        "grid": lambda: gen.grid(7, 9),
+        "tri-grid": lambda: gen.triangulated_grid(6, 7),
+        "strings": lambda: nx.relabel_nodes(gen.delaunay(50, seed=4), lambda v: f"n{v}"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_matches_subgraph_copy(self, name):
+        g = self.GRAPHS[name]()
+        g.graph["name"] = name
+        for v in g:
+            g.nodes[v]["label"] = repr(v)
+        for a, b in g.edges:
+            g.edges[a, b]["w"] = [a, b]
+        rng = random.Random(name)
+        nodes = list(g)
+        half = len(nodes) // 2
+        # Both sides of networkx's order switch: kept sets under half the
+        # graph iterate in set order, larger ones in graph order.
+        for k in (1, 3, half - 1, half, half + 1, len(nodes) - 2, len(nodes)):
+            for _ in range(5):
+                sample = rng.sample(nodes, k)
+                assert_same_copy(g, lambda: sample)
+                assert_same_copy(g, lambda: set(sample))
+                assert_same_copy(g, lambda: (v for v in sample))
+                assert_same_copy(g, lambda: sample + ["absent", -1])
+
+    def test_empty_and_absent_nodes(self):
+        g = gen.grid(3, 3)
+        assert len(induced_copy(g, [])) == 0
+        assert len(induced_copy(g, ["absent", 99])) == 0
+
+    def test_data_dicts_are_independent(self):
+        g = gen.grid(3, 4)
+        g.graph["tag"] = "original"
+        g.nodes[0]["label"] = "zero"
+        g.edges[0, 1]["w"] = 1
+        sub = induced_copy(g, [0, 1, 4, 5])
+        sub.graph["tag"] = "copy"
+        sub.nodes[0]["label"] = "changed"
+        sub.edges[0, 1]["w"] = 2
+        sub.add_edge(0, 5)
+        assert g.graph["tag"] == "original"
+        assert g.nodes[0]["label"] == "zero"
+        assert g.edges[0, 1]["w"] == 1
+        assert not g.has_edge(0, 5)
+        assert sub.edges[1, 0] is sub.edges[0, 1]

@@ -5,12 +5,17 @@ The central invariant (tested exhaustively here and by property tests):
 flood fill for every real fundamental edge.
 """
 
+import random
+
 import networkx as nx
 import pytest
 
+from repro.core.config import PlanarConfiguration
 from repro.core.faces import face_view
 from repro.core.regions import RegionError, cycle_regions
+from repro.core.weights import weight
 from repro.planar import generators as gen
+from repro.planar.rotation import RotationSystem
 
 from conftest import configs_for, make_config
 
@@ -19,6 +24,36 @@ def oracle_interior(cfg, fv):
     root = cfg.tree.root
     anchor = cfg.t(root)[0]
     return cycle_regions(cfg.rotation, fv.border, (root, anchor)).inside_nodes
+
+
+def oracle_inside_positions(cfg, fv):
+    """Per border node, the rotation positions the region oracle puts inside.
+
+    Each chord between two border nodes is subdivided by a fresh node, so
+    every position of a border node leads either along the cycle or to a
+    node off the cycle, which the dual flood fill places on one side.
+    """
+    on_border = set(fv.border)
+    cycle_edges = {frozenset(p) for p in zip(fv.border, fv.border[1:])}
+    cycle_edges.add(frozenset((fv.u, fv.v)))
+
+    def through(x, y):
+        if {x, y} <= on_border and frozenset((x, y)) not in cycle_edges:
+            return ("mid",) + tuple(sorted((x, y), key=repr))
+        return y
+
+    order = {x: [through(x, y) for y in cfg.t(x)] for x in cfg.rotation.nodes}
+    for x in on_border:
+        for y in cfg.t(x):
+            mid = through(x, y)
+            if mid != y:
+                order[mid] = [x, y]
+    root = cfg.tree.root
+    outside = (root, through(root, cfg.t(root)[0]))
+    inside = cycle_regions(RotationSystem(order), fv.border, outside).inside_nodes
+    return {
+        x: {p for p, y in enumerate(order[x]) if y in inside} for x in fv.border
+    }
 
 
 class TestFaceView:
@@ -70,6 +105,56 @@ class TestFaceView:
                 )
                 assert fv.p_value(x) == direct
 
+    def test_inside_positions_match_oracle_at_every_border_node(self):
+        rng = random.Random(5)
+        graphs = [gen.triangulated_grid(5, 5), gen.delaunay(40, seed=3), gen.wheel(12)]
+        for g in graphs:
+            for kind, cfg in configs_for(g, seed=3):
+                for e in cfg.real_fundamental_edges():
+                    expected = oracle_inside_positions(cfg, face_view(cfg, e))
+                    border = list(expected)
+                    shuffled = border[:]
+                    rng.shuffle(shuffled)
+                    # A fresh view per order: arcs are computed on the
+                    # first query, so the order must not matter.
+                    for order in (border, border[::-1], shuffled):
+                        fv = face_view(cfg, e)
+                        for x in order:
+                            assert set(fv.inside_positions(x)) == expected[x], (kind, e, x)
+
+    def test_interior_is_computed_once(self):
+        cfg = make_config(gen.delaunay(40, seed=4))
+        for e in cfg.real_fundamental_edges():
+            fv = face_view(cfg, e)
+            interior = fv.interior()
+            assert isinstance(interior, frozenset)
+            assert fv.interior() is interior
+            assert fv.face_nodes() == interior | set(fv.border)
+
+    def test_weight_reads_only_the_endpoints(self, monkeypatch):
+        # Definition 2's weight is local to u and v (Lemma 12): the number
+        # of rotation lookups must not grow with the border.  A BFS tree of
+        # a long 3-row grid makes borders of up to 80 nodes.
+        cfg = make_config(gen.grid(3, 40))
+        calls = []
+        original = PlanarConfiguration.t_position
+
+        def counting(self, v, u):
+            calls.append(v)
+            return original(self, v, u)
+
+        monkeypatch.setattr(PlanarConfiguration, "t_position", counting)
+        longest = 0
+        for e in cfg.real_fundamental_edges():
+            calls.clear()
+            fv = face_view(cfg, e)
+            weight(cfg, fv)
+            longest = max(longest, len(fv.border))
+            # Two for the side decision, two per endpoint arc, two for the
+            # orientation of an ancestor-descendant edge.
+            assert len(calls) <= 8, (e, len(fv.border), len(calls))
+        assert longest >= 50
+
     def test_rejects_tree_and_missing_edges(self):
         cfg = make_config(gen.grid(3, 4))
         p, c = next(iter(cfg.tree.edges()))
@@ -88,11 +173,10 @@ class TestContainment:
             e: views[e].interior() | set(views[e].border) for e in edges
         }
         for e in edges:
-            interior = views[e].interior()
             for f in edges:
                 if f == e:
                     continue
-                if views[e].contains_edge(f, interior_cache=interior):
+                if views[e].contains_edge(f):
                     assert regions[f] <= regions[e], (e, f)
 
     def test_edge_not_contained_in_itself(self):

@@ -51,7 +51,7 @@ class TestHiddenBasics:
             interior = fv.interior()
             for z in interior:
                 if not cfg.tree.children[z]:
-                    assert not is_hidden(cfg, fv, z, interior)
+                    assert not is_hidden(cfg, fv, z)
 
     def test_rejects_non_interior_node(self):
         cfg = make_config(gen.triangulated_grid(3, 4))
@@ -71,9 +71,9 @@ class TestHiddenBasics:
                 for z in sorted(interior, key=repr):
                     if cfg.tree.children[z]:
                         continue
-                    for f, f_view in hiding_edges(cfg, fv, z, interior):
+                    for f, f_view in hiding_edges(cfg, fv, z):
                         assert z in f_view.interior()
-                        assert fv.contains_edge(f, interior_cache=interior)
+                        assert fv.contains_edge(f)
 
 
 class TestLemma6:
@@ -92,7 +92,7 @@ class TestLemma6:
                 for z in sorted(interior, key=repr):
                     if cfg.tree.children[z] or cfg.graph.has_edge(fv.u, z):
                         continue
-                    if is_hidden(cfg, fv, z, interior):
+                    if is_hidden(cfg, fv, z):
                         continue
                     variants = list(insertion_variants(cfg, fv.u, z, prefer_a=fv.v))
                     assert variants, (name, e, z)
@@ -106,7 +106,7 @@ class TestLemma6:
         fv = face_view(cfg, (5, 1))
         interior = fv.interior()
         assert interior == {2, 3, 4}
-        hidden = hiding_edges(cfg, fv, 3, interior)
+        hidden = hiding_edges(cfg, fv, 3)
         assert len(hidden) == 1
         assert set(hidden[0][0]) == {2, 4}
         # The walled-off leaf admits no planar insertion from u.
@@ -114,4 +114,4 @@ class TestLemma6:
         # Its siblings in front of the chord are not hidden.
         for z in (2, 4):
             if not cfg.graph.has_edge(fv.u, z):
-                assert not is_hidden(cfg, fv, z, interior)
+                assert not is_hidden(cfg, fv, z)

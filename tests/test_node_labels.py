@@ -4,8 +4,15 @@ Node identifiers in CONGEST are opaque IDs; the library breaks ties by
 ``repr`` ordering, so strings and tuples must work everywhere integers do.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
+
+import repro
 
 from repro.core.config import PlanarConfiguration
 from repro.core.dfs import dfs_tree
@@ -58,3 +65,38 @@ class TestTupleLabels:
         g = tuple_labelled(gen.delaunay(60, seed=2))
         h = build_hierarchy(g)
         assert sorted(h.elimination_order()) == sorted(g.nodes)
+
+
+_PARENT_MAP_SCRIPT = """
+import networkx as nx
+from repro.core.dfs import dfs_tree
+from repro.planar import generators as gen
+g = nx.relabel_nodes(gen.delaunay(120, seed=7), lambda v: f"n{v}")
+print(sorted(dfs_tree(g, "n0").parent.items(), key=repr))
+"""
+
+
+def _parent_map_under_hash_seed(seed: int) -> str:
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARENT_MAP_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr[-1000:]
+    return proc.stdout
+
+
+class TestHashSeedIndependence:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: set-order tie-breaks (unused repr key in "
+        "_deepest_attachment, set-ordered components and induced copies) "
+        "make string-labelled DFS trees depend on PYTHONHASHSEED",
+    )
+    def test_dfs_tree_is_independent_of_hash_seed(self):
+        assert _parent_map_under_hash_seed(1) == _parent_map_under_hash_seed(2)

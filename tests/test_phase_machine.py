@@ -76,7 +76,6 @@ class TestHiddenFallbackDirect:
 
         g, cfg = star_with_chords()
         fv = face_view(cfg, (5, 1))
-        interior = fv.interior()
-        result = _hidden_fallback(cfg, fv, 3, interior, "", None)
+        result = _hidden_fallback(cfg, fv, 3, "", None)
         check_separator(g, result.path, cfg.tree)
         assert result.phase.startswith("phase4.1-hidden") or result.phase.startswith("phase5-rooted")

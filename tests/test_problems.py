@@ -134,11 +134,10 @@ class TestFaceProblems:
                 if f == maximal:
                     continue
                 assert not views[f].contains_edge(maximal)
-            interior = views[minimal].interior()
             for f in fund:
                 if f == minimal:
                     continue
-                assert not views[minimal].contains_edge(f, interior_cache=interior)
+                assert not views[minimal].contains_edge(f)
 
 
 class TestSeparatorProblem:

@@ -57,9 +57,8 @@ class TestDefinition2Exactness:
         edges = cfg.real_fundamental_edges()
         views = {e: face_view(cfg, e) for e in edges}
         for e in edges:
-            interior = views[e].interior()
             for f in edges:
-                if f != e and views[e].contains_edge(f, interior_cache=interior):
+                if f != e and views[e].contains_edge(f):
                     assert weight(cfg, views[f]) <= weight(cfg, views[e])
 
 
@@ -104,7 +103,7 @@ class TestSideSets:
         for e in cfg.real_fundamental_edges():
             fv = face_view(cfg, e)
             interior = fv.interior()
-            left, right = side_sets(cfg, fv, interior)
+            left, right = side_sets(cfg, fv)
             outside = set(cfg.graph.nodes) - interior - set(fv.border)
             assert left | right == outside
             assert not left & right
