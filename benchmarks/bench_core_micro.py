@@ -14,6 +14,7 @@ vs the active-set scheduler on a square-grid wavefront (see
 docs/BENCHMARKS.md for the tier's runtime budget).
 """
 
+import statistics
 import time
 
 import networkx as nx
@@ -352,6 +353,13 @@ def tracing_overhead_rows(n: int = WAVE_N):
     """Time the wavefront bare, under RoundTrace, and under RoundTrace
     plus an attached Tracer span — the observability cost ladder.
 
+    Each configuration runs 15 times, alternating: repeat ``i``
+    runs the three configurations in an order rotated by ``i``, so slow
+    and fast stretches of the host fall on all of them alike.  A row
+    reports the median and the quartiles (q1, q3) of its runs, and the
+    overhead as the ratio of its median to the bare row's.  Where the
+    rows' q1..q3 ranges overlap, the overhead is below the host's noise.
+
     Tracing *off* is free by construction (``trace_span`` returns the
     shared ``NULL_SPAN`` singleton, no Span is allocated — locked by
     ``tests/test_obs.py``), so the bare row doubles as the tracing-off
@@ -359,42 +367,44 @@ def tracing_overhead_rows(n: int = WAVE_N):
     """
     net = Network(gen.path_graph(n))
     init, on_round = _wavefront_program()
-    repeats = 3  # best-of-N: the run is ~0.2s, scheduler noise dominates
 
-    def timed(trace):
-        t0 = time.perf_counter()
-        res = net.run(init, on_round, max_rounds=WAVE_ROUNDS, trace=trace,
-                      scheduler="active")
-        return res, time.perf_counter() - t0
+    def bare():
+        return net.run(init, on_round, max_rounds=WAVE_ROUNDS, scheduler="active")
 
-    timed(None)  # warm-up: the first run pays allocator/cache setup
-    base_res, bare = min(
-        (timed(None) for _ in range(repeats)), key=lambda rt: rt[1])
-    trace_res, traced = min(
-        (timed(RoundTrace()) for _ in range(repeats)), key=lambda rt: rt[1])
+    def traced():
+        return net.run(init, on_round, max_rounds=WAVE_ROUNDS, trace=RoundTrace(),
+                       scheduler="active")
 
-    def timed_span():
-        span_trace = RoundTrace()
+    def spanned():
+        trace = RoundTrace()
         tracer = Tracer()
-        tracer.attach(span_trace)
-        t0 = time.perf_counter()
+        tracer.attach(trace)
         with tracer.span("wavefront", n=n):
-            res = net.run(init, on_round, max_rounds=WAVE_ROUNDS,
-                          trace=span_trace, scheduler="active")
-        return (res, tracer), time.perf_counter() - t0
+            res = net.run(init, on_round, max_rounds=WAVE_ROUNDS, trace=trace,
+                          scheduler="active")
+        assert tracer.spans[0].rounds == res.rounds  # full attribution
+        return res
 
-    (span_res, tracer), spanned = min(
-        (timed_span() for _ in range(repeats)), key=lambda rt: rt[1])
-    rows = [
-        {"config": "bare (tracing off)", "n": n, "rounds": base_res.rounds,
-         "seconds": round(bare, 4), "overhead": 1.0},
-        {"config": "RoundTrace", "n": n, "rounds": trace_res.rounds,
-         "seconds": round(traced, 4), "overhead": round(traced / bare, 2)},
-        {"config": "RoundTrace + Tracer span", "n": n, "rounds": span_res.rounds,
-         "seconds": round(spanned, 4), "overhead": round(spanned / bare, 2)},
-    ]
-    assert base_res.rounds == trace_res.rounds == span_res.rounds
-    assert tracer.spans[0].rounds == span_res.rounds  # full attribution
+    configs = [("bare (tracing off)", bare), ("RoundTrace", traced),
+               ("RoundTrace + Tracer span", spanned)]
+    repeats = 15
+    bare()  # warm-up: the first run pays allocator/cache setup
+    times = {name: [] for name, _ in configs}
+    rounds = {}
+    for i in range(repeats):
+        for name, run in configs[i % 3:] + configs[:i % 3]:
+            t0 = time.perf_counter()
+            rounds[name] = run().rounds
+            times[name].append(time.perf_counter() - t0)
+    assert len(set(rounds.values())) == 1
+    base = statistics.median(times[configs[0][0]])
+    rows = []
+    for name, _ in configs:
+        q1, median, q3 = statistics.quantiles(times[name], n=4)
+        rows.append({"config": name, "n": n, "rounds": rounds[name],
+                     "repeats": repeats, "seconds": round(median, 4),
+                     "q1": round(q1, 4), "q3": round(q3, 4),
+                     "overhead": round(median / base, 2)})
     return rows
 
 

@@ -79,13 +79,6 @@ def _prepared_instance(family: str, n: int, seed: int):
     return g, diameter, quality
 
 
-def _ledger_for(graph: nx.Graph) -> RoundLedger:
-    """Instance-calibrated ledger (uncached path, for ad-hoc graphs)."""
-    diameter = nx.diameter(graph)
-    shortcut = build_shortcuts(graph, [sorted(graph.nodes)])
-    return RoundLedger(CostModel(len(graph), diameter, shortcut.quality))
-
-
 def _scaling_units(families, sizes, seed: int) -> List[Dict]:
     """One unit per (family, realized instance), deduplicating requested
     sizes that collapse to the same generator parameters (Apollonian)."""

@@ -9,9 +9,9 @@ real SIGKILLs) through four scripted phases whose outcome sequence is a
 pure function of the seed:
 
 1. **lifecycle** — sequential zipf-repeated jobs with a seeded kill
-   schedule: single kills land mid-dispatch and must recover via the
-   idempotent retry (200); double kills exhaust the retry budget (503
-   ``worker-died``) and feed the breaker;
+   schedule: single kills shoot the worker about to receive the job and
+   must recover via the idempotent retry (200); double kills exhaust the
+   retry budget (503 ``worker-died``) and feed the breaker;
 2. **breaker** — back-to-back double kills trip the breaker; the
    campaign then observes fast-fail 503s, the count-based cooldown, the
    half-open probe, and recovery (the breaker runs in
@@ -25,7 +25,8 @@ pure function of the seed:
 Determinism holds because nothing consults a clock or an unordered
 collection: job picks and kill placement come from ``random.Random(seed)``,
 worker kills are scheduled by request index via the engine's
-``on_dispatch`` seam, the breaker cools down by reject count, restart
+``on_dispatch`` seam (which fires before the pool dispatch, so a killed
+job can never complete first), the breaker cools down by reject count, restart
 backoff is zero, and the result cache starts empty in a fresh directory
 every campaign.  Two runs of the same seed must produce identical outcome
 sequences — :func:`verify_determinism` asserts exactly that, and CI runs

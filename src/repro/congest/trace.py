@@ -20,29 +20,22 @@ profiles (see ``docs/OBSERVABILITY.md``).
 For offline analysis, :meth:`RoundTrace.dump_jsonl` writes one JSON object
 per line — a schema header, then round records interleaved with span
 open/close events, then warnings, then per-edge bandwidth records, then a
-summary — and :func:`read_jsonl` loads them back, validating the schema
-header and warning on unknown record kinds.  Node identifiers that are
-not JSON types are serialized via ``repr``.
+summary — and :func:`repro.obs.analyze.read_jsonl` (re-exported here)
+loads them back, validating the schema header and warning on unknown
+record kinds.  Node identifiers that are not JSON types are serialized
+via ``repr``.
 """
 
 from __future__ import annotations
 
 import json
-import warnings as _warnings
 from typing import Any, Dict, Hashable, List, Optional, Tuple
+
+from ..obs.analyze import KNOWN_KINDS, SCHEMA_VERSION, read_jsonl
 
 Node = Hashable
 
 __all__ = ["RoundRecord", "RoundTrace", "read_jsonl", "SCHEMA_VERSION", "KNOWN_KINDS"]
-
-#: Version of the JSONL dump layout.  v1 dumps (pre-header) are still
-#: readable; v2 added the schema header, span events and edge records.
-SCHEMA_VERSION = 2
-
-#: Record kinds a conforming reader must expect.
-KNOWN_KINDS = frozenset(
-    {"schema", "round", "warning", "summary", "edge", "span-open", "span-close"}
-)
 
 
 class RoundRecord:
@@ -338,39 +331,3 @@ class RoundTrace:
             f"messages={s['messages']}, peak_active={s['peak_active']})"
         )
 
-
-def read_jsonl(path) -> List[Dict[str, Any]]:
-    """Load a trace dump written by :meth:`RoundTrace.dump_jsonl`.
-
-    Validates the ``schema`` header: a dump without one is read as a
-    legacy (v1) dump with a warning, a newer-than-supported version
-    warns, and unknown record ``kind`` values warn instead of silently
-    passing through.  All records — header included — are returned.
-    """
-    with open(path) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    if not records:
-        return records
-    first = records[0]
-    if first.get("kind") != "schema":
-        _warnings.warn(
-            f"{path}: legacy trace dump without a schema header; "
-            f"reading as schema v1",
-            stacklevel=2,
-        )
-    elif first.get("version", 0) > SCHEMA_VERSION:
-        _warnings.warn(
-            f"{path}: trace dump schema v{first.get('version')} is newer "
-            f"than supported v{SCHEMA_VERSION}; records may be missing fields",
-            stacklevel=2,
-        )
-    unknown = sorted(
-        {rec.get("kind") for rec in records} - KNOWN_KINDS - {None}
-    )
-    if unknown:
-        _warnings.warn(
-            f"{path}: unknown record kinds {unknown!r} "
-            f"(known: {sorted(KNOWN_KINDS)})",
-            stacklevel=2,
-        )
-    return records

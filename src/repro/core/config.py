@@ -20,12 +20,12 @@ distributed DFS-ORDER algorithm of Lemma 11 leaves at the nodes).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import networkx as nx
 
 from ..planar.checks import require_connected, require_planar
-from ..planar.construct import embed, embed_subgraph, induced_copy
+from ..planar.construct import embed
 from ..planar.rotation import RotationSystem
 from ..trees.rooted import RootedTree
 from ..trees.spanning import bfs_tree
@@ -100,19 +100,6 @@ class PlanarConfiguration:
                 raise ValueError(f"root {root!r} is not a graph node")
             tree = bfs_tree(graph, root)
         return cls(graph, rotation, tree)
-
-    @classmethod
-    def for_part(
-        cls,
-        graph: nx.Graph,
-        rotation: RotationSystem,
-        part: Sequence[Node],
-        tree: RootedTree,
-    ) -> "PlanarConfiguration":
-        """Configuration of an induced part with the inherited embedding."""
-        subgraph = induced_copy(graph, part)
-        sub_rotation = embed_subgraph(rotation, part)
-        return cls(subgraph, sub_rotation, tree)
 
     @staticmethod
     def _validate(graph: nx.Graph, rotation: RotationSystem, tree: RootedTree) -> None:

@@ -118,10 +118,6 @@ class FaceView:
         """The fundamental edge, oriented by :math:`\\pi_\\ell`."""
         return (self.u, self.v)
 
-    def is_border(self, x: Node) -> bool:
-        """Whether ``x`` is on the border path."""
-        return x in self._border_index
-
     def inside_positions(self, x: Node) -> FrozenSet[int]:
         """Rotation positions of border node ``x`` pointing inside.
 
@@ -178,10 +174,6 @@ class FaceView:
     def face_nodes(self) -> Set[Node]:
         """All of :math:`V(F_e)`: border plus interior."""
         return set(self.border) | self.interior()
-
-    def contains_point(self, x: Node) -> bool:
-        """Whether node ``x`` lies on :math:`F_e` (border or interior)."""
-        return x in self._border_index or x in self.interior()
 
     def contains_edge(self, f: Edge) -> bool:
         """Whether fundamental edge ``f`` is drawn inside :math:`F_e`.

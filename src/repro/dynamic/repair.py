@@ -203,15 +203,6 @@ class DynamicPipeline:
         self._verify()
         return {k: self.stats[k] - before.get(k, 0) for k in self.stats}
 
-    def apply_batches(
-        self, batches: Sequence[Sequence[Update]], *, strict: bool = True
-    ) -> Dict[str, int]:
-        """Apply a batch sequence (e.g. from :func:`~repro.dynamic.
-        mutations.flap_updates`); returns the cumulative stats."""
-        for batch in batches:
-            self.apply(batch, strict=strict)
-        return dict(self.stats)
-
     def state_fingerprint(self) -> str:
         """Canonical hash of the *logical* dynamic state.
 

@@ -1,7 +1,11 @@
 """Offline analysis of trace JSONL dumps — the ``repro trace`` backend.
 
-Loads a dump written by :meth:`repro.congest.trace.RoundTrace.dump_jsonl`
-into a structured document and renders:
+:func:`read_jsonl` is the one reader of both JSONL formats the stack
+writes — the round-trace dump of
+:meth:`repro.congest.trace.RoundTrace.dump_jsonl` and the serve-events
+log of :func:`repro.obs.events.write_events` — so their header, version
+and record-kind checks live in one place.  :func:`load_dump` parses a
+round-trace dump into a structured document and this module renders:
 
 * ``summarize`` — the aggregate view (rounds, messages, words, faults,
   worst offender, warnings, span count);
@@ -15,17 +19,22 @@ into a structured document and renders:
   path ``parent/child[attrs]``), for before/after comparisons.
 
 Everything here is pure functions over parsed JSON, so the CLI and the
-tests share one code path.  The import of :func:`read_jsonl` is deferred
-into :func:`load_dump` to keep :mod:`repro.obs` import-free of
-:mod:`repro.congest` (congest imports obs, not the reverse).
+tests share one code path.  ``congest`` imports the reader and the
+round-trace schema constants from here, not the reverse.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import json
+import warnings
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
+    "KNOWN_KINDS",
+    "SCHEMA_VERSION",
+    "SCHEMAS",
     "load_dump",
+    "read_jsonl",
     "span_tree",
     "render_summary",
     "render_phases",
@@ -34,6 +43,56 @@ __all__ = [
 ]
 
 _COUNTERS = ("rounds", "messages", "words", "dropped", "lost", "duplicated")
+
+#: Per JSONL format, named by its header's ``schema`` field (round-trace
+#: headers predate the field): the newest readable version and the record
+#: kinds a conforming reader must expect.  Round-trace v1 dumps have no
+#: header; v2 added it, span events and edge records.
+SCHEMAS: Dict[str, Tuple[int, frozenset]] = {
+    "round-trace": (2, frozenset(
+        {"schema", "round", "warning", "summary", "edge", "span-open", "span-close"})),
+    "serve-events": (1, frozenset(
+        {"schema", "request", "span", "event", "phase-hist", "summary"})),
+}
+SCHEMA_VERSION, KNOWN_KINDS = SCHEMAS["round-trace"]
+
+
+def read_jsonl(path) -> List[Dict[str, Any]]:
+    """Load a JSONL dump; returns all records, header included.
+
+    Warns — never fails — on a dump without a ``schema`` header (read as
+    a legacy stream), on a version newer than this reader's, and on
+    record kinds its format does not define (for a headerless dump: kinds
+    no format defines).
+    """
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    if not records:
+        return records
+    header = records[0]
+    if header.get("kind") != "schema":
+        warnings.warn(f"{path}: dump has no schema header; "
+                      f"reading it as a legacy stream", stacklevel=2)
+        name = "headerless"
+        kinds = frozenset().union(*(k for _, k in SCHEMAS.values()))
+    else:
+        name = header.get("schema", "round-trace")
+        version, kinds = SCHEMAS.get(name, (0, frozenset()))
+        if header.get("version", 0) > version:
+            warnings.warn(
+                f"{path}: {name} dump version {header.get('version')} is "
+                f"newer than this reader's {version}; records may be "
+                f"missing fields",
+                stacklevel=2,
+            )
+    unknown = sorted({rec.get("kind") for rec in records} - kinds - {None})
+    if unknown:
+        warnings.warn(
+            f"{path}: unknown record kinds {unknown!r} in a {name} dump "
+            f"(known: {sorted(kinds)})",
+            stacklevel=2,
+        )
+    return records
 
 
 def load_dump(path) -> Dict[str, Any]:
@@ -44,8 +103,6 @@ def load_dump(path) -> Dict[str, Any]:
     attrs, nesting) and close event (self counters, wall-clock); a span
     that never closed keeps zeroed counters and ``closed=False``.
     """
-    from ..congest.trace import read_jsonl
-
     doc: Dict[str, Any] = {
         "path": str(path),
         "schema": 1,

@@ -1,18 +1,24 @@
 """Request-scoped tracing for the serve stack: the ``serve-events`` log.
 
-This module is the request-side twin of :mod:`repro.obs.tracing`.  Where
-``Tracer``/``Span`` attribute simulated *rounds* to algorithm phases,
-the types here attribute a served request's *wall-clock* to the
-degradation-ladder phases it passed through (``admit`` -> ``queue`` ->
-``dispatch`` -> ``run`` -> ``verify`` -> ``respond``, plus ``retry`` /
-``breaker-fastfail`` / ``shed``), and serialize the result — interleaved
-with structured service events and per-phase latency histograms — into
-one causally-ordered JSONL file (the ``serve-events`` schema).
+A served request is traced with the same :class:`~repro.obs.tracing.Span`
+and :class:`~repro.obs.tracing.Tracer` that attribute simulated rounds.
+:class:`RequestTrace` is the tracer of one request: its root span is the
+request, and its direct children attribute the request's *wall-clock* to
+the degradation-ladder phases it passed through (``admit`` ->
+``dispatch`` -> ``queue`` -> ``run`` -> ``verify`` -> ``respond``, plus
+``retry`` / ``breaker-fastfail`` / ``shed``).  A pool worker records its
+own phases (``build`` / ``separator`` / ``certify`` / ``dfs``) on a plain
+``Tracer`` and sends back its span records, which the engine grafts
+under ``run``.  :func:`write_events` serializes finished request records
+— interleaved with structured service events and per-phase latency
+histograms — into one causally-ordered JSONL file (the ``serve-events``
+schema), and :func:`load_events` reads it back through the shared
+:func:`repro.obs.analyze.read_jsonl`.
 
-Everything here is plain data: :class:`TraceContext` is a frozen,
-picklable dataclass so it can cross the process boundary into pool
-workers and shard engines; request records and events are dicts of JSON
-primitives.  Nothing in this module imports from ``repro.serve`` or
+:class:`TraceContext` is a frozen, picklable dataclass so the request's
+lineage can cross the process boundary into pool workers and shard
+engines; request records and events are dicts of JSON primitives.
+Nothing in this module imports from ``repro.serve`` or
 ``repro.congest`` — the dependency points one way, exactly like
 :mod:`repro.obs.tracing`.
 
@@ -30,17 +36,17 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from .analyze import SCHEMAS, read_jsonl
+from .tracing import Tracer
+
 #: Schema identity of the event log.  The header line carries both, and
 #: :func:`load_events` warns (never fails) on anything it does not know.
 SERVE_EVENTS_SCHEMA = "serve-events"
-SERVE_EVENTS_VERSION = 1
-
-KNOWN_EVENT_KINDS = {"schema", "request", "span", "event", "phase-hist", "summary"}
+SERVE_EVENTS_VERSION = SCHEMAS[SERVE_EVENTS_SCHEMA][0]
 
 #: Canonical rendering order of the engine's top-level phases.
 PHASES = (
@@ -68,119 +74,49 @@ _EPS = 1e-6
 class TraceContext:
     """Picklable trace lineage, carried across process boundaries.
 
-    ``trace_id`` names the request; ``span_id`` is the parent span the
-    receiver should hang its subtree under; ``deadline_ts`` mirrors the
-    request deadline so remote workers can decline expired work without
-    a second argument.
+    ``trace_id`` names the request.  The engine grafts a worker's span
+    records under the request's ``run`` span itself and passes the
+    deadline to :func:`repro.serve.jobs.run_job` separately, so the
+    lineage is the id alone.
     """
 
     trace_id: str
-    span_id: int = ROOT_SPAN_ID
-    deadline_ts: Optional[float] = None
 
 
-class RequestTrace:
-    """Span recorder for one served request.
+class RequestTrace(Tracer):
+    """The :class:`~repro.obs.tracing.Tracer` of one served request.
 
-    Spans are plain dicts ``{id, parent, name, status, t0, t1}`` with
-    times in seconds relative to the request's start (one monotonic
-    clock, owned by the engine — worker-reported subtrees are grafted
-    onto it via :meth:`graft`).  Span id 1 is the root ``request`` span;
-    its direct children are the attribution phases.
+    Construction opens the root ``request`` span (id 1, starting at 0.0
+    on the request's clock) and binds a :class:`TraceContext` naming the
+    request; the root's direct children are the attribution phases.
+    Worker-reported span records are grafted under ``run`` with
+    :meth:`~repro.obs.tracing.Tracer.graft`.
     """
 
-    __slots__ = ("trace_id", "started_ts", "spans", "_clock", "_t0", "_open")
-
     def __init__(self, trace_id: str, *, clock: Callable[[], float] = time.monotonic):
-        self.trace_id = trace_id
-        self.started_ts = time.time()
-        self._clock = clock
-        self._t0 = clock()
-        root = {"id": ROOT_SPAN_ID, "parent": 0, "name": "request",
-                "status": None, "t0": 0.0, "t1": None}
-        self.spans: List[Dict[str, Any]] = [root]
-        self._open: Dict[int, Dict[str, Any]] = {ROOT_SPAN_ID: root}
+        super().__init__(clock)
+        self.bind_context(TraceContext(trace_id))
+        self.begin("request")
+        self.spans[0].t0 = 0.0  # the request's clock starts with its tracer
 
-    def now(self) -> float:
-        """Seconds since the request started, on the trace's clock."""
-        return self._clock() - self._t0
-
-    def begin(self, name: str, parent: int = ROOT_SPAN_ID) -> int:
-        """Open a span; returns its id (pass to :meth:`end`)."""
-        span = {"id": len(self.spans) + 1, "parent": parent, "name": name,
-                "status": None, "t0": self.now(), "t1": None}
-        self.spans.append(span)
-        self._open[span["id"]] = span
-        return span["id"]
-
-    def end(self, span_id: int, status: str = "ok") -> None:
-        span = self._open.pop(span_id)
-        span["status"] = status
-        span["t1"] = self.now()
-
-    def add(self, name: str, t0: float, t1: float, *,
-            status: str = "ok", parent: int = ROOT_SPAN_ID) -> int:
-        """Record a span retroactively (already closed)."""
-        span = {"id": len(self.spans) + 1, "parent": parent, "name": name,
-                "status": status, "t0": t0, "t1": max(t0, t1)}
-        self.spans.append(span)
-        return span["id"]
-
-    def graft(self, subtree: Sequence[Dict[str, Any]], parent: int,
-              base: float, clamp: Optional[float] = None) -> int:
-        """Attach a worker-reported span subtree under ``parent``.
-
-        ``subtree`` spans carry offsets relative to the worker's own
-        entry; ``base`` places that entry on this trace's clock, and
-        ``clamp`` (if given) caps child times at the enclosing span's
-        end so clock skew cannot leak a child outside its parent.
-        """
-        mapping: Dict[int, int] = {}
-        for rec in subtree:
-            t0 = base + float(rec.get("t0", 0.0))
-            t1 = base + float(rec.get("t1", rec.get("t0", 0.0)))
-            if clamp is not None:
-                t0, t1 = min(t0, clamp), min(t1, clamp)
-            mapping[rec["id"]] = self.add(
-                rec["name"], t0, t1,
-                status=rec.get("status", "ok"),
-                parent=mapping.get(rec.get("parent", 0), parent),
-            )
-        return len(mapping)
-
-    def force_close_open(self, status: str = "killed") -> int:
-        """Terminally close every open span except the root.
-
-        This is the orphan-span guarantee: a worker SIGKILLed mid-span
-        leaves no dangling ``t1 = None`` entries — the engine closes
-        them with a terminal status and the timeline still validates.
-        """
-        closed = 0
-        now = self.now()
-        for sid in [s for s in self._open if s != ROOT_SPAN_ID]:
-            span = self._open.pop(sid)
-            span["status"] = status
-            span["t1"] = max(span["t0"], now)
-            closed += 1
-        return closed
+    @property
+    def trace_id(self) -> str:
+        return self.context.trace_id
 
     def finalize(self, status: str, code: int, *, attempts: int = 1,
                  cached: bool = False) -> Dict[str, Any]:
         """Close the root span and return the ``request`` record."""
-        root = self.spans[0]
-        root["status"] = status
-        root["t1"] = self.now()
-        self._open.pop(ROOT_SPAN_ID, None)
+        self.end(ROOT_SPAN_ID, status)
         return {
             "kind": "request",
             "trace": self.trace_id,
             "status": status,
             "code": code,
             "ts": self.started_ts,
-            "wall_s": root["t1"],
+            "wall_s": self.spans[0].t1,
             "attempts": attempts,
             "cached": cached,
-            "spans": [dict(s) for s in self.spans],
+            "spans": self.records(),
         }
 
 
@@ -352,61 +288,35 @@ def load_events(path) -> Dict[str, Any]:
     Returns ``{"version", "requests", "events", "phase_hists",
     "summary", "report"}`` where each request has its ``spans`` list
     re-attached and ``report`` is a fresh :func:`attribution_report`
-    (recomputed, not trusted from the file).  Warns — never fails — on a
-    missing header, a newer version, or unknown record kinds.
+    (recomputed, not trusted from the file).  Reads through
+    :func:`repro.obs.analyze.read_jsonl`, which warns — never fails — on
+    a missing header, a newer version, or unknown record kinds.
     """
     requests: List[Dict[str, Any]] = []
     by_trace: Dict[str, Dict[str, Any]] = {}
-    events: List[Dict[str, Any]] = []
-    hists: List[Dict[str, Any]] = []
-    summary = None
-    version = None
-    unknown = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            kind = rec.get("kind")
-            if lineno == 0:
-                if kind != "schema":
-                    warnings.warn("serve-events dump has no schema header; "
-                                  "reading as a legacy stream")
-                else:
-                    version = rec.get("version")
-                    if version is not None and version > SERVE_EVENTS_VERSION:
-                        warnings.warn(
-                            f"serve-events version {version} is newer than "
-                            f"this reader ({SERVE_EVENTS_VERSION})")
-                    continue
-            if kind == "request":
-                req = dict(rec)
-                req["spans"] = []
-                requests.append(req)
-                by_trace[req.get("trace")] = req
-            elif kind == "span":
-                span = {k: v for k, v in rec.items() if k not in ("kind", "trace")}
-                owner = by_trace.get(rec.get("trace"))
-                if owner is not None:
-                    owner["spans"].append(span)
-            elif kind == "event":
-                events.append(rec)
-            elif kind == "phase-hist":
-                hists.append(rec)
-            elif kind == "summary":
-                summary = rec
-            elif kind != "schema" and kind not in unknown:
-                unknown.add(kind)
-                warnings.warn(f"serve-events dump has unknown kind {kind!r}")
-    return {
-        "version": version,
-        "requests": requests,
-        "events": events,
-        "phase_hists": hists,
-        "summary": summary,
-        "report": attribution_report(requests),
-    }
+    doc: Dict[str, Any] = {"version": None, "requests": requests, "events": [],
+                           "phase_hists": [], "summary": None}
+    for rec in read_jsonl(path):
+        kind = rec.get("kind")
+        if kind == "schema":
+            doc["version"] = rec.get("version")
+        elif kind == "request":
+            req = dict(rec, spans=[])
+            requests.append(req)
+            by_trace[req.get("trace")] = req
+        elif kind == "span":
+            owner = by_trace.get(rec.get("trace"))
+            if owner is not None:
+                owner["spans"].append(
+                    {k: v for k, v in rec.items() if k not in ("kind", "trace")})
+        elif kind == "event":
+            doc["events"].append(rec)
+        elif kind == "phase-hist":
+            doc["phase_hists"].append(rec)
+        elif kind == "summary":
+            doc["summary"] = rec
+    doc["report"] = attribution_report(requests)
+    return doc
 
 
 # -- rendering ---------------------------------------------------------------

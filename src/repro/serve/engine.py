@@ -43,8 +43,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from ..analysis.cache import InstanceCache
-from ..obs.events import EventLog, RequestTrace, TraceContext, write_events
+from ..obs.events import EventLog, RequestTrace, write_events
 from ..obs.metrics import MetricsRegistry
+from ..obs.tracing import NULL_TRACER
 from .jobs import JobError, parse_job, run_job
 from .pool import BROKEN_POOL, CircuitBreaker, SupervisedPool
 
@@ -174,9 +175,11 @@ class ServeEngine:
         )
 
     # ------------------------------------------------------------------
-    def _begin_trace(self, trace_id: Optional[str]) -> Optional[RequestTrace]:
+    def _begin_trace(self, trace_id: Optional[str]):
+        """The request's :class:`RequestTrace`, or the shared do-nothing
+        :data:`~repro.obs.tracing.NULL_TRACER` when tracing is off."""
         if not self.config.trace_requests:
-            return None
+            return NULL_TRACER
         if trace_id is None:
             self._trace_seq += 1
             trace_id = f"req-{self._trace_seq:06d}"
@@ -198,9 +201,10 @@ class ServeEngine:
         ``max_inflight`` are admitted, the rest refused, regardless of
         how the event loop later interleaves them.
 
-        ``on_dispatch(engine, attempt)`` fires right after each pool
-        dispatch — the chaos harness's seam for killing the worker that
-        just received the job.
+        ``on_dispatch(engine, attempt)`` fires right before each pool
+        dispatch — the chaos harness's seam for killing the worker about
+        to receive the job.  A kill there always lands before the job can
+        complete, so the death is charged to this request and no other.
 
         ``trace_id`` adopts a client-minted id for the request trace
         (with ``config.trace_requests`` on); engine-minted ids are
@@ -210,23 +214,20 @@ class ServeEngine:
         started = time.monotonic()
         rt = self._begin_trace(trace_id)
         if self.draining:
-            if rt is not None:
-                rt.add("admit", 0.0, rt.now(), status="draining")
-            return self._terminal("draining", {}, started, rt=rt)
+            rt.add("admit", 0.0, rt.now(), status="draining")
+            return self._terminal("draining", {}, started, rt)
         if self.inflight >= self.config.max_inflight:
             self._m_shed.inc()
-            self.events.emit("shed", trace=rt.trace_id if rt else None,
-                             inflight=self.inflight)
-            if rt is not None:
-                now = rt.now()
-                rt.add("admit", 0.0, now, status="ok")
-                rt.add("shed", now, rt.now(), status="shed")
+            self.events.emit("shed", trace=rt.trace_id, inflight=self.inflight)
+            now = rt.now()
+            rt.add("admit", 0.0, now, status="ok")
+            rt.add("shed", now, rt.now(), status="shed")
             return self._terminal(
                 "shed",
                 {"retry_after": self.config.retry_after_s},
                 started,
+                rt,
                 headers={"Retry-After": f"{self.config.retry_after_s:g}"},
-                rt=rt,
             )
         self.inflight += 1
         self._drained.clear()
@@ -244,101 +245,70 @@ class ServeEngine:
         deadline_s: Optional[float],
         on_dispatch: Optional[Callable[["ServeEngine", int], None]],
         started: float,
-        rt: Optional[RequestTrace] = None,
+        rt,
     ) -> ServeResponse:
         # The "admit" phase covers parse + cache lookup + breaker check.
-        admit = rt.begin("admit") if rt is not None else None
+        admit = rt.begin("admit")
         try:
             spec = parse_job(payload)
         except JobError as exc:
-            if rt is not None:
-                rt.end(admit, "invalid")
-            return self._terminal("invalid", {"error": str(exc)}, started, rt=rt)
+            rt.end(admit, "invalid")
+            return self._terminal("invalid", {"error": str(exc)}, started, rt)
         key = spec.key()
         hit, cached_result = self.cache.get("serve-job", [key])
+        allowed = hit or self.breaker.allow()
+        rt.end(admit, "ok")
         if hit:
             self._m_cache_hits.inc()
-            if rt is not None:
-                rt.end(admit, "ok")
-            return self._terminal(
-                "ok", dict(cached_result, cached=True), started, rt=rt
-            )
-        if not self.breaker.allow():
-            if rt is not None:
-                rt.end(admit, "ok")
-                rt.end(rt.begin("breaker-fastfail"), "breaker-open")
-            return self._terminal("breaker-open", {"key": key}, started, rt=rt)
-        if rt is not None:
-            rt.end(admit, "ok")
+            return self._terminal("ok", dict(cached_result, cached=True), started, rt)
+        if not allowed:
+            rt.end(rt.begin("breaker-fastfail"), "breaker-open")
+            return self._terminal("breaker-open", {"key": key}, started, rt)
 
         budget = self.config.deadline_s if deadline_s is None else deadline_s
         deadline_ts = time.time() + budget
         canonical = spec.canonical()
         attempts = 1 + max(0, self.config.job_retries)
         for attempt in range(attempts):
+            if attempt:  # the previous attempt's worker died: re-dispatch
+                self._m_retries.inc()
+                rt.end(rt.begin("retry"), "ok")
             remaining = deadline_ts - time.time()
             if remaining <= 0:
-                return self._terminal("deadline", {"key": key}, started, rt=rt)
+                return self._terminal("deadline", {"key": key}, started, rt)
             generation = self.pool.generation
-            dispatch = rt.begin("dispatch") if rt is not None else None
+            dispatch = rt.begin("dispatch")
             dispatch_epoch = time.time()
             try:
-                if rt is not None:
-                    ctx = TraceContext(rt.trace_id, span_id=dispatch,
-                                       deadline_ts=deadline_ts)
-                    fut = self.pool.submit(run_job, canonical, deadline_ts, ctx)
-                else:
-                    fut = self.pool.submit(run_job, canonical, deadline_ts)
+                if on_dispatch is not None:
+                    on_dispatch(self, attempt)
+                fut = self.pool.submit(run_job, canonical, deadline_ts, rt.context)
             except BROKEN_POOL:
-                if rt is not None:
-                    rt.end(dispatch, "killed")
-                self.events.emit("worker-died", trace=rt.trace_id if rt else None,
-                                 attempt=attempt)
+                rt.end(dispatch, "killed")
+                self.events.emit("worker-died", trace=rt.trace_id, attempt=attempt)
                 await self._handle_pool_death(generation)
-                if attempt + 1 < attempts:
-                    self._m_retries.inc()
-                    if rt is not None:
-                        rt.end(rt.begin("retry"), "ok")
-                    continue
-                return self._terminal(
-                    "worker-died", {"key": key, "attempts": attempt + 1},
-                    started, rt=rt,
-                )
-            if on_dispatch is not None:
-                on_dispatch(self, attempt)
-            if rt is not None:
-                rt.end(dispatch, "ok")
-                await_t0 = rt.now()
+                continue
+            rt.end(dispatch, "ok")
+            await_t0 = rt.now()
             try:
                 result = await asyncio.wait_for(asyncio.wrap_future(fut), remaining)
             except asyncio.TimeoutError:
                 # wait_for cancelled the wrapper; if the concurrent future
                 # is already running the worker is wedged — give it grace,
                 # then shoot the generation so the slot comes back.
-                if rt is not None:
-                    rt.add("run", await_t0, rt.now(), status="deadline")
+                rt.add("run", await_t0, rt.now(), status="deadline")
                 if not fut.cancel() and not fut.done():
                     asyncio.get_running_loop().create_task(
                         self._wedge_watchdog(fut, generation)
                     )
-                return self._terminal("deadline", {"key": key}, started, rt=rt)
+                return self._terminal("deadline", {"key": key}, started, rt)
             except BROKEN_POOL:
-                # The worker died mid-span: its subtree never came back,
+                # The worker died mid-span: its records never came back,
                 # so the whole awaited interval closes terminally.
-                if rt is not None:
-                    rt.add("run", await_t0, rt.now(), status="killed")
-                self.events.emit("worker-died", trace=rt.trace_id if rt else None,
-                                 attempt=attempt)
+                rt.add("run", await_t0, rt.now(), status="killed")
+                self.events.emit("worker-died", trace=rt.trace_id, attempt=attempt)
                 await self._handle_pool_death(generation)
-                if attempt + 1 < attempts:
-                    self._m_retries.inc()
-                    if rt is not None:
-                        rt.end(rt.begin("retry"), "ok")
-                    continue
-                return self._terminal(
-                    "worker-died", {"key": key, "attempts": attempt + 1},
-                    started, rt=rt,
-                )
+                continue
 
             self.pool.note_success()
             breaker_was = self.breaker.state
@@ -346,44 +316,36 @@ class ServeEngine:
             if breaker_was != "closed" and self.breaker.state == "closed":
                 self.events.emit("breaker-close")
             status = result.get("status", "oracle-violation")
-            worker_trace = result.pop("_trace", None) if isinstance(result, dict) else None
-            verify = None
-            if rt is not None:
-                done = rt.now()
-                if worker_trace is not None:
-                    # Place the worker subtree on the request clock: the
-                    # dispatch->entry epoch gap is the queue wait.
-                    queue_s = max(0.0, worker_trace.get("entry_ts", dispatch_epoch)
-                                  - dispatch_epoch)
-                    pickup = min(await_t0 + queue_s, done)
-                    rt.add("queue", await_t0, pickup)
-                    run_span = rt.add("run", pickup, done)
-                    rt.graft(worker_trace.get("spans", ()), run_span, pickup,
-                             clamp=done)
-                else:
-                    rt.add("run", await_t0, done)
-                verify = rt.begin("verify")
+            worker_trace = result.pop("_trace", None)
+            done = rt.now()
+            if worker_trace is not None:
+                # Place the worker's records on the request clock: the
+                # dispatch->entry epoch gap is the queue wait.
+                queue_s = max(0.0, worker_trace["entry_ts"] - dispatch_epoch)
+                pickup = min(await_t0 + queue_s, done)
+                rt.add("queue", await_t0, pickup)
+                run_span = rt.add("run", pickup, done)
+                rt.graft(worker_trace["spans"], run_span, pickup, clamp=done)
+            else:
+                rt.add("run", await_t0, done)
+            verify = rt.begin("verify")
             if status == "ok":
                 self.cache.put("serve-job", [key], result)
-                if rt is not None:
-                    rt.end(verify, "ok")
+                rt.end(verify, "ok")
                 return self._terminal(
-                    "ok", dict(result, cached=False, attempts=attempt + 1),
-                    started, rt=rt,
+                    "ok", dict(result, cached=False, attempts=attempt + 1), started, rt
                 )
-            if rt is not None:
-                rt.end(verify, status)
+            rt.end(verify, status)
             if status == "invalid":
-                return self._terminal(
-                    "invalid", {"error": result.get("error")}, started, rt=rt
-                )
+                return self._terminal("invalid", {"error": result.get("error")}, started, rt)
             if status == "expired":
-                return self._terminal("deadline", {"key": key}, started, rt=rt)
+                return self._terminal("deadline", {"key": key}, started, rt)
             return self._terminal(
-                "oracle-violation", {"key": key, "error": result.get("error")},
-                started, rt=rt,
+                "oracle-violation", {"key": key, "error": result.get("error")}, started, rt
             )
-        raise AssertionError("unreachable: retry loop always returns")
+        return self._terminal(
+            "worker-died", {"key": key, "attempts": attempts}, started, rt
+        )
 
     async def _handle_pool_death(self, generation: int) -> None:
         """One restart (and one breaker failure) per dead generation, no
@@ -416,26 +378,24 @@ class ServeEngine:
         status: str,
         body: Dict[str, Any],
         started: float,
+        rt,
         headers: Optional[Dict[str, str]] = None,
-        rt: Optional[RequestTrace] = None,
     ) -> ServeResponse:
         self._m_requests.inc(status=status)
         self._m_latency.observe(time.monotonic() - started)
         out = {"status": status}
         out.update(body)
         headers = dict(headers or {})
-        if rt is not None:
-            respond = rt.begin("respond")
-            rt.end(respond, "ok")
-            # Orphan guarantee: any span still open (a worker killed
-            # mid-span, an abandoned phase) closes terminally here, so
-            # the finished record always validates.
-            rt.force_close_open("killed")
-            self.request_traces.append(
-                rt.finalize(status, STATUS_CODES[status],
-                            attempts=int(body.get("attempts", 1)),
-                            cached=bool(body.get("cached", False)))
-            )
+        # Orphan guarantee: any span still open (a worker killed
+        # mid-span, an abandoned phase) closes terminally here, so the
+        # finished record always validates.
+        rt.force_close_open("killed")
+        rt.end(rt.begin("respond"), "ok")
+        record = rt.finalize(status, STATUS_CODES[status],
+                             attempts=int(body.get("attempts", 1)),
+                             cached=bool(body.get("cached", False)))
+        if record is not None:  # tracing on
+            self.request_traces.append(record)
             headers["X-Trace-Id"] = rt.trace_id
         return ServeResponse(STATUS_CODES[status], out, headers)
 

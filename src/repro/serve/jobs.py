@@ -198,28 +198,6 @@ def _build_graph(spec: JobSpec):
     return graph
 
 
-def _serialize_worker_trace(tracer, trace_ctx, entry_ts: float, t_entry: float) -> Dict[str, Any]:
-    """Flatten the worker's span tree into JSON primitives.
-
-    Offsets are seconds relative to the worker's entry (``t_entry`` on
-    the worker's perf-counter clock); ``entry_ts`` is the matching epoch
-    timestamp so the engine can place the subtree on the request's own
-    clock (the gap between dispatch and entry is the queue wait).
-    """
-    spans = []
-    for s in tracer.spans:
-        t0 = max(0.0, s._t0 - t_entry)
-        spans.append({
-            "id": s.id,
-            "parent": s.parent_id or 0,
-            "name": s.name,
-            "status": "ok",
-            "t0": round(t0, 6),
-            "t1": round(t0 + s.wall_s, 6),
-        })
-    return {"trace": trace_ctx.trace_id, "entry_ts": entry_ts, "spans": spans}
-
-
 def run_job(
     canonical: Dict[str, Any],
     deadline_ts: Optional[float] = None,
@@ -243,9 +221,10 @@ def run_job(
       trusting the result) is the point of running oracles in-worker.
 
     When ``trace_ctx`` (a picklable :class:`repro.obs.events.TraceContext`)
-    rides along, the worker attaches a :class:`repro.obs.Tracer` under
-    the request span and returns its span subtree in a reserved
-    ``"_trace"`` key — which the engine strips before caching or
+    rides along, the worker records its phases on a
+    :class:`repro.obs.Tracer` bound to it and returns that tracer's span
+    records in a reserved ``"_trace"`` key (with the trace id and the
+    tracer's epoch start) — which the engine strips before caching or
     responding, so payloads are bit-identical with tracing on or off.
     """
     from ..core.certify import certify_cycle
@@ -261,23 +240,19 @@ def run_job(
 
     if deadline_ts is not None and time.time() >= deadline_ts:
         return {"status": "expired"}
-    from ..obs.tracing import NULL_SPAN, Tracer
+    from ..obs.tracing import NULL_TRACER, Tracer
 
-    tracer = None
+    tracer = NULL_TRACER  # tracing off allocates nothing
     if trace_ctx is not None:
         tracer = Tracer()
         tracer.bind_context(trace_ctx)
-        entry_ts = time.time()
-        t_entry = time.perf_counter()
-        span = tracer.span
-    else:
-        span = lambda name: NULL_SPAN  # noqa: E731 - tracing off allocates nothing
+    span = tracer.span
 
     def _finish(payload: Dict[str, Any]) -> Dict[str, Any]:
-        if tracer is not None:
-            payload["_trace"] = _serialize_worker_trace(
-                tracer, trace_ctx, entry_ts, t_entry
-            )
+        if tracer.context is not None:
+            payload["_trace"] = {"trace": tracer.context.trace_id,
+                                 "entry_ts": tracer.started_ts,
+                                 "spans": tracer.records()}
         return payload
 
     updates = tuple(tuple(u) for u in canonical.get("updates", ()))

@@ -13,9 +13,9 @@ with the recovery loop a long-running service needs:
   turn the supervisor into a fork bomb; a completed job resets the
   streak;
 * **chaos hooks** — :meth:`worker_pids` / :meth:`kill_worker` expose the
-  real worker processes so the chaos harness can murder one mid-request
-  (SIGKILL, no cleanup) and the test suite can verify nothing is
-  orphaned after :meth:`shutdown`.
+  real worker processes so the chaos harness can murder the one about to
+  receive a job (SIGKILL, no cleanup) and the test suite can verify
+  nothing is orphaned after :meth:`shutdown`.
 
 :class:`CircuitBreaker` is the fast-fail companion: repeated worker
 deaths trip it open (503 without touching the pool), a cooldown admits
@@ -82,7 +82,13 @@ class SupervisedPool:
 
     # ------------------------------------------------------------------
     def _spawn(self) -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
+        # The executor starts its workers on the first submit: start them
+        # with the generation, so a kill before a dispatch finds its target.
+        # The no-op's future is not read; a generation that breaks shows on
+        # its next real job, which the supervision loop handles.
+        pool.submit(int)
+        return pool
 
     def submit(self, fn: Callable, *args) -> concurrent.futures.Future:
         """Submit a job to the current generation.
@@ -148,8 +154,8 @@ class SupervisedPool:
 
     # -- chaos hooks ----------------------------------------------------
     def worker_pids(self) -> List[int]:
-        """PIDs of the current generation's live workers (spawned lazily
-        by the executor — empty until the first submit)."""
+        """PIDs of the current generation's live workers (started with
+        the generation)."""
         return sorted(
             pid
             for pid, proc in (getattr(self._pool, "_processes", None) or {}).items()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import PlanarConfiguration
 from repro.core.dfs import DFSError, dfs_tree
+from repro.core.separator import SeparatorError
 from repro.core.verify import check_dfs_tree
 from repro.congest import CostModel, RoundLedger
 from repro.planar import embed
@@ -108,6 +109,19 @@ class TestEdgeCasesAndErrors:
     def test_disconnected_rejected(self):
         with pytest.raises(NotConnectedError):
             dfs_tree(nx.Graph([(0, 1), (2, 3)]), 0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SeparatorError,
+        reason="known defect: on a long path with one short chord near the "
+        "root, phase 4.2 finds no balanced emission and no rooted fallback "
+        "(path + one chord, n 5..18, chord length 2..4: 18 of 714 fail)",
+    )
+    def test_path_with_one_chord(self):
+        g = nx.path_graph(14)
+        g.add_edge(2, 4)
+        res = dfs_tree(g, 0)
+        check_dfs_tree(g, res.parent, 0)
 
 
 def _build(graph, root, rotation=None):

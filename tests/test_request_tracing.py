@@ -22,8 +22,16 @@ import json
 
 import pytest
 
-from repro.congest import RoundTrace, bfs_run, run_fingerprint
-from repro.obs import RequestTrace, TraceContext, Tracer, attribution_report
+from repro.congest import RoundTrace, bfs_run, read_jsonl, run_fingerprint
+from repro.obs import analyze
+from repro.obs import (
+    NULL_TRACER,
+    RequestTrace,
+    Span,
+    TraceContext,
+    Tracer,
+    attribution_report,
+)
 from repro.obs.events import (
     EventLog,
     SERVE_EVENTS_VERSION,
@@ -104,7 +112,7 @@ class TestRequestTrace:
             {"id": 3, "parent": 0, "name": "dfs", "t0": 0.4, "t1": 9.0},
         ]
         assert rt.graft(subtree, run_span, base=0.5, clamp=1.0) == 3
-        by_name = {s["name"]: s for s in rt.spans}
+        by_name = {s["name"]: s for s in rt.records()}
         assert by_name["build"]["parent"] == run_span
         assert by_name["inner"]["parent"] == by_name["build"]["id"]
         assert by_name["dfs"]["t1"] == 1.0  # clamped to the run span's end
@@ -240,6 +248,20 @@ class TestEngineTracing:
         finally:
             eng.close()
 
+    def test_untraced_engine_allocates_no_tracing_object(self, tmp_path, monkeypatch):
+        def boom(self, *a, **kw):
+            raise AssertionError("tracing object allocated with tracing off")
+
+        for cls in (Tracer, Span):
+            monkeypatch.setattr(cls, "__init__", boom)
+        eng = ServeEngine(_config(tmp_path, trace_requests=False))
+        try:
+            assert eng._begin_trace(None) is NULL_TRACER
+            assert _run(eng.submit(GRID36)).code == 200
+            assert _run(eng.submit(GRID36)).body["cached"] is True
+        finally:
+            eng.close()
+
     def test_statusz_snapshot(self, engine):
         _run(engine.submit(GRID36))
         snap = engine.statusz()
@@ -270,12 +292,12 @@ class TestTracingNeutrality:
         assert bodies["on"] == bodies["off"]
 
     def test_run_job_expired_is_bare_with_trace_ctx(self):
-        ctx = TraceContext("t-exp", span_id=4, deadline_ts=0.0)
+        ctx = TraceContext("t-exp")
         spec_canonical = {"kind": "generator", **GRID36}
         assert run_job(spec_canonical, 0.0, ctx) == {"status": "expired"}
 
     def test_run_job_returns_worker_subtree(self):
-        ctx = TraceContext("t-sub", span_id=4)
+        ctx = TraceContext("t-sub")
         result = run_job({"kind": "generator", **GRID36}, None, ctx)
         assert result["status"] == "ok"
         worker = result["_trace"]
@@ -288,6 +310,46 @@ class TestTracingNeutrality:
         untraced = run_job({"kind": "generator", **GRID36})
         assert "_trace" not in untraced
         assert {k: v for k, v in result.items() if k != "_trace"} == untraced
+
+
+# ---------------------------------------------------------------------------
+# lineage without sharding
+# ---------------------------------------------------------------------------
+
+
+class TestLineage:
+    def test_bound_context_stamps_every_span_open_and_round_trips(self, tmp_path):
+        trace = RoundTrace()
+        tracer = Tracer()
+        tracer.attach(trace)
+        tracer.bind_context(TraceContext("req-plain-1"))
+        with tracer.span("workload"):
+            bfs_run(gen.grid(6, 6), 0, trace=trace)
+        dump = tmp_path / "dump.jsonl"
+        trace.dump_jsonl(dump)
+        opens = [r for r in read_jsonl(dump) if r["kind"] == "span-open"]
+        assert len(opens) >= 2  # ours and bfs_run's own "bfs" span
+        assert [r["id"] for r in opens] == [s.id for s in tracer.spans]
+        assert all(r["trace"] == "req-plain-1" for r in opens)
+        doc = analyze.load_dump(dump)
+        assert {i: (s["name"], s["parent"], s["rounds"])
+                for i, s in doc["spans"].items()} == {
+            s.id: (s.name, s.parent_id, s.rounds) for s in tracer.spans}
+        assert all(s["closed"] for s in doc["spans"].values())
+
+    def test_run_job_records_carry_the_request_trace_id(self):
+        rt = RequestTrace("req-lineage")
+        result = run_job({"kind": "generator", **GRID36}, None, rt.context)
+        worker = result.pop("_trace")
+        assert worker["trace"] == rt.trace_id == "req-lineage"
+        run_span = rt.add("run", 0.0, rt.now())
+        assert rt.graft(worker["spans"], run_span, 0.0, clamp=rt.now()) == 4
+        rec = rt.finalize("ok", 200)
+        assert rec["trace"] == "req-lineage"
+        grafted = [s for s in rec["spans"] if s["parent"] == run_span]
+        assert [s["name"] for s in grafted] == ["build", "separator", "certify", "dfs"]
+        assert all(s["status"] == "ok" for s in grafted)
+        _assert_complete([rec])
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +467,11 @@ class TestServeEventsDump:
     def test_load_warns_on_unknown_kind_and_missing_header(self, tmp_path):
         path = tmp_path / "odd.jsonl"
         path.write_text(json.dumps({"kind": "mystery"}) + "\n")
-        with pytest.warns(UserWarning, match="no schema header"):
+        with pytest.warns(UserWarning) as record:
             doc = load_events(path)
+        messages = [str(w.message) for w in record]
+        assert any("no schema header" in m for m in messages)
+        assert any("mystery" in m for m in messages)
         assert doc["requests"] == [] and doc["version"] is None
 
     def test_cli_verifies_and_fails_on_orphans(self, tmp_path, capsys):
