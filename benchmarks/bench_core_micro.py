@@ -11,7 +11,9 @@ sparse-activity workload — a single-source BFS wavefront on a long path,
 where at any moment only the frontier plus a small quiet-countdown window
 has work — and, at the 10^5-node tier, the columnar vectorized dispatch
 vs the active-set scheduler on a square-grid wavefront (see
-docs/BENCHMARKS.md for the tier's runtime budget).
+docs/BENCHMARKS.md for the tier's runtime budget), and of the embedding
+A/B: the in-repo LR-planarity port against networkx's ``check_planarity``.
+Every A/B table reports the median and quartiles of alternating repeats.
 """
 
 import statistics
@@ -29,7 +31,7 @@ from repro.core.faces import face_view
 from repro.core.separator import cycle_separator
 from repro.core.subroutines import dfs_order_phases
 from repro.core.weights import weight
-from repro.planar import embed
+from repro.planar import RotationSystem, embed
 from repro.planar import generators as gen
 from repro.trees import bfs_tree
 
@@ -38,6 +40,67 @@ GRAPH = gen.delaunay(N, seed=7)
 ROTATION = embed(GRAPH)
 CONFIG = PlanarConfiguration.build(GRAPH, root=0)
 EDGES = CONFIG.real_fundamental_edges()
+
+#: Repeats per configuration of every A/B table below.
+REPEATS = 15
+
+
+def _alternating(configs):
+    """Run each ``(name, fn)`` of ``configs`` :data:`REPEATS` times,
+    alternating: repeat ``i`` runs them in an order rotated by ``i``, so
+    slow and fast stretches of the host fall on all of them alike.
+    Returns each name's last result and the ``(q1, median, q3)`` of its
+    seconds.  Where two names' q1..q3 ranges overlap, their difference is
+    below the host's noise."""
+    times = {name: [] for name, _ in configs}
+    results = {}
+    for i in range(REPEATS):
+        k = i % len(configs)
+        for name, run in configs[k:] + configs[:k]:
+            t0 = time.perf_counter()
+            results[name] = run()
+            times[name].append(time.perf_counter() - t0)
+    return results, {name: statistics.quantiles(t, n=4) for name, t in times.items()}
+
+
+def _timing(stats, base):
+    """The median/q1/q3 columns of one row, plus its speedup over ``base``."""
+    q1, median, q3 = stats
+    return {"repeats": REPEATS, "seconds": round(median, 4), "q1": round(q1, 4),
+            "q3": round(q3, 4), "speedup": round(base / median, 2)}
+
+
+# -- embedding: in-repo LR port vs networkx ----------------------------------
+
+def embed_speedup_rows():
+    """``embed`` (the in-repo LR-planarity port) against networkx's
+    ``check_planarity`` plus ``RotationSystem.from_networkx_embedding``,
+    the pair it replaced, on ``delaunay(250)`` and the 30x30 grid.  Both
+    must produce the same rotation."""
+    rows = []
+    for workload, graph in (("delaunay-250", gen.delaunay(250, seed=0)),
+                            ("grid-30x30", gen.grid(30, 30))):
+        def networkx_embed(graph=graph):
+            _, embedding = nx.check_planarity(graph, counterexample=False)
+            return RotationSystem.from_networkx_embedding(embedding)
+
+        configs = [("networkx check_planarity", networkx_embed),
+                   ("embed (LR port)", lambda graph=graph: embed(graph))]
+        results, stats = _alternating(configs)
+        rotations = [{v: r.neighbors_cw(v) for v in r.nodes} for r in results.values()]
+        assert rotations[0] == rotations[1], workload
+        base = stats[configs[0][0]][1]
+        for name, _ in configs:
+            rows.append({"embedder": name, "workload": workload, "n": len(graph),
+                         "m": graph.number_of_edges(), **_timing(stats[name], base)})
+    return rows
+
+
+_EMBED_TITLE = (
+    "Embedding - the in-repo LR-planarity port vs networkx check_planarity "
+    f"+ from_networkx_embedding (median, q1, q3 of {REPEATS} alternating repeats)"
+)
+
 
 # -- CONGEST scheduler A/B -------------------------------------------------
 
@@ -85,29 +148,18 @@ def _run_wavefront(net: Network, scheduler: str):
 def scheduler_speedup_rows(n: int = WAVE_N):
     """Time both dispatch strategies on the same wavefront; assert parity."""
     net = Network(gen.path_graph(n))
-    rows = []
-    elapsed = {}
-    results = {}
-    for scheduler in ("dense", "active"):
-        t0 = time.perf_counter()
-        results[scheduler] = _run_wavefront(net, scheduler)
-        elapsed[scheduler] = time.perf_counter() - t0
-    for scheduler in ("dense", "active"):
-        res = results[scheduler]
-        rows.append(
-            {
-                "scheduler": scheduler,
-                "workload": f"path-{n}",
-                "n": n,
-                "rounds": res.rounds,
-                "messages": res.messages_sent,
-                "seconds": round(elapsed[scheduler], 4),
-                "speedup": round(elapsed["dense"] / elapsed[scheduler], 2),
-            }
-        )
+    configs = [(scheduler, lambda scheduler=scheduler: _run_wavefront(net, scheduler))
+               for scheduler in ("dense", "active")]
+    results, stats = _alternating(configs)
     assert results["dense"].rounds == results["active"].rounds
     assert results["dense"].messages_sent == results["active"].messages_sent
-    return rows
+    return [
+        {"scheduler": scheduler, "workload": f"path-{n}", "n": n,
+         "rounds": results[scheduler].rounds,
+         "messages": results[scheduler].messages_sent,
+         **_timing(stats[scheduler], stats["dense"][1])}
+        for scheduler in ("dense", "active")
+    ]
 
 
 # The 10^5-node tier.  A *square* grid, not a path: the vectorized
@@ -137,35 +189,24 @@ def vectorized_speedup_rows(side: int = VEC_SIDE):
     def run(scheduler):
         init, on_round = _wavefront_program()
         on_round.vector_kernel = _bfs_kernel_factory(0, 4)
-        t0 = time.perf_counter()
-        res = net.run(init, on_round, max_rounds=max_rounds, scheduler=scheduler)
-        return res, time.perf_counter() - t0
+        return net.run(init, on_round, max_rounds=max_rounds, scheduler=scheduler)
 
     run("vectorized")  # warm-up: builds the columnar adjacency cache
-    results = {}
-    elapsed = {}
-    for scheduler in ("active", "vectorized"):
-        results[scheduler], elapsed[scheduler] = run(scheduler)
+    results, stats = _alternating(
+        [(scheduler, lambda scheduler=scheduler: run(scheduler))
+         for scheduler in ("active", "vectorized")])
     assert results["active"].rounds == results["vectorized"].rounds
     assert results["active"].messages_sent == results["vectorized"].messages_sent
     assert results["active"].stop_reason == "halted"
     assert results["vectorized"].stop_reason == "halted"
     assert results["vectorized"].fast_path
-    rows = []
-    for scheduler in ("active", "vectorized"):
-        res = results[scheduler]
-        rows.append(
-            {
-                "scheduler": scheduler,
-                "workload": f"grid-{side}x{side}",
-                "n": n,
-                "rounds": res.rounds,
-                "messages": res.messages_sent,
-                "seconds": round(elapsed[scheduler], 4),
-                "speedup": round(elapsed["active"] / elapsed[scheduler], 2),
-            }
-        )
-    return rows
+    return [
+        {"scheduler": scheduler, "workload": f"grid-{side}x{side}", "n": n,
+         "rounds": results[scheduler].rounds,
+         "messages": results[scheduler].messages_sent,
+         **_timing(stats[scheduler], stats["active"][1])}
+        for scheduler in ("active", "vectorized")
+    ]
 
 
 SHARD_WORKERS = 3
@@ -203,14 +244,15 @@ def sharded_speedup_rows(side: int = VEC_SIDE, shards: int = SHARD_WORKERS):
 
     def run(**kw):
         init, on_round = _wavefront_program()
-        t0 = time.perf_counter()
-        res = net.run(init, on_round, max_rounds=max_rounds,
-                      scheduler="active", **kw)
-        return res, time.perf_counter() - t0
+        return net.run(init, on_round, max_rounds=max_rounds,
+                       scheduler="active", **kw)
 
-    single, t_single = run()
-    sharded, t_sharded = run(shards=shards, shard_mode=mode,
-                             shard_partition=bands)
+    results, stats = _alternating([
+        ("single", run),
+        ("sharded", lambda: run(shards=shards, shard_mode=mode,
+                                shard_partition=bands)),
+    ])
+    single, sharded = results["single"], results["sharded"]
     assert sharded.rounds == single.rounds
     assert sharded.messages_sent == single.messages_sent
     assert sharded.stop_reason == single.stop_reason == "halted"
@@ -222,8 +264,7 @@ def sharded_speedup_rows(side: int = VEC_SIDE, shards: int = SHARD_WORKERS):
             "n": n,
             "rounds": sharded.rounds,
             "messages": sharded.messages_sent,
-            "seconds": round(t_sharded, 4),
-            "speedup": round(t_single / t_sharded, 2),
+            **_timing(stats["sharded"], stats["single"][1]),
         }
     ]
 
@@ -231,7 +272,8 @@ def sharded_speedup_rows(side: int = VEC_SIDE, shards: int = SHARD_WORKERS):
 _SPEEDUP_TITLE = (
     f"Scheduler A/B - BFS wavefront: dense vs active on a {WAVE_N}-node "
     f"path; active vs vectorized, and single-process vs separator-sharded "
-    f"({SHARD_WORKERS} workers), on a {VEC_SIDE}x{VEC_SIDE} grid"
+    f"({SHARD_WORKERS} workers), on a {VEC_SIDE}x{VEC_SIDE} grid "
+    f"(median, q1, q3 of {REPEATS} alternating repeats)"
 )
 _speedup_rows_cache = None
 
@@ -250,6 +292,16 @@ def all_speedup_rows():
 
 
 def test_micro_embedding(benchmark):
+    benchmark(lambda: embed(GRAPH))
+
+
+def test_micro_embed_speedup(benchmark):
+    """The LR port must beat networkx's check_planarity on both instances
+    with the same rotation (asserted inside embed_speedup_rows); the
+    measurement is recorded in benchmarks/results/embed_speedup.txt."""
+    rows = embed_speedup_rows()
+    emit("embed_speedup.txt", rows, _EMBED_TITLE)
+    assert all(r["speedup"] > 1.0 for r in rows if r["embedder"].startswith("embed")), rows
     benchmark(lambda: embed(GRAPH))
 
 
@@ -353,9 +405,7 @@ def tracing_overhead_rows(n: int = WAVE_N):
     """Time the wavefront bare, under RoundTrace, and under RoundTrace
     plus an attached Tracer span — the observability cost ladder.
 
-    Each configuration runs 15 times, alternating: repeat ``i``
-    runs the three configurations in an order rotated by ``i``, so slow
-    and fast stretches of the host fall on all of them alike.  A row
+    The configurations run alternating (:func:`_alternating`).  A row
     reports the median and the quartiles (q1, q3) of its runs, and the
     overhead as the ratio of its median to the bare row's.  Where the
     rows' q1..q3 ranges overlap, the overhead is below the host's noise.
@@ -387,22 +437,15 @@ def tracing_overhead_rows(n: int = WAVE_N):
 
     configs = [("bare (tracing off)", bare), ("RoundTrace", traced),
                ("RoundTrace + Tracer span", spanned)]
-    repeats = 15
     bare()  # warm-up: the first run pays allocator/cache setup
-    times = {name: [] for name, _ in configs}
-    rounds = {}
-    for i in range(repeats):
-        for name, run in configs[i % 3:] + configs[:i % 3]:
-            t0 = time.perf_counter()
-            rounds[name] = run().rounds
-            times[name].append(time.perf_counter() - t0)
-    assert len(set(rounds.values())) == 1
-    base = statistics.median(times[configs[0][0]])
+    results, stats = _alternating(configs)
+    assert len({res.rounds for res in results.values()}) == 1
+    base = stats[configs[0][0]][1]
     rows = []
     for name, _ in configs:
-        q1, median, q3 = statistics.quantiles(times[name], n=4)
-        rows.append({"config": name, "n": n, "rounds": rounds[name],
-                     "repeats": repeats, "seconds": round(median, 4),
+        q1, median, q3 = stats[name]
+        rows.append({"config": name, "n": n, "rounds": results[name].rounds,
+                     "repeats": REPEATS, "seconds": round(median, 4),
                      "q1": round(q1, 4), "q3": round(q3, 4),
                      "overhead": round(median / base, 2)})
     return rows
@@ -445,6 +488,7 @@ def test_micro_trace_overhead_bounded(benchmark):
 
 
 if __name__ == "__main__":
+    emit("embed_speedup.txt", embed_speedup_rows(), _EMBED_TITLE)
     emit("scheduler_speedup.txt", all_speedup_rows(), _SPEEDUP_TITLE)
     emit("tracing_overhead.txt", tracing_overhead_rows(),
          f"Tracing overhead - BFS wavefront on a {WAVE_N}-node path")

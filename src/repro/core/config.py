@@ -24,7 +24,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import networkx as nx
 
-from ..planar.checks import require_connected, require_planar
+from ..planar.checks import require_connected, require_planar_rotation
 from ..planar.construct import embed
 from ..planar.rotation import RotationSystem
 from ..trees.rooted import RootedTree
@@ -87,12 +87,17 @@ class PlanarConfiguration:
         tree: Optional[RootedTree] = None,
         rotation: Optional[RotationSystem] = None,
     ) -> "PlanarConfiguration":
-        """Convenience constructor: embed + BFS spanning tree by default."""
+        """Convenience constructor: embed + BFS spanning tree by default.
+
+        A supplied ``rotation`` is certified in O(n + m) by
+        :func:`repro.planar.checks.require_planar_rotation` instead of
+        running a planarity test.
+        """
         require_connected(graph)
         if rotation is None:
             rotation = embed(graph)
         else:
-            require_planar(graph)
+            require_planar_rotation(graph, rotation)
         if tree is None:
             if root is None:
                 root = min(graph.nodes, key=repr)

@@ -27,7 +27,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from ..planar.checks import require_connected, require_planar
+from ..planar.checks import require_connected, require_planar_rotation
 from ..planar.construct import embed, embed_subgraph, induced_copy
 from ..planar.rotation import RotationSystem
 from ..trees.rooted import RootedTree
@@ -101,14 +101,17 @@ def dfs_tree(
     """Compute a DFS tree of a connected planar graph rooted at ``root``.
 
     This is Theorem 2's algorithm; the returned structure carries the
-    per-phase statistics the experiment harness reports.
+    per-phase statistics the experiment harness reports.  A supplied
+    ``rotation`` is certified in O(n + m) by
+    :func:`repro.planar.checks.require_planar_rotation` instead of
+    running a planarity test.
     """
     require_connected(graph)
     embedded = rotation is None
     if embedded:
         rotation = embed(graph)
     else:
-        require_planar(graph)
+        require_planar_rotation(graph, rotation)
     if root not in graph:
         raise ValueError(f"root {root!r} is not a graph node")
     if embedded and ledger is not None:
@@ -116,16 +119,24 @@ def dfs_tree(
     result = DFSResult(root)
     in_tree: Set[Node] = {root}
     n = len(graph)
-    guard = 0
-    while len(in_tree) < n:
-        guard += 1
-        if guard > 4 * max(n, 2).bit_length() + 8:
-            raise DFSError("main loop did not terminate in O(log n) phases")
+    before = 0
+    while True:
+        # The components of G - T_d start this phase and end the last one.
+        components = [
+            set(c)
+            for c in nx.connected_components(graph.subgraph(set(graph.nodes) - in_tree))
+        ]
+        largest = max((len(c) for c in components), default=0)
+        if result.phases:
+            result.shrink_factors.append(largest / before)
+        if not components:
+            break
         result.phases += 1
+        if result.phases > 4 * max(n, 2).bit_length() + 8:
+            raise DFSError("main loop did not terminate in O(log n) phases")
         if ledger is not None:
             ledger.begin_parallel()
-        components = [set(c) for c in nx.connected_components(graph.subgraph(set(graph.nodes) - in_tree))]
-        before = max(len(c) for c in components)
+        before = largest
         max_join = 0
         for component in components:
             if ledger is not None:
@@ -139,12 +150,7 @@ def dfs_tree(
         if ledger is not None:
             ledger.end_parallel()
         in_tree = set(result.parent)
-        remaining = set(graph.nodes) - in_tree
-        after = 0
-        if remaining:
-            after = max(len(c) for c in nx.connected_components(graph.subgraph(remaining)))
         result.join_iterations.append(max_join)
-        result.shrink_factors.append(after / before if before else 0.0)
     return result
 
 

@@ -6,6 +6,7 @@ from .checks import (
     require_connected,
     require_planar,
     require_planar_connected,
+    require_planar_rotation,
 )
 from .construct import embed, embed_subgraph, induced_copy
 from .drawing import (
@@ -32,5 +33,6 @@ __all__ = [
     "require_connected",
     "require_planar",
     "require_planar_connected",
+    "require_planar_rotation",
     "straight_line_drawing",
 ]

@@ -2,17 +2,24 @@
 
 The CONGEST algorithms in this library are only correct on connected planar
 graphs (Theorem 1/2 hypotheses).  These helpers give the public API typed,
-early failures instead of silent nonsense deep inside a phase.
+early failures instead of silent nonsense deep inside a phase.  Planarity is
+decided by the in-repo left-right planarity port
+(:func:`repro.planar.construct.lr_rotation`); a rotation the caller already
+holds is certified in O(n + m) by :func:`require_planar_rotation`, with no
+planarity test at all.
 """
 
 from __future__ import annotations
 
 import networkx as nx
 
+from .rotation import RotationSystem
+
 __all__ = [
     "NotPlanarError",
     "NotConnectedError",
     "require_planar",
+    "require_planar_rotation",
     "require_connected",
     "require_planar_connected",
 ]
@@ -41,9 +48,34 @@ def require_planar(graph: nx.Graph) -> None:
     :func:`repro.planar.construct.embed`, which runs the same test once
     and raises the same error.
     """
-    is_planar, _ = nx.check_planarity(graph, counterexample=False)
-    if not is_planar:
+    from .construct import lr_rotation  # construct imports this module
+
+    if lr_rotation(graph) is None:
         raise NotPlanarError.of(graph)
+
+
+def require_planar_rotation(graph: nx.Graph, rotation: RotationSystem) -> None:
+    """Raise :class:`NotPlanarError` unless ``rotation`` is a planar
+    embedding of the connected ``graph``, in O(n + m).
+
+    The certificate for a rotation the caller already holds, instead of
+    a planarity test: the rotation's node set and every row must match
+    ``graph``'s adjacency (so each edge appears in both directions), with
+    no self-loops, and its faces must satisfy Euler's formula
+    ``n - m + f = 2``.  ``graph`` must already be known to be connected.
+    """
+    if len(rotation) != len(graph):
+        raise NotPlanarError("rotation and graph have different node sets")
+    for v, nbrs in graph.adjacency():
+        if v not in rotation or v in nbrs or set(rotation.neighbors_cw(v)) != nbrs.keys():
+            raise NotPlanarError(f"rotation of {v!r} does not match the graph")
+    n, m = len(graph), graph.number_of_edges()
+    f = max(rotation.num_faces(), 1)  # a lone node bounds one face
+    if n - m + f != 2:
+        raise NotPlanarError(
+            "rotation is not planar: Euler check failed "
+            f"(n={n}, m={m}, f={f})"
+        )
 
 
 def require_connected(graph: nx.Graph, what: str = "graph") -> None:

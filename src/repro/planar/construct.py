@@ -2,19 +2,25 @@
 
 In the paper, a planar combinatorial embedding is computed distributively in
 :math:`\\tilde{O}(D)` rounds (Ghaffari–Haeupler, PODC'16).  Here the
-embedding is computed centrally via left-right planarity; the CONGEST round
-cost is charged by the ledger (see :mod:`repro.congest.ledger`), as recorded
-in DESIGN.md's substitution table.
+embedding is computed centrally by :func:`lr_rotation`, an in-repo port of
+Brandes' left-right planarity test that reproduces networkx's
+``check_planarity`` rotation exactly (networkx stays the test oracle); the
+CONGEST round cost is charged by the ledger (see
+:mod:`repro.congest.ledger`), as recorded in DESIGN.md's substitution table.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Hashable, List, Optional
 
 import networkx as nx
 
 from .checks import NotPlanarError
 from .rotation import RotationSystem
 
-__all__ = ["embed", "embed_subgraph", "induced_copy"]
+__all__ = ["embed", "embed_subgraph", "induced_copy", "lr_rotation"]
+
+Node = Hashable
 
 
 def embed(graph: nx.Graph) -> RotationSystem:
@@ -23,10 +29,302 @@ def embed(graph: nx.Graph) -> RotationSystem:
     Runs the left-right planarity test once and raises
     :class:`repro.planar.checks.NotPlanarError` on non-planar input.
     """
-    is_planar, embedding = nx.check_planarity(graph, counterexample=False)
-    if not is_planar:
+    order = lr_rotation(graph)
+    if order is None:
         raise NotPlanarError.of(graph)
-    return RotationSystem.from_networkx_embedding(embedding)
+    return RotationSystem(order)
+
+
+def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
+    """Clockwise rotation rows of ``graph`` by Brandes' left-right
+    planarity test, or ``None`` when ``graph`` is not planar.
+
+    A port of networkx 3.6.1's ``LRPlanarity`` to flat lists over node
+    and edge indices.  It keeps every order the result depends on, so
+    each row equals networkx's ``neighbors_cw_order`` of the
+    ``check_planarity`` embedding:
+
+    * the adjacency of the self-loop-free copy is built in edge-iteration
+      order (``graph.edges()``), not ``graph``'s own adjacency order;
+    * the oriented graph's out-edges keep insertion order, and both
+      nesting-depth sorts are stable sorts of that order;
+    * signs are resolved edge by edge in that same order;
+    * each row starts at networkx's *leftmost* neighbour: the first
+      neighbour of the initial row, replaced by a node inserted directly
+      counterclockwise of it (``add_half_edge_first``, and
+      ``add_half_edge(cw=leftmost)``).
+
+    Conflict-pair intervals are ``[low, high]`` slots of a 4-list
+    ``[left.low, left.high, right.low, right.high]``.  Rows are keyed
+    and ordered like ``graph``'s nodes; isolated nodes get empty rows.
+    """
+    nodes = list(graph)
+    n = len(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    rows: List[Dict[int, None]] = [{} for _ in range(n)]
+    for a, b in graph.edges():
+        if a != b:
+            i, j = index[a], index[b]
+            rows[i][j] = None
+            rows[j][i] = None
+    m = sum(map(len, rows)) // 2
+    if n > 2 and m > 3 * n - 6:
+        return None
+    adjs = [list(row) for row in rows]
+
+    # Orientation by DFS: heights, lowpoints and nesting depths.
+    height: List[Optional[int]] = [None] * n
+    parent_edge: List[Optional[int]] = [None] * n
+    out: List[Dict[int, int]] = [{} for _ in range(n)]  # v -> {w: edge v->w}
+    tail, head = [0] * m, [0] * m
+    lowpt, lowpt2, nesting = [0] * m, [0] * m, [0] * m
+    roots: List[int] = []
+    ind, resume = [0] * n, [False] * n
+    edges = 0
+    for r in range(n):
+        if height[r] is not None:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            row, out_v = adjs[v], out[v]
+            i = ind[v]
+            while i < len(row):
+                w = row[i]
+                if resume[v]:  # back from the tree edge v->w
+                    resume[v] = False
+                    vw = out_v[w]
+                else:
+                    if v in out[w]:  # already oriented w->v
+                        i += 1
+                        continue
+                    vw = edges
+                    edges += 1
+                    out_v[w] = vw
+                    tail[vw], head[vw] = v, w
+                    lowpt[vw] = lowpt2[vw] = hv
+                    if height[w] is None:  # tree edge
+                        parent_edge[w] = vw
+                        height[w] = hv + 1
+                        ind[v], resume[v] = i, True
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt[vw] = height[w]  # back edge
+                low = lowpt[vw]
+                nesting[vw] = 2 * low + (lowpt2[vw] < hv)
+                if e is not None:
+                    if low < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                        lowpt[e] = low
+                    elif low > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], low)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+                i += 1
+
+    # Testing: the LR partition, recorded as ref/side constraints.
+    ordered = [sorted(out_v.values(), key=nesting.__getitem__) for out_v in out]
+    ref: List[Optional[int]] = [None] * m
+    side = [1] * m
+    lowpt_edge: List[Optional[int]] = [None] * m
+    stack_bottom: List[Optional[list]] = [None] * m
+    S: List[list] = []
+
+    def conflicting(low, high, b):
+        return (low is not None or high is not None) and lowpt[high] > lowpt[b]
+
+    def add_constraints(ei: int, e: int) -> bool:
+        P = [None, None, None, None]
+        bottom = stack_bottom[ei]
+        while True:  # merge return edges of ei into P.right
+            Q = S.pop()
+            if Q[0] is not None or Q[1] is not None:
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if Q[0] is not None or Q[1] is not None:
+                return False
+            if lowpt[Q[2]] > lowpt[e]:  # merge intervals
+                if P[2] is None and P[3] is None:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:  # align
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom:
+                break
+        # merge conflicting return edges of earlier siblings into P.left
+        while S and (conflicting(S[-1][0], S[-1][1], ei)
+                     or conflicting(S[-1][2], S[-1][3], ei)):
+            Q = S.pop()
+            if conflicting(Q[2], Q[3], ei):
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if conflicting(Q[2], Q[3], ei):
+                return False
+            if P[2] is not None:  # networkx writes a ref[None] nothing reads
+                ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P[0] is not None or P[1] is not None or P[2] is not None or P[3] is not None:
+            S.append(P)
+        return True
+
+    def lowest(P) -> int:
+        if P[0] is None and P[1] is None:
+            return lowpt[P[2]]
+        if P[2] is None and P[3] is None:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def remove_back_edges(e: int) -> None:
+        u = tail[e]
+        hu = height[u]
+        while S and lowest(S[-1]) == hu:  # drop whole pairs
+            P = S.pop()
+            if P[0] is not None:
+                side[P[0]] = -1
+        if S:  # trim the next pair in place
+            P = S[-1]
+            while P[1] is not None and head[P[1]] == u:
+                P[1] = ref[P[1]]
+            if P[1] is None and P[0] is not None:  # just emptied
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = None
+            while P[3] is not None and head[P[3]] == u:
+                P[3] = ref[P[3]]
+            if P[3] is None and P[2] is not None:  # just emptied
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = None
+        if lowpt[e] < hu:  # side of e is side of a highest return edge
+            hl, hr = S[-1][1], S[-1][3]
+            if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
+
+    ind, resume = [0] * n, [False] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            adj = ordered[v]
+            i = ind[v]
+            descended = False
+            while i < len(adj):
+                ei = adj[i]
+                if resume[v]:  # back from the tree edge ei
+                    resume[v] = False
+                else:
+                    stack_bottom[ei] = S[-1] if S else None
+                    if parent_edge[head[ei]] == ei:  # tree edge
+                        ind[v], resume[v] = i, True
+                        stack.append(v)
+                        stack.append(head[ei])
+                        descended = True
+                        break
+                    lowpt_edge[ei] = ei  # back edge
+                    S.append([None, None, ei, ei])
+                if lowpt[ei] < hv:  # ei has a return edge
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return None
+                i += 1
+            if not descended and e is not None:
+                remove_back_edges(e)
+
+    # Embedding: resolve signs, sort again, then place back edges.
+    for out_v in out:
+        for e in out_v.values():
+            chain = [e]  # e's ref chain, each ref cleared once followed
+            while ref[chain[-1]] is not None:
+                x = chain[-1]
+                chain.append(ref[x])
+                ref[x] = None
+            s = 1
+            for x in reversed(chain):
+                s = side[x] = side[x] * s
+            nesting[e] *= s
+    cw: List[Dict[int, int]] = []  # v -> {u: clockwise successor of u}
+    ccw: List[Dict[int, int]] = []
+    leftmost: List[Optional[int]] = []
+    for v, out_v in enumerate(out):
+        ordered[v] = sorted(out_v.values(), key=nesting.__getitem__)
+        nbrs = [head[e] for e in ordered[v]]
+        cw.append(dict(zip(nbrs, nbrs[1:] + nbrs[:1])))
+        ccw.append(dict(zip(nbrs, nbrs[-1:] + nbrs[:-1])))
+        leftmost.append(nbrs[0] if nbrs else None)
+
+    def insert_before(x: int, new: int, at: int) -> None:
+        """Put ``new`` directly counterclockwise of ``at`` around ``x``."""
+        prev = ccw[x][at]
+        cw[x][new], ccw[x][new] = at, prev
+        cw[x][prev] = ccw[x][at] = new
+        if at == leftmost[x]:
+            leftmost[x] = new
+
+    def insert_after(x: int, new: int, at: int) -> None:
+        """Put ``new`` directly clockwise of ``at`` around ``x``."""
+        nxt = cw[x][at]
+        cw[x][new], ccw[x][new] = nxt, at
+        cw[x][at] = ccw[x][nxt] = new
+
+    left_ref: List[Optional[int]] = [None] * n
+    right_ref: List[Optional[int]] = [None] * n
+    ind = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            adj = ordered[v]
+            i = ind[v]
+            while i < len(adj):
+                ei = adj[i]
+                i += 1
+                w = head[ei]
+                if parent_edge[w] == ei:  # tree edge: v becomes w's leftmost
+                    if leftmost[w] is None:
+                        cw[w][v] = ccw[w][v] = leftmost[w] = v
+                    else:
+                        insert_before(w, v, leftmost[w])
+                    left_ref[v] = right_ref[v] = w
+                    ind[v] = i
+                    stack.append(v)
+                    stack.append(w)
+                    break
+                if side[ei] == 1:
+                    insert_after(w, v, right_ref[w])
+                else:
+                    insert_before(w, v, left_ref[w])
+                    left_ref[w] = v
+
+    order: Dict[Node, List[Node]] = {}
+    for v, node in enumerate(nodes):
+        row = []
+        start = leftmost[v]
+        if start is not None:
+            cw_v = cw[v]
+            u = start
+            while True:
+                row.append(nodes[u])
+                u = cw_v[u]
+                if u == start:
+                    break
+        order[node] = row
+    return order
 
 
 def embed_subgraph(rotation: RotationSystem, nodes) -> RotationSystem:

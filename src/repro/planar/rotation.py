@@ -7,7 +7,10 @@ determines a planar (sphere) embedding and its faces.  The paper calls this a
 
 This module is the embedding substrate used by every higher layer: the
 configuration objects of :mod:`repro.core`, the face machinery, the geometric
-oracle, and the generators all speak :class:`RotationSystem`.
+oracle, and the generators all speak :class:`RotationSystem`.  Rotations
+are computed by the in-repo left-right planarity port
+(:func:`repro.planar.construct.lr_rotation`); networkx's planarity code is
+the test oracle only.
 """
 
 from __future__ import annotations
@@ -59,17 +62,22 @@ class RotationSystem:
     def from_graph(cls, graph: nx.Graph) -> "RotationSystem":
         """Compute a rotation system for a planar graph.
 
-        Uses the left-right planarity algorithm (via networkx).  Raises
+        Uses the left-right planarity port of
+        :func:`repro.planar.construct.lr_rotation`.  Raises
         :class:`EmbeddingError` if ``graph`` is not planar.
         """
-        is_planar, embedding = nx.check_planarity(graph)
-        if not is_planar:
+        from .construct import lr_rotation  # construct imports this module
+
+        order = lr_rotation(graph)
+        if order is None:
             raise EmbeddingError("graph is not planar")
-        return cls.from_networkx_embedding(embedding)
+        return cls(order)
 
     @classmethod
     def from_networkx_embedding(cls, embedding: nx.PlanarEmbedding) -> "RotationSystem":
-        """Wrap a networkx :class:`~networkx.PlanarEmbedding`."""
+        """Wrap a networkx :class:`~networkx.PlanarEmbedding` (such as the
+        triangulation :mod:`repro.baselines.lipton_tarjan` gets from
+        networkx)."""
         order = {
             v: list(embedding.neighbors_cw_order(v)) for v in embedding.nodes()
         }
@@ -184,8 +192,27 @@ class RotationSystem:
         return result
 
     def num_faces(self) -> int:
-        """Number of faces of the (sphere) embedding."""
-        return len(self.faces())
+        """Number of faces of the (sphere) embedding, in O(n + m).
+
+        Walks every face once, marking half-edges by rotation position
+        instead of materialising the walks of :meth:`faces`.  Needs every
+        half-edge's reverse to be embedded.
+        """
+        order, pos = self._order, self._pos
+        seen = {v: [False] * len(nbrs) for v, nbrs in order.items()}
+        count = 0
+        for v, nbrs in order.items():
+            for i in range(len(nbrs)):
+                if seen[v][i]:
+                    continue
+                count += 1
+                a, j = v, i
+                while not seen[a][j]:
+                    seen[a][j] = True
+                    b = order[a][j]
+                    j = (pos[b][a] + 1) % len(order[b])
+                    a = b
+        return count
 
     def _corner(self, x: Node, after: Node | None) -> HalfEdge:
         """Half-edge leaving the corner of ``x`` that an insertion

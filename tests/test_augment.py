@@ -11,9 +11,13 @@ from repro.core.augment import (
     heavy_nested_insertion,
     insertion_variants,
 )
+from repro.core import config as config_module
+from repro.core import dfs as dfs_module
+from repro.core.config import PlanarConfiguration
 from repro.core.faces import face_view
 from repro.core.verify import check_dfs_tree, separator_report
-from repro.planar import RotationSystem
+from repro.dynamic import DynamicPipeline
+from repro.planar import EmbeddingError, NotPlanarError, RotationSystem, checks, construct, embed
 from repro.planar import generators as gen
 
 from conftest import make_config
@@ -100,19 +104,43 @@ class TestRootAnchorVariants:
             list(insertion_variants(cfg, cfg.tree.root, 15))
 
 
+def _count_lr_and_certificates(monkeypatch):
+    """Count runs of the LR planarity port and rotation certificates."""
+    lr_runs, certificates = [], []
+    real_lr = construct.lr_rotation
+    real_certify = checks.require_planar_rotation
+
+    def counted_lr(*args, **kwargs):
+        lr_runs.append(1)
+        return real_lr(*args, **kwargs)
+
+    def counted_certify(*args, **kwargs):
+        certificates.append(1)
+        return real_certify(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "lr_rotation", counted_lr)
+    for module in (checks, dfs_module, config_module):
+        monkeypatch.setattr(module, "require_planar_rotation", counted_certify)
+    return lr_runs, certificates
+
+
+def _wrong_genus_grid():
+    """``grid(4, 4)`` with two neighbours swapped at every degree-4 node:
+    the right rows, but a rotation of genus > 0."""
+    g = gen.grid(4, 4)
+    order = {v: list(embed(g).neighbors_cw(v)) for v in g}
+    for row in order.values():
+        if len(row) == 4:
+            row[0], row[1] = row[1], row[0]
+    return g, RotationSystem(order)
+
+
 class TestHotPath:
     """The DFS hot path decides planarity locally and embeds once."""
 
     def test_grid_dfs_runs_one_planarity_test_and_no_validation(self, monkeypatch):
         def no_validate(self):
             raise AssertionError("validate() is a test oracle, not an algorithm step")
-
-        lr_runs = []
-        real_check = nx.check_planarity
-
-        def counted_check(*args, **kwargs):
-            lr_runs.append(1)
-            return real_check(*args, **kwargs)
 
         corner_tests = []
         real_corners = RotationSystem.corners_share_face
@@ -123,12 +151,49 @@ class TestHotPath:
 
         monkeypatch.setattr(RotationSystem, "validate", no_validate)
         monkeypatch.setattr(RotationSystem, "corners_share_face", counted_corners)
-        monkeypatch.setattr(nx, "check_planarity", counted_check)
+        lr_runs, certificates = _count_lr_and_certificates(monkeypatch)
         g = gen.grid(12, 12)
         result = dfs_tree(g, 0)
         check_dfs_tree(g, result.parent, 0)
         assert len(lr_runs) == 1
+        assert not certificates
         assert corner_tests  # the grid reaches the rooted sweep's insertions
+
+    def test_supplied_rotation_is_certified_without_an_lr_run(self, monkeypatch):
+        g = gen.grid(12, 12)
+        rotation = embed(g)
+        lr_runs, certificates = _count_lr_and_certificates(monkeypatch)
+        result = dfs_tree(g, 0, rotation=rotation)
+        check_dfs_tree(g, result.parent, 0)
+        assert (len(lr_runs), len(certificates)) == (0, 1)
+
+    def test_separator_fallback_is_certified_without_an_lr_run(self, monkeypatch):
+        pipeline = DynamicPipeline(gen.grid(6, 6))
+        g, path = pipeline.graph, pipeline.separator_path
+        # A separator-path edge outside the DFS tree whose deletion keeps
+        # the graph connected: the separator must be recomputed, while the
+        # DFS side is a no-op repair.
+        edge = next(
+            (a, b) for a, b in zip(path, path[1:])
+            if pipeline.parent.get(a) != b and pipeline.parent.get(b) != a
+            and nx.has_path(nx.restricted_view(g, [], [(a, b)]), a, b)
+        )
+        lr_runs, certificates = _count_lr_and_certificates(monkeypatch)
+        batch = pipeline.apply([("delete", *edge)])
+        assert batch["separator_recomputes"] == 1
+        assert batch["full_recomputes"] == batch["fallbacks"] == 0
+        assert (len(lr_runs), len(certificates)) == (0, 1)
+
+    @pytest.mark.parametrize("entry", [
+        lambda g, rot: dfs_tree(g, 0, rotation=rot),
+        lambda g, rot: PlanarConfiguration.build(g, root=0, rotation=rot),
+    ], ids=["dfs_tree", "build"])
+    def test_wrong_genus_rotation_is_rejected(self, entry):
+        g, rotation = _wrong_genus_grid()
+        with pytest.raises(EmbeddingError, match="f=6"):
+            rotation.validate()
+        with pytest.raises(NotPlanarError, match="Euler check failed"):
+            entry(g, rotation)
 
 
 class TestBalancedInsertion:

@@ -1,5 +1,6 @@
 """End-to-end tests for Theorem 2 (deterministic DFS trees)."""
 
+import hashlib
 import math
 
 import networkx as nx
@@ -49,6 +50,53 @@ class TestCorrectness:
             root = seed % len(g)
             res = dfs_tree(g, root)
             check_dfs_tree(g, res.parent, root)
+
+
+class TestMainLoopGolden:
+    """``dfs_tree``'s phase statistics and parent maps, pinned per family.
+
+    Each phase's components of ``G - T_d`` are computed once, at the
+    phase start, and the previous phase's shrink factor is read from
+    them; these digests were taken when a second component pass ran at
+    every phase end, so they lock the two as equal.  Instances are
+    rebuilt with sorted nodes and edges, so a dependency's insertion
+    order (scipy's Delaunay simplices) cannot move them.
+    """
+
+    GOLDEN = {
+        "grid": "9c36d01302ea86a2",
+        "triangulated_grid": "f485de729126c48b",
+        "cylinder": "603beeed5c355830",
+        "delaunay": "fc2db48b1aa8631d",
+        "random_planar": "e56cb232b4a5fc83",
+        "outerplanar": "ad2f4c59d32ed925",
+        "apollonian": "e45d274355f2b702",
+        "wheel": "c28aea4c3be21724",
+        "theta": "f9c4a0dc66a18d49",
+        "path": "3a75735da8533b46",
+        "star": "4fe779b776f2db43",
+        "broom": "4117eb846ce6f848",
+        "caterpillar": "b148c0f160349b35",
+        "random_tree": "ab8a47f73acffe91",
+        "binary_tree": "2ab4f5572cc1fb19",
+        "ladder": "2cc3ef1bdb060786",
+        "nested_triangles": "7a9321ab021795f6",
+        "hexagonal": "e22b176c85e66282",
+        "fan": "75a83899fd7a9eba",
+        "double_wheel": "6816f53b4de5498d",
+        "series_parallel": "8ae2b9c8fc024bfd",
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_phases_shrink_factors_and_parents(self, name):
+        raw = dict(gen.FAMILIES())[name]
+        g = nx.Graph()
+        g.add_nodes_from(sorted(raw))
+        g.add_edges_from(sorted(tuple(sorted(e)) for e in raw.edges()))
+        res = dfs_tree(g, 0)
+        assert len(res.shrink_factors) == len(res.join_iterations) == res.phases
+        key = repr((res.phases, res.shrink_factors, sorted(res.parent.items())))
+        assert hashlib.sha256(key.encode()).hexdigest()[:16] == self.GOLDEN[name]
 
 
 class TestComplexityShape:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.planar import EmbeddingError, RotationSystem, embed
+from repro.planar import (
+    EmbeddingError,
+    NotPlanarError,
+    RotationSystem,
+    embed,
+    require_planar_rotation,
+)
 from repro.planar import generators as gen
 
 from test_properties import COMMON, planar_instances
@@ -91,6 +97,42 @@ class TestFaces:
     def test_tree_has_single_face(self):
         rot = embed(gen.random_tree(12, seed=1))
         assert rot.num_faces() == 1
+
+    def test_face_count_equals_face_walks(self):
+        for name, g in gen.FAMILIES(1):
+            rot = embed(g)
+            assert rot.num_faces() == len(rot.faces()), name
+
+
+class TestRotationCertificate:
+    """``require_planar_rotation``: rows match the graph, Euler holds."""
+
+    def test_accepts_every_family_embedding(self):
+        for name, g in gen.FAMILIES(2):
+            require_planar_rotation(g, embed(g))
+
+    def test_accepts_a_single_node(self):
+        g = nx.empty_graph(1)
+        require_planar_rotation(g, embed(g))
+
+    def test_rejects_a_different_node_set(self):
+        g = gen.grid(3, 3)
+        with pytest.raises(NotPlanarError, match="different node sets"):
+            require_planar_rotation(g, embed(gen.grid(3, 4)))
+
+    def test_rejects_a_row_that_misses_an_edge(self):
+        g = gen.grid(3, 3)
+        rot = embed(g)
+        g.add_edge(0, 4)
+        with pytest.raises(NotPlanarError, match="rotation of 0 does not match"):
+            require_planar_rotation(g, rot)
+
+    def test_rejects_a_self_loop(self):
+        g = gen.grid(3, 3)
+        rot = embed(g)
+        g.add_edge(4, 4)
+        with pytest.raises(NotPlanarError, match="rotation of 4 does not match"):
+            require_planar_rotation(g, rot)
 
 
 class TestMutation:
