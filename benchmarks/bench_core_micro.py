@@ -14,6 +14,8 @@ vs the active-set scheduler on a square-grid wavefront (see
 docs/BENCHMARKS.md for the tier's runtime budget), and of the embedding
 A/B: the in-repo LR-planarity port against networkx's ``check_planarity``.
 Every A/B table reports the median and quartiles of alternating repeats.
+The weight-sweep table checks that a face weight's cost does not grow with
+the face's border (Lemma 12).
 """
 
 import statistics
@@ -100,6 +102,48 @@ _EMBED_TITLE = (
     "Embedding - the in-repo LR-planarity port vs networkx check_planarity "
     f"+ from_networkx_embedding (median, q1, q3 of {REPEATS} alternating repeats)"
 )
+
+
+# -- weight sweep: per-face cost against border length ----------------------
+
+def weight_sweep_rows():
+    """Per-face ``face_view`` + ``weight`` cost on BFS configurations of
+    ``grid(3, k)``, whose longest border grows with ``k``, and on
+    ``delaunay(600)``.  Each row is the median and quartiles of
+    :data:`REPEATS` sweeps over all real fundamental edges, in µs per
+    face.  Lemma 12 makes a weight endpoint-local, so the cost must not
+    follow the border length."""
+    workloads = [(f"grid(3, {k})", PlanarConfiguration.build(gen.grid(3, k), root=0))
+                 for k in (20, 40, 80, 160)]
+    workloads.append((f"delaunay({N})", CONFIG))
+    rows = []
+    for workload, cfg in workloads:
+        edges = cfg.real_fundamental_edges()
+        longest = max(len(face_view(cfg, e).border) for e in edges)  # also a warm-up
+        times = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            for e in edges:
+                weight(cfg, face_view(cfg, e))
+            times.append((time.perf_counter() - t0) / len(edges) * 1e6)
+        q1, median, q3 = statistics.quantiles(times, n=4)
+        rows.append({"workload": workload, "n": cfg.n, "faces": len(edges),
+                     "longest_border": longest, "repeats": REPEATS,
+                     "us_per_face": round(median, 2), "q1": round(q1, 2),
+                     "q3": round(q3, 2)})
+    return rows
+
+
+_WEIGHT_TITLE = (
+    "Weight sweep - face_view + weight per real fundamental face, BFS trees "
+    f"(median, q1, q3 of {REPEATS} repeats, microseconds per face)"
+)
+
+
+def _check_weight_sweep(rows):
+    """The k = 160 grid's per-face cost stays within 2x of k = 20's."""
+    cost = {r["workload"]: r["us_per_face"] for r in rows}
+    assert cost["grid(3, 160)"] <= 2 * cost["grid(3, 20)"], rows
 
 
 # -- CONGEST scheduler A/B -------------------------------------------------
@@ -311,6 +355,12 @@ def test_micro_configuration(benchmark):
 
 
 def test_micro_weight_sweep(benchmark):
+    """Record the per-face weight cost against border length in
+    benchmarks/results/weight_sweep.txt and bound its growth."""
+    rows = weight_sweep_rows()
+    emit("weight_sweep.txt", rows, _WEIGHT_TITLE)
+    _check_weight_sweep(rows)
+
     def sweep():
         return [weight(CONFIG, face_view(CONFIG, e)) for e in EDGES]
 
@@ -488,6 +538,9 @@ def test_micro_trace_overhead_bounded(benchmark):
 
 
 if __name__ == "__main__":
+    weight_rows = weight_sweep_rows()
+    emit("weight_sweep.txt", weight_rows, _WEIGHT_TITLE)
+    _check_weight_sweep(weight_rows)
     emit("embed_speedup.txt", embed_speedup_rows(), _EMBED_TITLE)
     emit("scheduler_speedup.txt", all_speedup_rows(), _SPEEDUP_TITLE)
     emit("tracing_overhead.txt", tracing_overhead_rows(),

@@ -182,17 +182,31 @@ def _deepest_attachment(
     result: DFSResult,
 ) -> Tuple[Node, Node]:
     """The component node with the deepest :math:`T_d`-neighbor, plus that
-    neighbor (the DFS-RULE's attachment point)."""
-    best: Optional[Tuple[int, str, Node, Node]] = None
+    neighbor (the DFS-RULE's attachment point).
+
+    Candidates compare on ``(depth[w], repr(w))``, the first one winning a
+    tie; ``repr`` is only formatted when two depths tie.
+    """
+    parent, depth = result.parent, result.depth
+    best: Optional[Tuple[Node, Node]] = None
+    best_depth = -1
+    best_repr: Optional[str] = None
     for v in nodes:
         for w in graph.neighbors(v):
-            if w in result.parent:
-                key = (result.depth[w], repr(w), repr(v))
-                if best is None or (key[0], key[1]) > (best[0], best[1]):
-                    best = (result.depth[w], repr(w), v, w)
+            if w not in parent:
+                continue
+            d = depth[w]
+            if d > best_depth:
+                best, best_depth, best_repr = (v, w), d, None
+            elif d == best_depth:
+                if best_repr is None:
+                    best_repr = repr(best[1])
+                r = repr(w)
+                if r > best_repr:
+                    best, best_repr = (v, w), r
     if best is None:
         raise DFSError("component has no attachment to the partial DFS tree")
-    return best[2], best[3]
+    return best
 
 
 def _attachment_spanning_tree(

@@ -14,18 +14,36 @@ questions the distributed algorithm needs:
 * whether another fundamental edge is *contained in* :math:`F_e` (used by
   NOT-CONTAINED / NOT-CONTAINS, Section 5.2.4).
 
-A view answers these lazily: the border walk, the LCA and the side
-decision are fixed at construction, while a border node's inside arc is
-computed from its rotation the first time it is asked for, and the interior
-once on first use.  Definition 2's weight reads only the two endpoints'
-arcs (Lemma 12), so it touches two rotations however long the border is.
+A view is endpoint-local, as in Lemma 12: construction reads only the
+rotations and tree pointers of ``u`` and ``v``.  The side decision, the
+walk neighbours of both endpoints and the first step ``z`` from ``u`` towards
+``v`` (when ``u`` is an ancestor of ``v``) are O(deg u + deg v); the border
+walk, its index and the LCA are computed on first use.  A border node's
+inside arc is computed from its rotation the first time it is asked for, and
+the interior once on first use.  Definition 2's weight therefore touches two
+rotations however long the border is.
 
-The side decision is made **chirality-free**: at the topmost border node
-(the LCA ``w``), the outside is the side holding ``w``'s parent slot — for
-the root, the virtual-root gap between the last and first rotation position.
-Both facts are forced by the paper's convention that fundamental faces never
-contain the (virtual) root.  The side then propagates along the border walk,
-which is exactly how a face traversal follows one side of a closed walk.
+The side decision is **chirality-free**.  With
+:math:`\\pi_\\ell(u) < \\pi_\\ell(v)`, "side A" is the set of positions
+strictly cw-after the incoming walk edge and cw-before the outgoing one; at
+the topmost border node (the LCA ``w``) the outside holds ``w``'s parent
+slot — for the root, the virtual-root gap between the last and first
+rotation position — so the inside is side A exactly when the incoming
+position is below the outgoing one.  Both facts are forced by the paper's
+convention that fundamental faces never contain the (virtual) root.  That
+rule needs only the endpoints:
+
+* ``u`` an ancestor of ``v``: ``u`` is the LCA, the walk enters it from
+  ``v`` and leaves to ``z``, so side A is inside iff
+  :math:`t_u(v) < t_u(z)` — Definition 1's right orientation;
+* otherwise the LCA lies strictly above both endpoints, and LEFT-DFS-ORDER
+  reaches ``u``'s branch first because it visits children in descending
+  rotation position; the walk enters the LCA from ``u``'s branch at a
+  higher position than it leaves by towards ``v``, so the inside is never
+  side A.
+
+The side then propagates along the border walk, which is exactly how a face
+traversal follows one side of a closed walk.
 """
 
 from __future__ import annotations
@@ -43,72 +61,93 @@ __all__ = ["FaceView", "face_view"]
 def _arc(start: int, end: int, degree: int) -> List[int]:
     """Positions strictly between ``start`` and ``end``, walking ``+1`` mod
     ``degree``.  ``start == end`` is not a valid arc delimiter pair."""
-    out = []
-    p = (start + 1) % degree
-    while p != end:
-        out.append(p)
-        p = (p + 1) % degree
-    return out
+    if start < end:
+        return list(range(start + 1, end))
+    return list(range(start + 1, degree)) + list(range(end))
 
 
 class FaceView:
     """All border-local information about one real fundamental face.
 
-    Construction fixes the border walk and the side decision.  A border
-    node's inside arc is computed on its first query and the interior on
-    first use, both cached on the view; p-values, containment tests and
-    weights read from those.
+    Construction reads only the two endpoints: it fixes the side decision,
+    the first step ``z`` from ``u`` towards ``v`` (``None`` unless ``u`` is
+    an ancestor of ``v``) and so the walk neighbours of ``u`` and ``v``.
+    The border walk, its index and the LCA are computed on first use; a
+    border node's inside arc on its first query and the interior on first
+    use, all cached on the view.  p-values, containment tests and weights
+    read from those.
     """
 
     __slots__ = (
         "cfg",
         "u",
         "v",
-        "lca",
-        "border",
-        "_border_index",
+        "z",
+        "inside_is_A",
+        "_border",
+        "_index",
+        "_lca",
         "_inside_positions",
         "_interior",
-        "inside_is_A",
     )
 
     def __init__(self, cfg: PlanarConfiguration, e: Edge):
         self.cfg = cfg
-        self.u, self.v = cfg.orient(e)
+        self.u, self.v = u, v = cfg.orient(e)
         tree = cfg.tree
-        self.border: List[Node] = tree.path(self.u, self.v)
-        self.lca = tree.lca(self.u, self.v)
-        self._border_index: Dict[Node, int] = {
-            x: i for i, x in enumerate(self.border)
-        }
-        if len(self._border_index) != len(self.border):  # pragma: no cover
-            raise ValueError("border walk revisits a node")
+        self._border: Optional[List[Node]] = None
+        self._index: Optional[Dict[Node, int]] = None
+        self._lca: Optional[Node] = None
         self._inside_positions: Dict[Node, FrozenSet[int]] = {}
         self._interior: Optional[FrozenSet[Node]] = None
-        self.inside_is_A = self._decide_side()
+        # The side decision at the LCA, read at the endpoints (module
+        # docstring): u is the LCA exactly when it is an ancestor of v.
+        if tree.is_ancestor(u, v):
+            self.z: Optional[Node] = tree.first_step(u, v)
+            self.inside_is_A = cfg.t_position(u, v) < cfg.t_position(u, self.z)
+        else:
+            self.z = None
+            self.inside_is_A = False
 
     # ------------------------------------------------------------------
-    # side decision (chirality-free, see module docstring)
+    # the border walk, on first use
     # ------------------------------------------------------------------
+    @property
+    def border(self) -> List[Node]:
+        """The T-path from ``u`` to ``v`` (inclusive); the face's border is
+        this path closed by ``e``."""
+        if self._border is None:
+            self._border = self.cfg.tree.path(self.u, self.v)
+        return self._border
+
+    @property
+    def _border_index(self) -> Dict[Node, int]:
+        """Border node -> index in :attr:`border`."""
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self.border)}
+            if len(self._index) != len(self._border):  # pragma: no cover
+                raise ValueError("border walk revisits a node")
+        return self._index
+
+    @property
+    def lca(self) -> Node:
+        """The topmost border node."""
+        if self._lca is None:
+            self._lca = self.u if self.z is not None else self.cfg.tree.lca(self.u, self.v)
+        return self._lca
+
     def _walk_neighbors(self, x: Node) -> Tuple[Node, Node]:
         """(previous, next) of ``x`` along the cyclic border walk
-        ``u -> ... -> v -> (e) -> u``."""
+        ``u -> ... -> v -> (e) -> u``; O(1) at the endpoints."""
+        u, v = self.u, self.v
+        parent = self.cfg.tree.parent
+        if x == u:
+            return v, (self.z if self.z is not None else parent[u])
+        if x == v:
+            return parent[v], u
+        border = self.border
         i = self._border_index[x]
-        prev = self.border[i - 1] if i > 0 else self.v
-        nxt = self.border[i + 1] if i + 1 < len(self.border) else self.u
-        return prev, nxt
-
-    def _decide_side(self) -> bool:
-        """True iff the inside is "side A": positions strictly cw-after the
-        incoming walk edge and cw-before the outgoing one."""
-        w = self.lca
-        prev, nxt = self._walk_neighbors(w)
-        i = self.cfg.t_position(w, prev)
-        o = self.cfg.t_position(w, nxt)
-        # The outside marker (parent slot, or the virtual-root gap at the
-        # root) lies in side A exactly when the A-arc wraps past position 0,
-        # i.e. when i > o.  The inside is the other side.
-        return i < o
+        return border[i - 1], border[i + 1]
 
     # ------------------------------------------------------------------
     # queries
@@ -141,8 +180,8 @@ class FaceView:
 
     def children_inside(self, x: Node) -> List[Node]:
         """T-children of border node ``x`` whose subtree hangs inside."""
-        children = set(self.cfg.tree.children[x])
-        return [z for z in self.neighbors_inside(x) if z in children]
+        parent = self.cfg.tree.parent
+        return [y for y in self.neighbors_inside(x) if parent[y] == x]
 
     def p_value(self, x: Node) -> int:
         """:math:`p_{F_e}(x)`: nodes of ``x``'s inside child-subtrees.
@@ -150,10 +189,17 @@ class FaceView:
         This is the quantity Definition 2 calls
         :math:`|F_e \\cap T_x|` restricted to the interior, which endpoint
         ``x`` computes locally from its rotation plus subtree sizes
-        (Lemma 12's proof).
+        (Lemma 12's proof): one pass over the inside arc.
         """
-        sizes = self.cfg.tree.subtree_size
-        return sum(sizes[c] for c in self.children_inside(x))
+        tree = self.cfg.tree
+        parent, sizes = tree.parent, tree.subtree_size
+        t = self.cfg.t(x)
+        total = 0
+        for p in self.inside_positions(x):
+            y = t[p]
+            if parent[y] == x:
+                total += sizes[y]
+        return total
 
     def interior(self) -> FrozenSet[Node]:
         """:math:`\\mathring{F}_e`: all nodes strictly inside the face.

@@ -176,10 +176,13 @@ def _separate(
         weights_iter = {}
     else:
         weights_iter = weights
+    d_T = tree.depth
     for e, w in weights_iter.items():
         u, v = e
-        path_len = tree.path_length(u, v) + 1
-        inner = w if tree.is_ancestor(u, v) else w - (path_len - (tree.depth[u] - tree.depth[tree.lca(u, v)]))
+        fv = views[e]
+        lca_depth = d_T[fv.lca]
+        path_len = d_T[u] + d_T[v] - 2 * lca_depth + 1
+        inner = w if fv.z is not None else w - (d_T[v] - lca_depth + 1)
         if 3 * inner <= 2 * n and 3 * (n - inner - path_len) <= 2 * n:
             balanced.append((path_len, e))
     if balanced:

@@ -72,14 +72,21 @@ def face_order(cfg: PlanarConfiguration, e: Edge) -> Dict[Node, int]:
     return cfg.pi_right if orientation(cfg, e) == "right" else cfg.pi_left
 
 
+def _view_order(cfg: PlanarConfiguration, fv: FaceView) -> Dict[Node, int]:
+    """:func:`face_order` read off a view: the inside is side A exactly for
+    a right-oriented edge (see :mod:`repro.core.faces`)."""
+    return cfg.pi_right if fv.inside_is_A else cfg.pi_left
+
+
 def weight(cfg: PlanarConfiguration, fv: FaceView) -> int:
     """Definition 2: the weight :math:`\\omega(F_e)` of a real fundamental
     face, computed from order positions, depths, subtree sizes and the
-    locally-derived :math:`p`-values — never from the interior itself."""
-    u, v = fv.u, fv.v
+    locally-derived :math:`p`-values — never from the interior itself.
+    Everything is read at the two endpoints (Lemma 12)."""
+    u, v, z = fv.u, fv.v, fv.z
     tree = cfg.tree
     p_u, p_v = fv.p_value(u), fv.p_value(v)
-    if not tree.is_ancestor(u, v):
+    if z is None:
         return (
             p_v
             + p_u
@@ -87,8 +94,7 @@ def weight(cfg: PlanarConfiguration, fv: FaceView) -> int:
             - (cfg.pi_left[u] + tree.subtree_size[u])
             + 2
         )
-    z = tree.first_step(u, v)
-    pi = face_order(cfg, (u, v))
+    pi = _view_order(cfg, fv)
     return p_v + p_u + (pi[v] - pi[z]) - (tree.depth[v] - tree.depth[z])
 
 
@@ -114,7 +120,7 @@ def augmented_weight(
     size_z = tree.subtree_size[z]
     if tree.is_strict_ancestor(u, z):
         z1 = tree.first_step(u, z)
-        pi = face_order(cfg, fv.edge)
+        pi = _view_order(cfg, fv)
         return (size_z - 1) + (pi[z] - pi[z1]) - (tree.depth[z] - tree.depth[z1])
     return (
         p_u
@@ -180,7 +186,7 @@ def interior_by_orders(cfg: PlanarConfiguration, fv: FaceView) -> Set[Node]:
             inside.update(
                 y for y in tree.subtree_nodes(c) if lo <= cfg.pi_left[y] <= hi
             )
-    if not tree.is_ancestor(u, v):
+    if fv.z is None:
         lo = cfg.pi_left[u] + tree.subtree_size[u]
         hi = cfg.pi_left[v] - 1
         u_lo, u_hi = cfg.left_range(u)
@@ -191,8 +197,8 @@ def interior_by_orders(cfg: PlanarConfiguration, fv: FaceView) -> Set[Node]:
             if lo <= cfg.pi_left[y] <= hi:
                 inside.add(y)
     else:
-        z = tree.first_step(u, v)
-        pi = face_order(cfg, (u, v))
+        z = fv.z
+        pi = _view_order(cfg, fv)
         lo, hi = pi[z], pi[v] - 1
         v_lo, v_hi = cfg.left_range(v)
         for y in tree.subtree_nodes(z):

@@ -9,6 +9,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from repro.core.config import PlanarConfiguration
 from repro.core.faces import face_view
@@ -16,8 +17,10 @@ from repro.core.regions import RegionError, cycle_regions
 from repro.core.weights import weight
 from repro.planar import generators as gen
 from repro.planar.rotation import RotationSystem
+from repro.trees.rooted import RootedTree
 
 from conftest import configs_for, make_config
+from test_properties import COMMON, planar_instances
 
 
 def oracle_interior(cfg, fv):
@@ -133,10 +136,12 @@ class TestFaceView:
 
     def test_weight_reads_only_the_endpoints(self, monkeypatch):
         # Definition 2's weight is local to u and v (Lemma 12): the number
-        # of rotation lookups must not grow with the border.  A BFS tree of
-        # a long 3-row grid makes borders of up to 80 nodes.
+        # of rotation lookups must not grow with the border, and neither
+        # the view nor the weight walks the tree path or climbs to the LCA.
+        # A BFS tree of a long 3-row grid makes borders of up to 80 nodes.
         cfg = make_config(gen.grid(3, 40))
         calls = []
+        walks = []
         original = PlanarConfiguration.t_position
 
         def counting(self, v, u):
@@ -144,16 +149,40 @@ class TestFaceView:
             return original(self, v, u)
 
         monkeypatch.setattr(PlanarConfiguration, "t_position", counting)
+        for name in ("path", "lca"):
+            walk = getattr(RootedTree, name)
+
+            def counting_walk(self, a, b, _name=name, _walk=walk):
+                walks.append(_name)
+                return _walk(self, a, b)
+
+            monkeypatch.setattr(RootedTree, name, counting_walk)
         longest = 0
         for e in cfg.real_fundamental_edges():
             calls.clear()
             fv = face_view(cfg, e)
             weight(cfg, fv)
+            # Two for the side decision (ancestor pairs only), two per
+            # endpoint arc.
+            bound = 6 if fv.z is not None else 4
+            assert len(calls) <= bound, (e, len(calls))
+            assert walks == [], (e, walks)
             longest = max(longest, len(fv.border))
-            # Two for the side decision, two per endpoint arc, two for the
-            # orientation of an ancestor-descendant edge.
-            assert len(calls) <= 8, (e, len(fv.border), len(calls))
+            walks.clear()
         assert longest >= 50
+
+    @given(planar_instances())
+    @settings(**COMMON)
+    def test_endpoint_arcs_match_oracle_on_a_fresh_view(self, instance):
+        # Querying only u and v never builds the border walk, so this
+        # checks the O(1) endpoint walk neighbours on their own.
+        g, cfg = instance
+        for e in cfg.real_fundamental_edges():
+            fv = face_view(cfg, e)
+            arcs = {x: set(fv.inside_positions(x)) for x in (fv.u, fv.v)}
+            assert fv._border is None
+            expected = oracle_inside_positions(cfg, fv)
+            assert arcs == {x: expected[x] for x in arcs}, e
 
     def test_rejects_tree_and_missing_edges(self):
         cfg = make_config(gen.grid(3, 4))
