@@ -12,7 +12,9 @@ where at any moment only the frontier plus a small quiet-countdown window
 has work — and, at the 10^5-node tier, the columnar vectorized dispatch
 vs the active-set scheduler on a square-grid wavefront (see
 docs/BENCHMARKS.md for the tier's runtime budget), and of the embedding
-A/B: the in-repo LR-planarity port against networkx's ``check_planarity``.
+A/B: the in-repo LR-planarity port against networkx's ``check_planarity``,
+and of the component-pass A/B: ``induced_components`` against networkx's
+``connected_components`` over subgraph views, which checks the two agree.
 Every A/B table reports the median and quartiles of alternating repeats.
 The weight-sweep table checks that a face weight's cost does not grow with
 the face's border (Lemma 12).
@@ -28,12 +30,13 @@ from repro.applications import biconnectivity
 from repro.congest import Network, RoundTrace
 from repro.obs import Tracer
 from repro.core.config import PlanarConfiguration
+import repro.core.dfs as dfs_module
 from repro.core.dfs import dfs_tree
 from repro.core.faces import face_view
 from repro.core.separator import cycle_separator
 from repro.core.subroutines import dfs_order_phases
 from repro.core.weights import weight
-from repro.planar import RotationSystem, embed
+from repro.planar import RotationSystem, embed, induced_components
 from repro.planar import generators as gen
 from repro.trees import bfs_tree
 
@@ -101,6 +104,67 @@ def embed_speedup_rows():
 _EMBED_TITLE = (
     "Embedding - the in-repo LR-planarity port vs networkx check_planarity "
     f"+ from_networkx_embedding (median, q1, q3 of {REPEATS} alternating repeats)"
+)
+
+
+# -- component pass: induced_components vs networkx views -------------------
+
+def _component_pass_inputs(graph):
+    """The node sets ``dfs_tree(graph, 0)`` hands to ``induced_components``:
+    one per phase start and one per JOIN re-split."""
+    inputs = []
+
+    def recording(g, nodes):
+        inputs.append(nodes)
+        return induced_components(g, nodes)
+
+    dfs_module.induced_components = recording
+    try:
+        dfs_tree(graph, 0)
+    finally:
+        dfs_module.induced_components = induced_components
+    return inputs
+
+
+def components_speedup_rows():
+    """``induced_components`` against the networkx expression it replaced,
+    ``[set(c) for c in nx.connected_components(graph.subgraph(nodes))]``,
+    over every node set ``dfs_tree`` splits on ``delaunay(250)`` and the
+    30x30 grid.  Both must return the same sets in the same list order and
+    the same iteration order within each set."""
+    rows = []
+    for workload, graph in (("delaunay-250", gen.delaunay(250, seed=0)),
+                            ("grid-30x30", gen.grid(30, 30))):
+        inputs = _component_pass_inputs(graph)
+
+        def networkx_views(graph=graph, inputs=inputs):
+            return [[set(c) for c in nx.connected_components(graph.subgraph(nodes))]
+                    for nodes in inputs]
+
+        def induced(graph=graph, inputs=inputs):
+            return [induced_components(graph, nodes) for nodes in inputs]
+
+        expected, got = networkx_views(), induced()
+        assert got == expected, workload
+        assert [[list(c) for c in cs] for cs in got] == \
+            [[list(c) for c in cs] for cs in expected], workload
+        configs = [("networkx subgraph views", networkx_views),
+                   ("induced_components", induced)]
+        _, stats = _alternating(configs)
+        base = stats[configs[0][0]][1]
+        for name, _ in configs:
+            q1, median, q3 = stats[name]
+            rows.append({"splitter": name, "workload": workload, "n": len(graph),
+                         "node_sets": len(inputs), "repeats": REPEATS,
+                         "ms": round(median * 1e3, 3), "q1": round(q1 * 1e3, 3),
+                         "q3": round(q3 * 1e3, 3), "speedup": round(base / median, 2)})
+    return rows
+
+
+_COMPONENTS_TITLE = (
+    "Component pass - induced_components vs networkx connected_components over "
+    "subgraph views, on every node set dfs_tree splits "
+    f"(median, q1, q3 of {REPEATS} alternating repeats, milliseconds per dfs_tree call)"
 )
 
 
@@ -542,6 +606,7 @@ if __name__ == "__main__":
     emit("weight_sweep.txt", weight_rows, _WEIGHT_TITLE)
     _check_weight_sweep(weight_rows)
     emit("embed_speedup.txt", embed_speedup_rows(), _EMBED_TITLE)
+    emit("components_speedup.txt", components_speedup_rows(), _COMPONENTS_TITLE)
     emit("scheduler_speedup.txt", all_speedup_rows(), _SPEEDUP_TITLE)
     emit("tracing_overhead.txt", tracing_overhead_rows(),
          f"Tracing overhead - BFS wavefront on a {WAVE_N}-node path")

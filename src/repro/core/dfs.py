@@ -28,7 +28,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from ..planar.checks import require_connected, require_planar_rotation
-from ..planar.construct import embed, embed_subgraph, induced_copy
+from ..planar.construct import embed, embed_subgraph, induced_components, induced_copy
 from ..planar.rotation import RotationSystem
 from ..trees.rooted import RootedTree
 from .config import PlanarConfiguration
@@ -122,10 +122,7 @@ def dfs_tree(
     before = 0
     while True:
         # The components of G - T_d start this phase and end the last one.
-        components = [
-            set(c)
-            for c in nx.connected_components(graph.subgraph(set(graph.nodes) - in_tree))
-        ]
+        components = induced_components(graph, set(graph.nodes) - in_tree)
         largest = max((len(c) for c in components), default=0)
         if result.phases:
             result.shrink_factors.append(largest / before)
@@ -141,11 +138,15 @@ def dfs_tree(
         for component in components:
             if ledger is not None:
                 ledger.begin_branch()
-            separator = _component_separator(graph, rotation, component, result, ledger)
+            subgraph = induced_copy(graph, component)
+            anchor = _deepest_attachment(graph, component, result)
+            separator = _component_separator(rotation, component, subgraph, anchor[0], ledger)
             result.separator_phases[separator.phase] = (
                 result.separator_phases.get(separator.phase, 0) + 1
             )
-            iterations = _join(graph, component, set(separator.path), result, ledger)
+            iterations = _join(
+                graph, component, set(separator.path), result, ledger, (subgraph, anchor)
+            )
             max_join = max(max_join, iterations)
         if ledger is not None:
             ledger.end_parallel()
@@ -158,19 +159,19 @@ def dfs_tree(
 # Step 1: per-component separator
 # ----------------------------------------------------------------------
 def _component_separator(
-    graph: nx.Graph,
     rotation: RotationSystem,
     component: Set[Node],
-    result: DFSResult,
+    subgraph: nx.Graph,
+    root: Node,
     ledger,
 ) -> SeparatorResult:
-    """Theorem 1 applied to one component of :math:`G - T_d`.
+    """Theorem 1 applied to one component of :math:`G - T_d`, given its
+    induced copy ``subgraph``.
 
-    The component's spanning tree is rooted at the node with the deepest
-    neighbor in the partial tree — the same root the JOIN step will use.
+    The component's spanning tree is rooted at ``root``, the node with the
+    deepest neighbor in the partial tree — the same root the JOIN step will
+    use.
     """
-    subgraph = induced_copy(graph, component)
-    root = _deepest_attachment(graph, component, result)[0]
     tree = _attachment_spanning_tree(subgraph, root, set())
     cfg = PlanarConfiguration(subgraph, embed_subgraph(rotation, component), tree)
     return cycle_separator(cfg, ledger=ledger)
@@ -247,9 +248,15 @@ def _join(
     marked: Set[Node],
     result: DFSResult,
     ledger,
+    first: Optional[Tuple[nx.Graph, Tuple[Node, Node]]] = None,
 ) -> int:
     """Add all ``marked`` separator nodes of one component to the partial
-    DFS tree with the DFS-RULE; returns the number of halving iterations."""
+    DFS tree with the DFS-RULE; returns the number of halving iterations.
+
+    ``first`` is the component's induced copy and deepest attachment when
+    the caller already holds them: :math:`T_d` has not changed since, so
+    the first iteration uses them instead of recomputing both.
+    """
     pending: List[Tuple[Set[Node], Set[Node]]] = [(component, marked)]
     iterations = 0
     guard = 4 * max(len(component), 2).bit_length() + 8
@@ -261,8 +268,13 @@ def _join(
             ledger.charge_subroutine("join-iteration")
         next_pending: List[Tuple[Set[Node], Set[Node]]] = []
         for nodes, todo in pending:
-            r, attach = _deepest_attachment(graph, nodes, result)
-            tree = _attachment_spanning_tree(induced_copy(graph, nodes), r, todo)
+            if first is None:
+                subgraph = induced_copy(graph, nodes)
+                r, attach = _deepest_attachment(graph, nodes, result)
+            else:
+                subgraph, (r, attach) = first
+                first = None
+            tree = _attachment_spanning_tree(subgraph, r, todo)
             target = _farthest_marked(tree, todo)
             path = tree.path(r, target)
             # DFS-RULE: hang the path below the attachment point; parents
@@ -278,8 +290,7 @@ def _join(
             still = todo - added
             if not still:
                 continue
-            for sub in nx.connected_components(graph.subgraph(rest)):
-                sub = set(sub)
+            for sub in induced_components(graph, rest):
                 if sub & still:
                     next_pending.append((sub, sub & still))
         pending = next_pending

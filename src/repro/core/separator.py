@@ -38,6 +38,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from ..planar.checks import require_connected
+from ..planar.construct import embed, embed_subgraph, induced_components, induced_copy
 from ..trees.centroid import phase2_separator_node
 from .augment import balanced_insertion, heavy_nested_insertion
 from .config import PlanarConfiguration
@@ -359,8 +360,8 @@ def _is_balanced(cfg: PlanarConfiguration, path: List[Node], n: int, ledger) -> 
     computed directly and the rounds are charged.
     """
     _charge(ledger, "partwise-aggregation")
-    rest = cfg.graph.subgraph(set(cfg.graph.nodes) - set(path))
-    return all(3 * len(c) <= 2 * n for c in nx.connected_components(rest))
+    rest = set(cfg.graph.nodes) - set(path)
+    return all(3 * len(c) <= 2 * n for c in induced_components(cfg.graph, rest))
 
 
 def _emit_checked(
@@ -485,7 +486,6 @@ def compute_cycle_separators(
         Optional :class:`repro.congest.ledger.RoundLedger`; per-part costs
         are charged as parallel blocks.
     """
-    from ..planar.construct import embed, embed_subgraph, induced_copy
     from ..trees.spanning import boruvka_part_spanning_trees
 
     for i, part in enumerate(parts):

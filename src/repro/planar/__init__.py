@@ -8,7 +8,7 @@ from .checks import (
     require_planar_connected,
     require_planar_rotation,
 )
-from .construct import embed, embed_subgraph, induced_copy
+from .construct import embed, embed_subgraph, induced_components, induced_copy
 from .drawing import (
     OnBoundaryError,
     point_in_polygon,
@@ -27,6 +27,7 @@ __all__ = [
     "embed",
     "embed_subgraph",
     "generators",
+    "induced_components",
     "induced_copy",
     "point_in_polygon",
     "polygon_signed_area2",

@@ -11,14 +11,14 @@ CONGEST round cost is charged by the ledger (see
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Set
 
 import networkx as nx
 
 from .checks import NotPlanarError
 from .rotation import RotationSystem
 
-__all__ = ["embed", "embed_subgraph", "induced_copy", "lr_rotation"]
+__all__ = ["embed", "embed_subgraph", "induced_components", "induced_copy", "lr_rotation"]
 
 Node = Hashable
 
@@ -345,6 +345,14 @@ def embed_subgraph(rotation: RotationSystem, nodes) -> RotationSystem:
     return RotationSystem(order)
 
 
+def _view_nodes(adj, nodes):
+    """The node set of networkx's ``graph.subgraph(nodes)`` view, built as
+    the view builds it, and the order the view iterates it in: the set's
+    own when it is under half the graph, the graph's otherwise."""
+    keep = set(n for n in nodes if n in adj)
+    return keep, (keep if 2 * len(keep) < len(adj) else [n for n in adj if n in keep])
+
+
 def induced_copy(graph: nx.Graph, nodes) -> nx.Graph:
     """An independent copy of the subgraph of ``graph`` induced on ``nodes``.
 
@@ -357,10 +365,7 @@ def induced_copy(graph: nx.Graph, nodes) -> nx.Graph:
     ``graph`` are ignored; ``graph`` must be a simple undirected graph.
     """
     adj = graph._adj
-    keep = set(n for n in nodes if n in adj)
-    # networkx's filtered views iterate the kept set when it is under half
-    # the graph, and the graph's own order otherwise.
-    order = keep if 2 * len(keep) < len(adj) else [n for n in adj if n in keep]
+    keep, order = _view_nodes(adj, nodes)
     sub_adj = {n: {} for n in order}
     for u in order:
         row = sub_adj[u]
@@ -373,3 +378,48 @@ def induced_copy(graph: nx.Graph, nodes) -> nx.Graph:
     sub._node = {n: node_data[n].copy() for n in order}
     sub._adj = sub_adj
     return sub
+
+
+def induced_components(graph: nx.Graph, nodes) -> List[Set[Node]]:
+    """The connected components of the subgraph of ``graph`` induced on
+    ``nodes``, as fresh sets.
+
+    Equal to ``[set(c) for c in nx.connected_components(graph.subgraph(nodes))]``
+    in the sets, the list order and each set's iteration order, but read
+    straight from ``graph._adj``.  Searches start in the view's node order
+    (:func:`_view_nodes`); neighbours come in adjacency order (networkx's
+    per-node filter has no node set to iterate instead), and each search
+    stops once every unseen kept node is reached.  Nodes absent from
+    ``graph`` are ignored.
+    """
+    adj = graph._adj
+    keep, order = _view_nodes(adj, nodes)
+    components: List[Set[Node]] = []
+    unseen = len(keep)
+    done: Set[Node] = set()
+    for source in order:
+        if source not in done:
+            seen = _induced_bfs(adj, keep, source, unseen)
+            unseen -= len(seen)
+            done.update(seen)
+            components.append(set(seen))
+    return components
+
+
+def _induced_bfs(adj, keep: Set[Node], source: Node, unseen: int) -> Set[Node]:
+    """networkx's ``_plain_bfs`` on the view of ``adj`` induced on ``keep``:
+    the nodes reached from ``source``, in its insertion order, stopping once
+    all ``unseen`` kept nodes are reached."""
+    seen = {source}
+    level = [source]
+    while level:
+        below = []
+        for v in level:
+            for w in adj[v]:
+                if w in keep and w not in seen:
+                    seen.add(w)
+                    below.append(w)
+            if len(seen) == unseen:
+                return seen
+        level = below
+    return seen

@@ -1,12 +1,15 @@
 """Unit tests for planar configurations and DFS orders."""
 
+import functools
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ConfigurationError, PlanarConfiguration
-from repro.planar import embed, embed_subgraph, induced_copy
+from repro.planar import embed, embed_subgraph, induced_components, induced_copy
 from repro.planar import generators as gen
 from repro.trees import bfs_tree, dfs_spanning_tree
 
@@ -201,3 +204,87 @@ class TestInducedCopy:
         assert g.edges[0, 1]["w"] == 1
         assert not g.has_edge(0, 5)
         assert sub.edges[1, 0] is sub.edges[0, 1]
+
+
+def assert_same_components(graph, nodes):
+    """``induced_components`` equals networkx's components of the induced
+    view: the same sets, the same list order, the same order in each set."""
+    expected = [set(c) for c in nx.connected_components(graph.subgraph(nodes))]
+    got = induced_components(graph, nodes)
+    assert got == expected
+    assert [list(c) for c in got] == [list(c) for c in expected]
+
+
+COMPONENT_GRAPHS = {
+    "delaunay": lambda: gen.delaunay(250, seed=5),
+    "grid": lambda: gen.grid(12, 15),
+    "tri-grid": lambda: gen.triangulated_grid(10, 11),
+    "wheel": lambda: nx.wheel_graph(60),
+    "star": lambda: nx.star_graph(60),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def component_graph(name):
+    return COMPONENT_GRAPHS[name]()
+
+
+class TestInducedComponents:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        name=st.sampled_from(sorted(COMPONENT_GRAPHS)),
+        fraction=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+        absent=st.booleans(),
+    )
+    def test_matches_networkx_components(self, name, fraction, seed, absent):
+        g = component_graph(name)
+        nodes = random.Random(seed).sample(list(g), round(fraction * len(g)))
+        if absent:
+            nodes += ["absent", -1]
+        assert_same_components(g, set(nodes))
+
+    @pytest.mark.parametrize("name", sorted(COMPONENT_GRAPHS))
+    def test_both_sides_of_the_order_switch(self, name):
+        # Kept sets under half the graph are searched from in set order,
+        # larger ones in graph order; samples straddle the switch.
+        g = component_graph(name)
+        rng = random.Random(name)
+        nodes = list(g)
+        half = len(nodes) // 2
+        for k in (1, 2, 5, half - 1, half, half + 1, len(nodes) - 3, len(nodes)):
+            for _ in range(5):
+                sample = rng.sample(nodes, k)
+                assert_same_components(g, set(sample))
+                assert_same_components(g, sample)
+                assert_same_components(g, sample + ["absent"])
+
+    def test_hub_with_a_few_leaves(self):
+        # The hub's row is far longer than the kept set: its neighbours
+        # still come in row order.
+        g = nx.star_graph(60)
+        for leaves in ([7, 3, 50], [59, 1], list(range(60, 30, -1))):
+            assert_same_components(g, {0, *leaves})
+            assert_same_components(g, set(leaves))
+
+    def test_empty_and_absent_nodes(self):
+        g = gen.grid(3, 3)
+        assert induced_components(g, []) == []
+        assert induced_components(g, set()) == []
+        assert induced_components(g, ["absent", 99]) == []
+        assert_same_components(g, {"absent", 99, 4})
+
+    def test_search_stops_once_every_kept_node_is_seen(self):
+        # networkx's BFS returns as soon as it has seen every unseen kept
+        # node: from the hub of a star, no leaf's row is read.
+        g = nx.star_graph(30)
+        reads = []
+
+        class Rows(dict):
+            def __getitem__(self, v):
+                reads.append(v)
+                return dict.__getitem__(self, v)
+
+        g._adj = Rows(g._adj)
+        assert induced_components(g, set(g)) == [set(g)]
+        assert reads == [0]

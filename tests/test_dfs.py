@@ -99,6 +99,65 @@ class TestMainLoopGolden:
         assert hashlib.sha256(key.encode()).hexdigest()[:16] == self.GOLDEN[name]
 
 
+def _sorted_copy(raw):
+    """``raw`` rebuilt with sorted nodes and edges, so a dependency's
+    insertion order (scipy's Delaunay simplices) cannot move a digest."""
+    g = nx.Graph()
+    g.add_nodes_from(sorted(raw))
+    g.add_edges_from(sorted(tuple(sorted(e)) for e in raw.edges()))
+    return g
+
+
+class TestDriverLocks:
+    """The per-phase component pass and the JOIN re-split, locked by output
+    and by work.
+
+    The digests were taken while both passes ran ``nx.connected_components``
+    over ``graph.subgraph`` views and JOIN re-copied its component, so they
+    lock ``induced_components`` and the handed-over copy as equal to them.
+    """
+
+    DELAUNAY = {
+        (1, 0): "4cf3d42bc31193e1",
+        (2, 61): "1b186a43e0db1961",
+        (3, 128): "95ca0ae5c3fce255",
+        (4, 249): "e26caa27ab112348",
+    }
+
+    @pytest.mark.parametrize("seed,root", list(DELAUNAY))
+    def test_delaunay_parents_and_phase_statistics(self, seed, root):
+        res = dfs_tree(_sorted_copy(gen.delaunay(250, seed=seed)), root)
+        key = repr(
+            (
+                res.phases,
+                res.shrink_factors,
+                res.join_iterations,
+                sorted(res.separator_phases.items()),
+                sorted(res.parent.items()),
+            )
+        )
+        assert hashlib.sha256(key.encode()).hexdigest()[:16] == self.DELAUNAY[seed, root]
+
+    def test_one_copy_and_one_attachment_scan_per_component(self, monkeypatch):
+        import repro.core.dfs as dfs_module
+
+        calls = {"induced_copy": 0, "_deepest_attachment": 0}
+        for name in calls:
+            original = getattr(dfs_module, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(dfs_module, name, counted)
+        res = dfs_tree(gen.grid(9, 9), 0)
+        components = sum(res.separator_phases.values())
+        # Every JOIN takes one iteration, which reuses the separator's copy
+        # and attachment instead of rebuilding them.
+        assert res.join_iterations == [1] * res.phases
+        assert calls == {"induced_copy": components, "_deepest_attachment": components}
+
+
 class TestComplexityShape:
     def test_logarithmic_phases(self):
         for n_side in (5, 7, 9):
@@ -170,6 +229,46 @@ class TestEdgeCasesAndErrors:
         g.add_edge(2, 4)
         res = dfs_tree(g, 0)
         check_dfs_tree(g, res.parent, 0)
+
+
+# (n, a, k, root) cases of the path + one chord (a, a + k) sweep where
+# phase 4.2 finds no balanced emission and no rooted fallback.
+PATH_CHORD_FAILURES = {
+    (14, 2, 2, 0), (14, 9, 2, 13), (15, 2, 2, 0), (15, 10, 2, 14),
+    (16, 2, 2, 0), (16, 11, 2, 15), (17, 2, 2, 0), (17, 3, 2, 0),
+    (17, 11, 2, 16), (17, 12, 2, 16), (17, 2, 3, 0), (17, 11, 3, 16),
+    (18, 2, 2, 0), (18, 3, 2, 0), (18, 12, 2, 17), (18, 13, 2, 17),
+    (18, 2, 3, 0), (18, 12, 3, 17),
+}  # fmt: skip
+
+
+def _path_chord_cases():
+    for n in range(5, 19):
+        for k in range(2, 5):
+            for a in range(n - k):
+                for root in (0, n - 1):
+                    marks = ()
+                    if (n, a, k, root) in PATH_CHORD_FAILURES:
+                        marks = pytest.mark.xfail(
+                            strict=True,
+                            raises=SeparatorError,
+                            reason="known defect: phase 4.2 emission is unbalanced "
+                            "and no rooted fallback exists",
+                        )
+                    yield pytest.param(n, a, k, root, marks=marks, id=f"n{n}-a{a}-k{k}-r{root}")
+
+
+class TestPathWithOneChordSweep:
+    """``path_graph(n)`` plus one chord ``(a, a + k)``, n 5..18, k 2..4,
+    every chord start, rooted at either path end: 696 of 714 cases pass,
+    and the 18 that raise are pinned so no change moves the set."""
+
+    @pytest.mark.parametrize("n,a,k,root", _path_chord_cases())
+    def test_sweep(self, n, a, k, root):
+        g = nx.path_graph(n)
+        g.add_edge(a, a + k)
+        res = dfs_tree(g, root)
+        check_dfs_tree(g, res.parent, root)
 
 
 def _build(graph, root, rotation=None):
