@@ -36,6 +36,18 @@ the active-set dispatcher whenever the run is irregular (transport frames
 in flight, non-empty fault plan, or no kernel).  All three schedulers are
 ``run_fingerprint``-identical on every program; see docs/MODEL.md,
 "Scheduler equivalence".
+
+One round implementation serves every dispatch strategy.
+:class:`_RoundState` holds a run's contexts, inboxes, crash schedule and
+fault hooks, and carries out the steps of a round: apply the crashes due,
+dispatch a schedule and validate its sends, deliver them in the one
+documented order, fold in the wakes.  :class:`_RunObserver` owns what a
+run reports: the ``congest_*`` metrics and the trace's round records and
+warnings.  :meth:`Network.run` (active and dense) loops over both; each
+shard of :mod:`repro.congest.sharded` holds a round state over its own
+nodes and its coordinator reports through an observer;
+:func:`repro.congest.vectorized.run_vectorized` keeps its numpy dispatch
+and reports through an observer.
 """
 
 from __future__ import annotations
@@ -326,6 +338,445 @@ class RunResult:
         )
 
 
+def _crash_schedule(
+    faults: Optional["FaultPlan"], index: Dict[Node, int]
+) -> Tuple[Dict[int, int], Dict[int, List[int]]]:
+    """Crash rounds by node index, and node indices by crash round in the
+    plan's order; a plan crashing a node outside ``index`` raises."""
+    crash_round_ix: Dict[int, int] = {}
+    by_round: Dict[int, List[int]] = {}
+    if faults is not None:
+        for node, crash_rnd in faults.crash_round.items():
+            i = index.get(node)
+            if i is None:
+                raise ValueError(f"fault plan crashes unknown node {node!r}")
+            crash_round_ix[i] = crash_rnd
+            by_round.setdefault(crash_rnd, []).append(i)
+    return crash_round_ix, by_round
+
+
+class _RunObserver:
+    """What one run reports: the ``congest_*`` metric family and the
+    trace's round records and warnings.
+
+    Every engine reports through this class, so the metric names, help
+    texts and warning texts live here only.  It only reads engine state:
+    an observed run is bit-identical to an unobserved one.
+    """
+
+    def __init__(
+        self,
+        nodes: List[Node],
+        trace: Optional[RoundTrace] = None,
+        metrics: Optional["MetricsRegistry"] = None,
+        run_id: Optional[int] = None,
+    ):
+        self.nodes = nodes
+        self.trace = trace
+        self.metrics = metrics
+        if run_id is None:
+            run_id = trace.begin_run() if trace is not None else 0
+        self.run_id = run_id
+        #: whether the dispatch loop must cost words per round
+        self.counting = trace is not None or metrics is not None
+        self._warned_drop = False
+        if metrics is None:
+            return
+        # Handles resolved once per run; get-or-create means many runs
+        # (and many networks) share the same registry totals.
+        counter = metrics.counter
+        self.m_rounds = counter(
+            "congest_rounds_total", "Synchronous rounds executed")
+        self.m_messages = counter(
+            "congest_messages_total",
+            "Messages sent (senders pay for dropped mail too)")
+        self.m_words = counter(
+            "congest_words_total", "Total payload words sent")
+        self.m_dropped = counter(
+            "congest_dropped_messages_total",
+            "Messages dropped on delivery to halted nodes")
+        self.m_lost = counter(
+            "congest_lost_messages_total",
+            "Messages destroyed by injected faults")
+        self.m_dup = counter(
+            "congest_duplicated_messages_total",
+            "Extra stutter copies delivered by injected faults")
+        self.m_corrupt = counter(
+            "congest_corrupted_messages_total",
+            "Messages mangled in flight by injected faults")
+        self.m_round_wall = metrics.histogram(
+            "congest_round_wall_seconds",
+            "Wall-clock of the per-round handler dispatch loop")
+        self.m_queue = metrics.gauge(
+            "congest_scheduler_queue_depth",
+            "Nodes dispatched in the most recent round")
+        self.m_queue_peak = metrics.gauge(
+            "congest_scheduler_queue_depth_peak",
+            "Largest dispatch set seen in any round")
+        self.m_dispatch = counter(
+            "congest_node_dispatch_total",
+            "Rounds each node was dispatched (hot-node detection)",
+            labels=("node",))
+
+    def dispatch_started(self) -> float:
+        return time.perf_counter() if self.metrics is not None else 0.0
+
+    def record_dispatch(self, schedule, started: float) -> None:
+        """The handler wall-clock since ``started``, and one dispatch for
+        each node index in ``schedule``."""
+        if self.metrics is None:
+            return
+        self.m_round_wall.observe(time.perf_counter() - started)
+        inc = self.m_dispatch.inc
+        nodes = self.nodes
+        for i in schedule:
+            inc(node=nodes[i])
+
+    def record_round(
+        self,
+        rnd: int,
+        active: int,
+        messages: int,
+        words: int,
+        dropped: int,
+        max_words: int,
+        lost: int = 0,
+        duplicated: int = 0,
+        corrupted: int = 0,
+    ) -> None:
+        """One round's totals (fields as :meth:`RoundTrace.record_round`);
+        the first round with mail to halted nodes also warns."""
+        trace = self.trace
+        if dropped and trace is not None and not self._warned_drop:
+            self._warned_drop = True
+            trace.warn(
+                f"run {self.run_id}: round {rnd} sent mail to already-"
+                f"halted nodes (dropped; see dropped_messages)"
+            )
+        if self.metrics is not None:
+            self.m_rounds.inc()
+            self.m_messages.inc(messages)
+            self.m_words.inc(words)
+            if dropped:
+                self.m_dropped.inc(dropped)
+            if lost:
+                self.m_lost.inc(lost)
+            if duplicated:
+                self.m_dup.inc(duplicated)
+            if corrupted:
+                self.m_corrupt.inc(corrupted)
+            self.m_queue.set(active)
+            self.m_queue_peak.set_max(active)
+        if trace is not None:
+            trace.record_round(
+                self.run_id, rnd, active, messages, words, dropped, max_words,
+                lost=lost, duplicated=duplicated, corrupted=corrupted,
+            )
+
+    def warn_crash(self, rnd: int, node: Node) -> None:
+        if self.trace is not None:
+            self.trace.warn(
+                f"run {self.run_id}: round {rnd}: node {node!r} crashed "
+                f"(crash-stop)"
+            )
+
+    def warn_deadlock(self, rounds: int, idle: int, max_rounds: int) -> None:
+        if self.trace is not None:
+            self.trace.warn(
+                f"run {self.run_id}: deadlock after round {rounds} — "
+                f"{idle} nodes idle un-halted with no messages in flight; "
+                f"fast-forwarding to round {max_rounds}"
+            )
+
+
+class _RoundState:
+    """The mutable state of one run over the node indices ``local``, and
+    the steps of one synchronous round.
+
+    It owns the :class:`NodeContext` objects (``None`` outside ``local``),
+    the pooled inboxes, the crash schedule, the fault hooks, the stutter
+    duplicates in flight, the active set and the transport session, if
+    any.  A round is: :meth:`crash`, :meth:`dispatch`, one or more
+    :meth:`deliver` calls, :meth:`end_round`.
+    :meth:`Network.run` holds one over every node; each shard of the
+    sharded engine holds one over its own nodes and delivers its local and
+    its cross-shard sends through the same :meth:`deliver`.
+    """
+
+    def __init__(
+        self,
+        net: "Network",
+        local,
+        init: Callable[[NodeContext], None],
+        on_round: Callable,
+        faults: Optional["FaultPlan"],
+        transport: Any,
+        metrics: Optional["MetricsRegistry"],
+    ):
+        nodes = self.nodes = net.nodes
+        n = len(nodes)
+        self.index = net.index
+        self.nbr_sets = net._neighbor_sets
+        self.word_bits = net.word_bits
+        self.session = None
+        if transport is not None:
+            self.session = transport.session(net, metrics=metrics)
+            init, on_round = self.session.wrap(init, on_round)
+        # The transport's frame fields (flags/seq/ack/checksum) ride on
+        # top of the inner payload; the budget grows by exactly that
+        # overhead so the inner program's own budget is unchanged.
+        self.budget = net.max_words + (
+            self.session.extra_words if self.session is not None else 0
+        )
+        self.on_round = on_round
+        starts, flat = net.csr_starts, net.csr_targets
+        contexts: List[Optional[NodeContext]] = [None] * n
+        for i in local:
+            contexts[i] = NodeContext(
+                nodes[i], tuple(nodes[j] for j in flat[starts[i]: starts[i + 1]])
+            )
+        for i in local:
+            init(contexts[i])
+        self.contexts = contexts
+        self.halted_count = sum(1 for i in local if contexts[i].halted)
+        # Crash rounds are global (delivery checks the receiver's
+        # schedule); only local crashes are applied here.
+        self.crash_round_ix, by_round = _crash_schedule(faults, net.index)
+        self.crash_by_round = {
+            rnd: [i for i in due if contexts[i] is not None]
+            for rnd, due in by_round.items()
+        }
+        # The delivery hooks stay None when the plan cannot affect them.
+        self.fault_delivery = None
+        self.fault_mangle = None
+        if faults is not None:
+            if (
+                faults.drop_rate
+                or faults.duplicate_rate
+                or faults.drops
+                or faults.duplicates
+                or faults.link_downs
+            ):
+                self.fault_delivery = faults.copies
+            if getattr(faults, "corrupt_rate", 0.0) or getattr(
+                faults, "corruptions", ()
+            ):
+                self.fault_mangle = faults.mangle
+        self.crashed = bytearray(n)
+        # Stutter duplicates in flight: arrival round -> delivery entries.
+        self.pending_dups: Dict[int, List[Tuple[Node, int, Any]]] = {}
+        # Pooled per-node inboxes, cleared lazily after consumption — no
+        # O(n) rebuild per round.
+        self.inboxes: List[Dict[Node, Any]] = [{} for _ in range(n)]
+        # Round 1 dispatches every live node (the synchronous start).
+        self.active: List[int] = [i for i in local if not contexts[i].halted]
+        self._next_active: List[int] = []
+        self._scheduled = bytearray(n)
+        self.messages = 0
+        self.max_words_seen = 0
+        self.dropped = 0
+        self.lost = 0
+        self.duplicated = 0
+        self.corrupted = 0
+
+    def crash(self, rnd: int) -> List[int]:
+        """Apply the crash-stop failures due in round ``rnd`` — before
+        dispatch, so a crashed node never executes that round.  Returns
+        the crashed indices in the plan's order."""
+        due = self.crash_by_round.get(rnd, [])
+        for i in due:
+            self.crashed[i] = 1
+            if not self.contexts[i].halted:
+                self.halted_count += 1
+            self.inboxes[i].clear()
+        return due
+
+    def dispatch(self, rnd: int, schedule, obs: _RunObserver):
+        """Run the handlers of ``schedule`` in round ``rnd`` and validate
+        their sends: neighbour target, payload word cost, budget.
+
+        Returns ``(outgoing, words, max_words)``: the ``(src, dst index,
+        payload)`` sends in dispatch order, and their word total and
+        maximum (both 0 unless ``obs`` is counting).
+        """
+        contexts = self.contexts
+        inboxes = self.inboxes
+        crashed = self.crashed
+        index = self.index
+        nbr_sets = self.nbr_sets
+        on_round = self.on_round
+        word_bits = self.word_bits
+        budget = self.budget
+        counting = obs.counting
+        record_message = obs.trace.record_message if obs.trace is not None else None
+        run_id = obs.run_id
+        max_words_seen = self.max_words_seen
+        halted = 0
+        outgoing: List[Tuple[Node, int, Any]] = []
+        round_words = 0
+        round_max_words = 0
+        for i in schedule:
+            ctx = contexts[i]
+            if ctx.halted or crashed[i]:
+                continue
+            ctx._wake = False
+            inbox = inboxes[i]
+            sends = on_round(ctx, inbox)
+            if inbox:
+                inbox.clear()
+            if ctx.halted:
+                halted += 1
+            if not sends:
+                continue
+            v = ctx.node
+            for target, payload in sends.items():
+                t = index.get(target)
+                if t is None or t not in nbr_sets[i]:
+                    raise CongestViolation(
+                        f"{v!r} tried to message non-neighbor {target!r}",
+                        node=v,
+                        round=rnd,
+                        edge=(v, target),
+                    )
+                try:
+                    words = payload_words(payload, word_bits)
+                except CongestViolation as exc:
+                    raise CongestViolation(
+                        str(exc), node=v, round=rnd, edge=(v, target)
+                    ) from None
+                if words > budget:
+                    raise CongestViolation(
+                        f"message has {words} words (budget {budget})",
+                        node=v,
+                        round=rnd,
+                        edge=(v, target),
+                        payload=payload,
+                    )
+                if words > max_words_seen:
+                    max_words_seen = words
+                if counting:
+                    round_words += words
+                    if words > round_max_words:
+                        round_max_words = words
+                    if record_message is not None:
+                        record_message(run_id, rnd, v, target, words)
+                outgoing.append((v, t, payload))
+        self.halted_count += halted
+        self.max_words_seen = max_words_seen
+        self.messages += len(outgoing)
+        return outgoing, round_words, round_max_words
+
+    def deliver(self, rnd: int, entries) -> Tuple[int, int, int, int]:
+        """Deliver sends of round ``rnd`` for reading in round ``rnd + 1``.
+
+        The one delivery order: the stutter duplicates due first, then
+        ``entries``, so a fresh message from the same sender overwrites a
+        stale copy in the inbox.  Each message goes through the same
+        chain: mail to a halted receiver is dropped, mail to a receiver
+        crashed by arrival is lost, then the plan's drop coin, its
+        corruption, and its stutter copy.  Returns ``(dropped, lost,
+        duplicated, corrupted)`` of this call, attributed to round
+        ``rnd``.
+        """
+        contexts = self.contexts
+        inboxes = self.inboxes
+        nodes = self.nodes
+        crash_round_ix = self.crash_round_ix
+        fault_delivery = self.fault_delivery
+        fault_mangle = self.fault_mangle
+        pending_dups = self.pending_dups
+        scheduled = self._scheduled
+        next_active = self._next_active
+        dropped = 0
+        lost = 0
+        duplicated = 0
+        corrupted = 0
+        arrival = rnd + 1
+        for src, t, payload in pending_dups.pop(arrival, ()):
+            if contexts[t].halted:
+                dropped += 1
+                continue
+            if t in crash_round_ix and crash_round_ix[t] <= arrival:
+                lost += 1
+                continue
+            duplicated += 1
+            inboxes[t][src] = payload
+            if not scheduled[t]:
+                scheduled[t] = 1
+                next_active.append(t)
+        for src, t, payload in entries:
+            if contexts[t].halted:
+                # Semantics choice: mail to a halted node is dropped — the
+                # node has left the protocol.  Counted in messages_sent
+                # (the sender paid the bandwidth) and surfaced via
+                # dropped_messages and the trace.
+                dropped += 1
+                continue
+            if t in crash_round_ix and crash_round_ix[t] <= arrival:
+                # Receiver will be crashed when this arrives: lost.
+                lost += 1
+                continue
+            copies = 1
+            if fault_delivery is not None:
+                copies = fault_delivery(src, nodes[t], rnd)
+            if copies == 0:
+                lost += 1
+                continue
+            if fault_mangle is not None:
+                # Corruption happens after the drop decision (a lost
+                # message is never also corrupted) and before duplication,
+                # so a stutter copy carries the same mangled payload.
+                # Counted only when the payload actually changed.
+                mangled = fault_mangle(src, nodes[t], rnd, payload)
+                if mangled is not payload and mangled != payload:
+                    payload = mangled
+                    corrupted += 1
+            if copies > 1:
+                pending_dups.setdefault(arrival + 1, []).append((src, t, payload))
+            inboxes[t][src] = payload
+            if not scheduled[t]:
+                scheduled[t] = 1
+                next_active.append(t)
+        self.dropped += dropped
+        self.lost += lost
+        self.duplicated += duplicated
+        self.corrupted += corrupted
+        return dropped, lost, duplicated, corrupted
+
+    def end_round(self, schedule) -> None:
+        """Fold the wakes armed by ``schedule`` in after the delivery
+        targets; together they are the next round's active set."""
+        contexts = self.contexts
+        crashed = self.crashed
+        scheduled = self._scheduled
+        next_active = self._next_active
+        for i in schedule:
+            ctx = contexts[i]
+            if ctx._wake and not ctx.halted and not crashed[i] and not scheduled[i]:
+                scheduled[i] = 1
+                next_active.append(i)
+        self.active = next_active
+        self._next_active = []
+        self._scheduled = bytearray(len(scheduled))
+
+    def outputs(self, finalize: Optional[Callable[[NodeContext], Any]]) -> Dict[Node, Any]:
+        outputs: Dict[Node, Any] = {}
+        for i, ctx in enumerate(self.contexts):
+            if ctx is None:
+                continue
+            # A crashed node is silent forever: no output, even if finalize
+            # could read its stale pre-crash state.
+            outputs[ctx.node] = (
+                None
+                if self.crashed[i]
+                else (finalize(ctx) if finalize is not None else ctx.output)
+            )
+        return outputs
+
+    def crashed_nodes(self) -> List[Node]:
+        return [self.nodes[i] for i, c in enumerate(self.crashed) if c]
+
+
 class Network:
     """A CONGEST network over an undirected graph.
 
@@ -504,110 +955,19 @@ class Network:
                 ).inc(reason=fallback_reason)
             scheduler = "active"
         dense = scheduler == "dense"
-        session = None
-        if transport is not None:
-            session = transport.session(self, metrics=metrics)
-            init, on_round = session.wrap(init, on_round)
         nodes = self.nodes
         n = len(nodes)
-        index = self.index
-        starts, flat = self.csr_starts, self.csr_targets
-        nbr_sets = self._neighbor_sets
-        contexts: List[NodeContext] = [
-            NodeContext(v, tuple(nodes[j] for j in flat[starts[i]: starts[i + 1]]))
-            for i, v in enumerate(nodes)
-        ]
-        for ctx in contexts:
-            init(ctx)
-        halted_count = sum(1 for ctx in contexts if ctx.halted)
-        # Fault bookkeeping: crash rounds by node index, and the message
-        # delivery hook (None when the plan cannot affect deliveries).
-        crash_round_ix: Dict[int, int] = {}
-        fault_delivery = None
-        fault_mangle = None
-        if faults is not None:
-            for node, crash_rnd in faults.crash_round.items():
-                i = index.get(node)
-                if i is None:
-                    raise ValueError(f"fault plan crashes unknown node {node!r}")
-                crash_round_ix[i] = crash_rnd
-            if (
-                faults.drop_rate
-                or faults.duplicate_rate
-                or faults.drops
-                or faults.duplicates
-                or faults.link_downs
-            ):
-                fault_delivery = faults.copies
-            if getattr(faults, "corrupt_rate", 0.0) or getattr(
-                faults, "corruptions", ()
-            ):
-                fault_mangle = faults.mangle
-        crash_by_round: Dict[int, List[int]] = {}
-        for i, crash_rnd in crash_round_ix.items():
-            crash_by_round.setdefault(crash_rnd, []).append(i)
-        crashed = bytearray(n)
-        # Stutter duplicates in flight: arrival round -> delivery entries.
-        pending_dups: Dict[int, List[Tuple[Node, int, Any]]] = {}
-        # Pooled per-node inboxes, cleared lazily after consumption — no
-        # O(n) rebuild per round.
-        inboxes: List[Dict[Node, Any]] = [{} for _ in range(n)]
-        # Round 1 dispatches every live node (the synchronous start).
-        active: List[int] = [i for i in range(n) if not contexts[i].halted]
-        run_id = trace.begin_run() if trace is not None else 0
-        # Metric handles resolved once per run; get-or-create means many
-        # runs (and many networks) share the same registry totals.
-        if metrics is not None:
-            m_rounds = metrics.counter(
-                "congest_rounds_total", "Synchronous rounds executed")
-            m_messages = metrics.counter(
-                "congest_messages_total",
-                "Messages sent (senders pay for dropped mail too)")
-            m_words = metrics.counter(
-                "congest_words_total", "Total payload words sent")
-            m_dropped = metrics.counter(
-                "congest_dropped_messages_total",
-                "Messages dropped on delivery to halted nodes")
-            m_lost = metrics.counter(
-                "congest_lost_messages_total",
-                "Messages destroyed by injected faults")
-            m_dup = metrics.counter(
-                "congest_duplicated_messages_total",
-                "Extra stutter copies delivered by injected faults")
-            m_corrupt = metrics.counter(
-                "congest_corrupted_messages_total",
-                "Messages mangled in flight by injected faults")
-            m_round_wall = metrics.histogram(
-                "congest_round_wall_seconds",
-                "Wall-clock of the per-round handler dispatch loop")
-            m_queue = metrics.gauge(
-                "congest_scheduler_queue_depth",
-                "Nodes dispatched in the most recent round")
-            m_queue_peak = metrics.gauge(
-                "congest_scheduler_queue_depth_peak",
-                "Largest dispatch set seen in any round")
-            m_dispatch = metrics.counter(
-                "congest_node_dispatch_total",
-                "Rounds each node was dispatched (hot-node detection)",
-                labels=("node",))
-        counting = trace is not None or metrics is not None
-        word_bits = self.word_bits
-        # The transport's frame fields (flags/seq/ack/checksum) ride on
-        # top of the inner payload; the budget grows by exactly that
-        # overhead so the inner program's own budget is unchanged.
-        budget = self.max_words + (session.extra_words if session else 0)
+        state = _RoundState(
+            self, range(n), init, on_round, faults, transport, metrics
+        )
+        obs = _RunObserver(nodes, trace, metrics)
+        contexts = state.contexts
+        crashed = state.crashed
         rounds = 0
-        messages = 0
-        dropped_total = 0
-        lost_total = 0
-        dup_total = 0
-        corrupted_total = 0
-        max_words_seen = 0
         sent_last_round = True
-        warned_drop = False
         stop_reason = "max_rounds"
         while rounds < max_rounds:
-            if halted_count == n:
+            if state.halted_count == n:
                 stop_reason = "halted"
                 break
             if stop_when_quiet and rounds > 0 and not sent_last_round:
@@ -623,225 +983,50 @@ class Network:
                         for i, c in enumerate(contexts)
                     )
                     if dense
-                    else bool(active)
+                    else bool(state.active)
                 )
-                if not woken and not pending_dups:
+                if not woken and not state.pending_dups:
                     stop_reason = "quiet"
                     break
-            if not dense and not active and not pending_dups:
+            if not dense and not state.active and not state.pending_dups:
                 # Nothing has mail and nothing asked to be woken: no future
                 # round can differ.  The dense dispatch would spin silently
                 # to max_rounds; fast-forward to the same round count and
                 # make the situation visible.
-                if trace is not None:
-                    trace.warn(
-                        f"run {run_id}: deadlock after round {rounds} — "
-                        f"{n - halted_count} nodes idle un-halted with no "
-                        f"messages in flight; fast-forwarding to round "
-                        f"{max_rounds}"
-                    )
+                obs.warn_deadlock(rounds, n - state.halted_count, max_rounds)
                 rounds = max_rounds
                 stop_reason = "deadlock"
                 break
             rounds += 1
-            # Crash-stop failures scheduled for this round take effect
-            # before dispatch: the node never executes this round.
-            for i in crash_by_round.get(rounds, ()):
-                if not crashed[i]:
-                    crashed[i] = 1
-                    if not contexts[i].halted:
-                        halted_count += 1
-                    if inboxes[i]:
-                        inboxes[i].clear()
-                    if trace is not None:
-                        trace.warn(
-                            f"run {run_id}: round {rounds}: node "
-                            f"{nodes[i]!r} crashed (crash-stop)"
-                        )
+            for i in state.crash(rounds):
+                obs.warn_crash(rounds, nodes[i])
             schedule = (
                 [i for i in range(n) if not contexts[i].halted and not crashed[i]]
                 if dense
-                else active
+                else state.active
             )
-            outgoing: List[Tuple[Node, int, Any]] = []
-            round_words = 0
-            round_max_words = 0
-            handler_t0 = time.perf_counter() if metrics is not None else 0.0
-            for i in schedule:
-                ctx = contexts[i]
-                if ctx.halted or crashed[i]:
-                    continue
-                ctx._wake = False
-                inbox = inboxes[i]
-                sends = on_round(ctx, inbox)
-                if inbox:
-                    inbox.clear()
-                if ctx.halted:
-                    halted_count += 1
-                if not sends:
-                    continue
-                v = ctx.node
-                for target, payload in sends.items():
-                    t = index.get(target)
-                    if t is None or t not in nbr_sets[i]:
-                        raise CongestViolation(
-                            f"{v!r} tried to message non-neighbor {target!r}",
-                            node=v,
-                            round=rounds,
-                            edge=(v, target),
-                        )
-                    try:
-                        words = payload_words(payload, word_bits)
-                    except CongestViolation as exc:
-                        raise CongestViolation(
-                            str(exc), node=v, round=rounds, edge=(v, target)
-                        ) from None
-                    if words > budget:
-                        raise CongestViolation(
-                            f"message has {words} words (budget {budget})",
-                            node=v,
-                            round=rounds,
-                            edge=(v, target),
-                            payload=payload,
-                        )
-                    if words > max_words_seen:
-                        max_words_seen = words
-                    if counting:
-                        round_words += words
-                        if words > round_max_words:
-                            round_max_words = words
-                        if trace is not None:
-                            trace.record_message(run_id, rounds, v, target, words)
-                    outgoing.append((v, t, payload))
-            if metrics is not None:
-                m_round_wall.observe(time.perf_counter() - handler_t0)
+            started = obs.dispatch_started()
+            outgoing, words, max_words = state.dispatch(rounds, schedule, obs)
+            obs.record_dispatch(schedule, started)
             # Synchronous delivery: this round's sends arrive next round.
-            next_active: List[int] = []
-            scheduled = bytearray(n)
-            dropped = 0
-            lost = 0
-            duplicated = 0
-            corrupted = 0
-            arrival = rounds + 1
-            # Stutter duplicates scheduled two rounds ago arrive in this
-            # delivery phase, before fresh sends, so a fresh message from
-            # the same sender overwrites the stale copy in the inbox.
-            for src, t, payload in pending_dups.pop(arrival, ()):
-                if contexts[t].halted:
-                    dropped += 1
-                    continue
-                if t in crash_round_ix and crash_round_ix[t] <= arrival:
-                    lost += 1
-                    continue
-                duplicated += 1
-                inboxes[t][src] = payload
-                if not scheduled[t]:
-                    scheduled[t] = 1
-                    next_active.append(t)
-            for src, t, payload in outgoing:
-                messages += 1
-                if contexts[t].halted:
-                    # Semantics choice: mail to a halted node is dropped —
-                    # the node has left the protocol.  Counted in
-                    # messages_sent (the sender paid the bandwidth) and
-                    # surfaced via dropped_messages and the trace.
-                    dropped += 1
-                    continue
-                if t in crash_round_ix and crash_round_ix[t] <= arrival:
-                    # Receiver will be crashed when this arrives: lost.
-                    lost += 1
-                    continue
-                copies = 1
-                if fault_delivery is not None:
-                    copies = fault_delivery(src, nodes[t], rounds)
-                if copies == 0:
-                    lost += 1
-                    continue
-                if fault_mangle is not None:
-                    # Corruption happens after the drop decision (a lost
-                    # message is never also corrupted) and before
-                    # duplication, so a stutter copy carries the same
-                    # mangled payload.  Counted only when the payload
-                    # actually changed.
-                    mangled = fault_mangle(src, nodes[t], rounds, payload)
-                    if mangled is not payload and mangled != payload:
-                        payload = mangled
-                        corrupted += 1
-                if copies > 1:
-                    pending_dups.setdefault(arrival + 1, []).append(
-                        (src, t, payload)
-                    )
-                inboxes[t][src] = payload
-                if not scheduled[t]:
-                    scheduled[t] = 1
-                    next_active.append(t)
-            if dropped:
-                dropped_total += dropped
-                if trace is not None and not warned_drop:
-                    warned_drop = True
-                    trace.warn(
-                        f"run {run_id}: round {rounds} sent mail to already-"
-                        f"halted nodes (dropped; see dropped_messages)"
-                    )
-            lost_total += lost
-            dup_total += duplicated
-            corrupted_total += corrupted
-            if not dense:
-                for i in schedule:
-                    ctx = contexts[i]
-                    if ctx._wake and not ctx.halted and not crashed[i] and not scheduled[i]:
-                        scheduled[i] = 1
-                        next_active.append(i)
-                active = next_active
-            sent_last_round = bool(outgoing) or bool(pending_dups)
-            if metrics is not None:
-                m_rounds.inc()
-                m_messages.inc(len(outgoing))
-                m_words.inc(round_words)
-                if dropped:
-                    m_dropped.inc(dropped)
-                if lost:
-                    m_lost.inc(lost)
-                if duplicated:
-                    m_dup.inc(duplicated)
-                if corrupted:
-                    m_corrupt.inc(corrupted)
-                m_queue.set(len(schedule))
-                m_queue_peak.set_max(len(schedule))
-                for i in schedule:
-                    m_dispatch.inc(node=nodes[i])
-            if trace is not None:
-                trace.record_round(
-                    run_id,
-                    rounds,
-                    len(schedule),
-                    len(outgoing),
-                    round_words,
-                    dropped,
-                    round_max_words,
-                    lost=lost,
-                    duplicated=duplicated,
-                    corrupted=corrupted,
-                )
-        outputs: Dict[Node, Any] = {}
-        for i, ctx in enumerate(contexts):
-            # A crashed node is silent forever: no output, even if finalize
-            # could read its stale pre-crash state.
-            outputs[ctx.node] = (
-                None
-                if crashed[i]
-                else (finalize(ctx) if finalize is not None else ctx.output)
+            dropped, lost, duplicated, corrupted = state.deliver(rounds, outgoing)
+            # Dense mode dispatches everyone anyway: no wakes to fold.
+            state.end_round(() if dense else schedule)
+            sent_last_round = bool(outgoing) or bool(state.pending_dups)
+            obs.record_round(
+                rounds, len(schedule), len(outgoing), words, dropped,
+                max_words, lost, duplicated, corrupted,
             )
         return RunResult(
             rounds,
-            outputs,
-            messages,
-            max_words_seen,
+            state.outputs(finalize),
+            state.messages,
+            state.max_words_seen,
             stop_reason,
-            dropped_total,
-            lost_total,
-            dup_total,
-            tuple(sorted((nodes[i] for i in range(n) if crashed[i]), key=repr)),
-            corrupted_messages=corrupted_total,
-            transport=session.stats if session is not None else None,
+            state.dropped,
+            state.lost,
+            state.duplicated,
+            tuple(sorted(state.crashed_nodes(), key=repr)),
+            corrupted_messages=state.corrupted,
+            transport=state.session.stats if state.session is not None else None,
         )

@@ -12,24 +12,31 @@ coordinator barrier.
 Execution model
 ---------------
 
-Every shard runs the same active-set dispatch loop as the single-process
-scheduler (:meth:`repro.congest.network.Network.run`), restricted to its
-local nodes.  A global round is two exchanges over the shard channels:
+Every shard holds the single-process round state
+(:class:`repro.congest.network._RoundState`) over its local nodes and
+calls its steps — crash, dispatch, deliver, fold wakes — exactly as
+:meth:`repro.congest.network.Network.run` does.  A global round is two
+exchanges over the shard channels:
 
-1. **run** — every shard dispatches its local schedule, delivers its
-   *local* sends in place, and returns the cross-shard sends plus a
-   delta (local halted count, did-anything-send, pending duplicates,
-   active-set emptiness, newly really-halted transport peers);
+1. **run** — every shard applies its crashes, dispatches its local
+   schedule, delivers its *local* sends, and returns the cross-shard
+   sends plus a delta (local halted count, did-anything-send, newly
+   really-halted transport peers);
 2. **deliver** — the coordinator routes each cross-shard message to the
-   shard owning its receiver; the receiving shard applies the exact
-   single-process delivery chain (halted-drop, crash loss, fault
+   shard owning its receiver; the receiving shard passes them through
+   the same ``deliver`` call (halted-drop, crash loss, fault
    drop/duplicate/corrupt coins — all pure functions of the plan seed
-   and ``(src, dst, round)``) and reports its post-delivery activity.
+   and ``(src, dst, round)``), folds in its wakes and reports its
+   post-delivery activity.
 
 With every delta gathered, the coordinator evaluates the *global* stop
 conditions — ``halted`` / ``quiet`` / ``deadlock`` / ``max_rounds`` —
 with the same predicates, in the same order, as the single-process loop,
 so quiet and deadlock detection stay global despite the partitioning.
+At the end it merges the shards' per-round arrays and reports each round
+through the single-process observer
+(:class:`repro.congest.network._RunObserver`), crash warnings in the
+fault plan's order.
 
 Determinism
 -----------
@@ -71,21 +78,26 @@ shard with its frames riding across shard boundaries unchanged (the
 session-shared ``really_halted`` set is unioned at each barrier), shard-
 local :class:`~repro.obs.MetricsRegistry` instances are merged into the
 caller's registry (:meth:`~repro.obs.MetricsRegistry.merge`), and trace
-fragments are merged into the caller's :class:`RoundTrace` — including
-chronologically ordered warnings and the per-edge word histograms, which
-partition cleanly because each directed edge has exactly one sending
-shard.
+fragments are merged into the caller's :class:`RoundTrace` — the
+per-edge word histograms and worst offender, which partition cleanly
+because each directed edge has exactly one sending shard.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from ..planar.construct import induced_copy
-from .network import CongestViolation, NodeContext, RunResult, payload_words
+from .network import (
+    CongestViolation,
+    RunResult,
+    _crash_schedule,
+    _RoundState,
+    _RunObserver,
+)
+from .trace import RoundTrace
 from .transport import TransportStats, _checksum
 
 Node = Hashable
@@ -187,15 +199,20 @@ def partition_summary(graph: nx.Graph, parts: Sequence[Sequence[Node]]) -> Dict[
 
 # -- the per-shard engine ---------------------------------------------------
 
+#: The per-round record fields a shard keeps, in RoundTrace.record_round
+#: order; ``maxw`` merges by maximum, the rest by sum.
+_REC_KEYS = ("sched", "msgs", "words", "dropped", "maxw", "lost", "dup", "corrupt")
+
 
 class _ShardEngine:
     """One shard's half of the barrier protocol.
 
-    Owns the :class:`NodeContext` objects of its local nodes and runs the
-    exact single-process active-set dispatch and delivery code over them;
-    everything cross-shard goes through :meth:`run_round`'s returned
-    delta and :meth:`deliver_remote`.  Built in the parent (cheap —
-    no contexts yet), started inside the worker.
+    Holds a :class:`~repro.congest.network._RoundState` over its local
+    nodes and runs the single-process round steps on it: the dispatch
+    output is split by receiver shard, local sends are delivered in
+    :meth:`run_round` and cross-shard ones in :meth:`deliver_remote`,
+    through the same ``deliver``.  Built in the parent (cheap — no
+    contexts yet), started inside the worker.
     """
 
     def __init__(
@@ -217,8 +234,8 @@ class _ShardEngine:
         self.network = network
         self.shard_index = shard_index
         self.part = tuple(part)
-        self.base_init = init
-        self.base_on_round = on_round
+        self.init = init
+        self.on_round = on_round
         self.finalize = finalize
         self.faults = faults
         self.transport = transport
@@ -235,302 +252,59 @@ class _ShardEngine:
     # -- lifecycle ------------------------------------------------------
     def start(self) -> Dict[str, Any]:
         net = self.network
-        self.nodes = net.nodes
-        self.index = net.index
-        self.nbr_sets = net._neighbor_sets
-        n = len(self.nodes)
-        self.local = sorted(self.index[v] for v in self.part)
-        self.local_set = frozenset(self.local)
-        self.metrics = None
+        local = sorted(net.index[v] for v in self.part)
+        self.local_set = frozenset(local)
         from ..obs import MetricsRegistry  # local import: obs -> congest cycle
 
-        if self.metrics_wanted:
-            self.metrics = MetricsRegistry()
-        self.session = None
-        init, on_round = self.base_init, self.base_on_round
-        if self.transport is not None:
-            self.session = self.transport.session(net, metrics=self.metrics)
-            init, on_round = self.session.wrap(init, on_round)
-        self.on_round = on_round
-        starts, flat = net.csr_starts, net.csr_targets
-        self.contexts: List[Optional[NodeContext]] = [None] * n
-        for i in self.local:
-            v = self.nodes[i]
-            self.contexts[i] = NodeContext(
-                v, tuple(self.nodes[j] for j in flat[starts[i]: starts[i + 1]])
-            )
-            init(self.contexts[i])
-        self.halted_count = sum(1 for i in self.local if self.contexts[i].halted)
-        # Fault bookkeeping mirrors Network.run: crash rounds are global
-        # (a sender checks its receiver's crash schedule), applied crashes
-        # are local.
-        self.crash_round_ix: Dict[int, int] = {}
-        self.fault_delivery = None
-        self.fault_mangle = None
-        faults = self.faults
-        if faults is not None:
-            for node, crash_rnd in faults.crash_round.items():
-                i = self.index.get(node)
-                if i is not None:
-                    self.crash_round_ix[i] = crash_rnd
-            if (
-                faults.drop_rate
-                or faults.duplicate_rate
-                or faults.drops
-                or faults.duplicates
-                or faults.link_downs
-            ):
-                self.fault_delivery = faults.copies
-            if getattr(faults, "corrupt_rate", 0.0) or getattr(
-                faults, "corruptions", ()
-            ):
-                self.fault_mangle = faults.mangle
-        self.crash_by_round: Dict[int, List[int]] = {}
-        for i, crash_rnd in self.crash_round_ix.items():
-            if i in self.local_set:
-                self.crash_by_round.setdefault(crash_rnd, []).append(i)
-        self.crashed = bytearray(n)
-        self.pending_dups: Dict[int, List[Tuple[Node, int, Any]]] = {}
-        self.inboxes: List[Dict[Node, Any]] = [{} for _ in range(n)]
-        self.active: List[int] = [
-            i for i in self.local if not self.contexts[i].halted
-        ]
-        self._scheduled = bytearray(n)
-        self.budget = net.max_words + (
-            self.session.extra_words if self.session else 0
+        metrics = MetricsRegistry() if self.metrics_wanted else None
+        self.state = _RoundState(
+            net, local, self.init, self.on_round, self.faults, self.transport,
+            metrics,
         )
-        self.word_bits = net.word_bits
-        self.counting = self.trace_wanted or self.metrics_wanted
-        # Per-round arrays (index round-1) and run totals.
-        self.rec_sched: List[int] = []
-        self.rec_msgs: List[int] = []
-        self.rec_words: List[int] = []
-        self.rec_maxw: List[int] = []
-        self.rec_dropped: List[int] = []
-        self.rec_lost: List[int] = []
-        self.rec_dup: List[int] = []
-        self.rec_corrupt: List[int] = []
-        self.messages_total = 0
-        self.max_words_seen = 0
-        self.dropped_total = 0
-        self.lost_total = 0
-        self.dup_total = 0
-        self.corrupted_total = 0
-        self.edge_words: Dict[Tuple[Node, Node], Dict[int, int]] = {}
-        self.offender: Optional[Tuple[int, int, Node, Node, int]] = None
-        self.local_max_words = 0
-        self.warnings: List[Tuple[int, int, str]] = []
-        self._warn_seq = 0
+        self.session = self.state.session
+        # The shard's trace fragment collects the per-edge histograms and
+        # the worst offender of its own sends; the coordinator records the
+        # rounds and warnings.
+        fragment = (
+            RoundTrace(edge_histograms=self.edge_histograms)
+            if self.trace_wanted
+            else None
+        )
+        self.obs = _RunObserver(net.nodes, fragment, metrics, run_id=self.run_id)
+        # Per-round arrays (index round-1), one per RoundRecord field.
+        self.rec: Dict[str, List[int]] = {key: [] for key in _REC_KEYS}
+        self._schedule: List[int] = []
         self._rh_known: set = set()
-        if self.metrics is not None:
-            m = self.metrics
-            self.m_messages = m.counter(
-                "congest_messages_total",
-                "Messages sent (senders pay for dropped mail too)")
-            self.m_words = m.counter(
-                "congest_words_total", "Total payload words sent")
-            self.m_dropped = m.counter(
-                "congest_dropped_messages_total",
-                "Messages dropped on delivery to halted nodes")
-            self.m_lost = m.counter(
-                "congest_lost_messages_total",
-                "Messages destroyed by injected faults")
-            self.m_dup = m.counter(
-                "congest_duplicated_messages_total",
-                "Extra stutter copies delivered by injected faults")
-            self.m_corrupt = m.counter(
-                "congest_corrupted_messages_total",
-                "Messages mangled in flight by injected faults")
-            self.m_round_wall = m.histogram(
-                "congest_round_wall_seconds",
-                "Wall-clock of the per-round handler dispatch loop")
-            self.m_dispatch = m.counter(
-                "congest_node_dispatch_total",
-                "Rounds each node was dispatched (hot-node detection)",
-                labels=("node",))
         return {
-            "halted": self.halted_count,
-            "active": bool(self.active),
+            "halted": self.state.halted_count,
+            "active": bool(self.state.active),
             "trace": (
                 self.trace_ctx.trace_id if self.trace_ctx is not None else None
             ),
         }
 
-    # -- trace fragment hooks -------------------------------------------
-    def _record_message(self, rnd: int, src: Node, dst: Node, words: int) -> None:
-        if self.edge_histograms:
-            hist = self.edge_words.setdefault((src, dst), {})
-            hist[words] = hist.get(words, 0) + 1
-        if words > self.local_max_words:
-            self.local_max_words = words
-            self.offender = (self.run_id, rnd, src, dst, words)
-
     # -- one global round, local half -----------------------------------
     def run_round(self, rounds: int) -> Dict[str, Any]:
-        contexts = self.contexts
-        nodes = self.nodes
-        index = self.index
-        nbr_sets = self.nbr_sets
-        inboxes = self.inboxes
-        crashed = self.crashed
-        crash_round_ix = self.crash_round_ix
-        for i in self.crash_by_round.get(rounds, ()):
-            if not crashed[i]:
-                crashed[i] = 1
-                if not contexts[i].halted:
-                    self.halted_count += 1
-                if inboxes[i]:
-                    inboxes[i].clear()
-                if self.trace_wanted:
-                    self.warnings.append(
-                        (rounds, self._warn_seq,
-                         f"run {self.run_id}: round {rounds}: node "
-                         f"{nodes[i]!r} crashed (crash-stop)")
-                    )
-                    self._warn_seq += 1
-        schedule = self.active
+        state = self.state
+        state.crash(rounds)
+        schedule = self._schedule = state.active
+        started = self.obs.dispatch_started()
+        outgoing, words, max_words = state.dispatch(rounds, schedule, self.obs)
+        self.obs.record_dispatch(schedule, started)
+        local_set = self.local_set
         outgoing_local: List[Tuple[Node, int, Any]] = []
         outgoing_remote: List[Tuple[Node, int, Any]] = []
-        out_count = 0
-        round_words = 0
-        round_max_words = 0
-        local_set = self.local_set
-        budget = self.budget
-        word_bits = self.word_bits
-        handler_t0 = time.perf_counter() if self.metrics is not None else 0.0
-        for i in schedule:
-            ctx = contexts[i]
-            if ctx.halted or crashed[i]:
-                continue
-            ctx._wake = False
-            inbox = inboxes[i]
-            sends = self.on_round(ctx, inbox)
-            if inbox:
-                inbox.clear()
-            if ctx.halted:
-                self.halted_count += 1
-            if not sends:
-                continue
-            v = ctx.node
-            for target, payload in sends.items():
-                t = index.get(target)
-                if t is None or t not in nbr_sets[i]:
-                    raise CongestViolation(
-                        f"{v!r} tried to message non-neighbor {target!r}",
-                        node=v,
-                        round=rounds,
-                        edge=(v, target),
-                    )
-                try:
-                    words = payload_words(payload, word_bits)
-                except CongestViolation as exc:
-                    raise CongestViolation(
-                        str(exc), node=v, round=rounds, edge=(v, target)
-                    ) from None
-                if words > budget:
-                    raise CongestViolation(
-                        f"message has {words} words (budget {budget})",
-                        node=v,
-                        round=rounds,
-                        edge=(v, target),
-                        payload=payload,
-                    )
-                if words > self.max_words_seen:
-                    self.max_words_seen = words
-                if self.counting:
-                    round_words += words
-                    if words > round_max_words:
-                        round_max_words = words
-                    if self.trace_wanted:
-                        self._record_message(rounds, v, target, words)
-                out_count += 1
-                if t in local_set:
-                    outgoing_local.append((v, t, payload))
-                else:
-                    outgoing_remote.append((v, t, payload))
-        if self.metrics is not None:
-            self.m_round_wall.observe(time.perf_counter() - handler_t0)
-        self.messages_total += out_count
-        # Local delivery, identical to the single-process phase: stutter
-        # duplicates first, then fresh sends (a fresh message from the
-        # same sender overwrites the stale copy).
-        next_active: List[int] = []
-        scheduled = bytearray(len(nodes))
-        dropped = 0
-        lost = 0
-        duplicated = 0
-        corrupted = 0
-        arrival = rounds + 1
-        for src, t, payload in self.pending_dups.pop(arrival, ()):
-            if contexts[t].halted:
-                dropped += 1
-                continue
-            if t in crash_round_ix and crash_round_ix[t] <= arrival:
-                lost += 1
-                continue
-            duplicated += 1
-            inboxes[t][src] = payload
-            if not scheduled[t]:
-                scheduled[t] = 1
-                next_active.append(t)
-        for src, t, payload in outgoing_local:
-            if contexts[t].halted:
-                dropped += 1
-                continue
-            if t in crash_round_ix and crash_round_ix[t] <= arrival:
-                lost += 1
-                continue
-            copies = 1
-            if self.fault_delivery is not None:
-                copies = self.fault_delivery(src, nodes[t], rounds)
-            if copies == 0:
-                lost += 1
-                continue
-            if self.fault_mangle is not None:
-                mangled = self.fault_mangle(src, nodes[t], rounds, payload)
-                if mangled is not payload and mangled != payload:
-                    payload = mangled
-                    corrupted += 1
-            if copies > 1:
-                self.pending_dups.setdefault(arrival + 1, []).append(
-                    (src, t, payload)
-                )
-            inboxes[t][src] = payload
-            if not scheduled[t]:
-                scheduled[t] = 1
-                next_active.append(t)
-        for i in schedule:
-            ctx = contexts[i]
-            if ctx._wake and not ctx.halted and not crashed[i] and not scheduled[i]:
-                scheduled[i] = 1
-                next_active.append(i)
-        self.active = next_active
-        self._scheduled = scheduled
-        self.rec_sched.append(len(schedule))
-        self.rec_msgs.append(out_count)
-        self.rec_words.append(round_words)
-        self.rec_maxw.append(round_max_words)
-        self.rec_dropped.append(dropped)
-        self.rec_lost.append(lost)
-        self.rec_dup.append(duplicated)
-        self.rec_corrupt.append(corrupted)
-        self.dropped_total += dropped
-        self.lost_total += lost
-        self.dup_total += duplicated
-        self.corrupted_total += corrupted
-        if self.metrics is not None:
-            self.m_messages.inc(out_count)
-            self.m_words.inc(round_words)
-            if dropped:
-                self.m_dropped.inc(dropped)
-            if lost:
-                self.m_lost.inc(lost)
-            if duplicated:
-                self.m_dup.inc(duplicated)
-            if corrupted:
-                self.m_corrupt.inc(corrupted)
-            for i in schedule:
-                self.m_dispatch.inc(node=nodes[i])
+        for entry in outgoing:
+            if entry[1] in local_set:
+                outgoing_local.append(entry)
+            else:
+                outgoing_remote.append(entry)
+        dropped, lost, duplicated, corrupted = state.deliver(rounds, outgoing_local)
+        for key, value in zip(_REC_KEYS, (
+            len(schedule), len(outgoing), words, dropped, max_words,
+            lost, duplicated, corrupted,
+        )):
+            self.rec[key].append(value)
         new_rh: List[Node] = []
         if self.session is not None:
             rh = self.session.really_halted
@@ -539,10 +313,8 @@ class _ShardEngine:
                 self._rh_known |= rh
         return {
             "out": outgoing_remote,
-            "halted": self.halted_count,
-            "out_any": out_count > 0,
-            "pending": bool(self.pending_dups),
-            "active": bool(self.active),
+            "halted": state.halted_count,
+            "out_any": bool(outgoing),
             "rh": new_rh,
         }
 
@@ -552,100 +324,40 @@ class _ShardEngine:
         entries: Sequence[Tuple[Node, int, Any]],
         rh_new: Sequence[Node],
     ) -> Dict[str, Any]:
-        """Apply the cross-shard sends of ``rounds``; outcomes are
-        attributed to that round (the sending round), exactly like the
-        single-process delivery phase."""
+        """Apply the cross-shard sends of ``rounds`` and close the round;
+        outcomes are attributed to that round (the sending round), exactly
+        like the single-process delivery phase."""
         if self.session is not None and rh_new:
             self.session.really_halted.update(rh_new)
             self._rh_known.update(rh_new)
-        contexts = self.contexts
-        nodes = self.nodes
-        inboxes = self.inboxes
-        scheduled = self._scheduled
-        crash_round_ix = self.crash_round_ix
-        arrival = rounds + 1
-        dropped = lost = corrupted = 0
-        for src, t, payload in entries:
-            if contexts[t].halted:
-                dropped += 1
-                continue
-            if t in crash_round_ix and crash_round_ix[t] <= arrival:
-                lost += 1
-                continue
-            copies = 1
-            if self.fault_delivery is not None:
-                copies = self.fault_delivery(src, nodes[t], rounds)
-            if copies == 0:
-                lost += 1
-                continue
-            if self.fault_mangle is not None:
-                mangled = self.fault_mangle(src, nodes[t], rounds, payload)
-                if mangled is not payload and mangled != payload:
-                    payload = mangled
-                    corrupted += 1
-            if copies > 1:
-                self.pending_dups.setdefault(arrival + 1, []).append(
-                    (src, t, payload)
-                )
-            inboxes[t][src] = payload
-            if not scheduled[t]:
-                scheduled[t] = 1
-                self.active.append(t)
+        state = self.state
+        counts = state.deliver(rounds, entries)
+        state.end_round(self._schedule)
         r_ix = rounds - 1
-        self.rec_dropped[r_ix] += dropped
-        self.rec_lost[r_ix] += lost
-        self.rec_corrupt[r_ix] += corrupted
-        self.dropped_total += dropped
-        self.lost_total += lost
-        self.corrupted_total += corrupted
-        if self.metrics is not None:
-            if dropped:
-                self.m_dropped.inc(dropped)
-            if lost:
-                self.m_lost.inc(lost)
-            if corrupted:
-                self.m_corrupt.inc(corrupted)
+        for key, value in zip(("dropped", "lost", "dup", "corrupt"), counts):
+            self.rec[key][r_ix] += value
         return {
-            "active": bool(self.active),
-            "pending": bool(self.pending_dups),
+            "active": bool(state.active),
+            "pending": bool(state.pending_dups),
         }
 
     def finish(self) -> Dict[str, Any]:
-        outputs: Dict[Node, Any] = {}
-        crashed_nodes: List[Node] = []
-        for i in self.local:
-            ctx = self.contexts[i]
-            if self.crashed[i]:
-                outputs[ctx.node] = None
-                crashed_nodes.append(ctx.node)
-            else:
-                outputs[ctx.node] = (
-                    self.finalize(ctx) if self.finalize is not None else ctx.output
-                )
+        state = self.state
+        fragment = self.obs.trace
         return {
-            "outputs": outputs,
-            "crashed": crashed_nodes,
-            "messages": self.messages_total,
-            "max_words": self.max_words_seen,
-            "dropped": self.dropped_total,
-            "lost": self.lost_total,
-            "duplicated": self.dup_total,
-            "corrupted": self.corrupted_total,
-            "rec": {
-                "sched": self.rec_sched,
-                "msgs": self.rec_msgs,
-                "words": self.rec_words,
-                "maxw": self.rec_maxw,
-                "dropped": self.rec_dropped,
-                "lost": self.rec_lost,
-                "dup": self.rec_dup,
-                "corrupt": self.rec_corrupt,
-            },
-            "edge_words": self.edge_words,
-            "offender": self.offender,
-            "warnings": self.warnings,
+            "outputs": state.outputs(self.finalize),
+            "crashed": state.crashed_nodes(),
+            "messages": state.messages,
+            "max_words": state.max_words_seen,
+            "dropped": state.dropped,
+            "lost": state.lost,
+            "duplicated": state.duplicated,
+            "corrupted": state.corrupted,
+            "rec": self.rec,
+            "edge_words": fragment.edge_words if fragment is not None else {},
+            "offender": fragment.offender if fragment is not None else None,
             "stats": self.session.stats if self.session is not None else None,
-            "metrics": self.metrics,
+            "metrics": self.obs.metrics,
         }
 
 
@@ -830,10 +542,8 @@ def run_sharded(
     nodes = network.nodes
     n = len(nodes)
     index = network.index
-    if faults is not None:
-        for node in faults.crash_round:
-            if node not in index:
-                raise ValueError(f"fault plan crashes unknown node {node!r}")
+    # Validates the plan too; the coordinator warns of crashes in this order.
+    _, crash_by_round = _crash_schedule(faults, index)
     if partition is None:
         partition = separator_shard_partition(network.graph, shards)
     else:
@@ -855,7 +565,7 @@ def run_sharded(
     for s, part in enumerate(partition):
         for v in part:
             shard_of[index[v]] = s
-    run_id = trace.begin_run() if trace is not None else 0
+    obs = _RunObserver(nodes, trace, metrics)
     # Request lineage: a tracer bound to a TraceContext (bind_context)
     # stamps it onto every shard engine, so a sharded run keeps the same
     # request identity across the fork as a single-process one.
@@ -867,7 +577,7 @@ def run_sharded(
     engines = [
         _ShardEngine(
             network, s, part, init, on_round, finalize, faults, transport,
-            run_id,
+            obs.run_id,
             trace_wanted=trace is not None,
             edge_histograms=(trace._edge_histograms if trace is not None else True),
             metrics_wanted=metrics is not None,
@@ -921,7 +631,7 @@ def run_sharded(
         rounds = 0
         executed = 0
         stop_reason = "max_rounds"
-        deadlock_warn: Optional[str] = None
+        deadlock_idle: Optional[int] = None
         while rounds < max_rounds:
             if halted_count == n:
                 stop_reason = "halted"
@@ -931,13 +641,7 @@ def run_sharded(
                     stop_reason = "quiet"
                     break
             if not any_active and not any_pending:
-                if trace is not None:
-                    deadlock_warn = (
-                        f"run {run_id}: deadlock after round {rounds} — "
-                        f"{n - halted_count} nodes idle un-halted with no "
-                        f"messages in flight; fast-forwarding to round "
-                        f"{max_rounds}"
-                    )
+                deadlock_idle = n - halted_count
                 rounds = max_rounds
                 stop_reason = "deadlock"
                 break
@@ -981,38 +685,24 @@ def run_sharded(
     lost_total = sum(f["lost"] for f in finals)
     dup_total = sum(f["duplicated"] for f in finals)
     corrupted_total = sum(f["corrupted"] for f in finals)
+    if metrics is not None:
+        for f in finals:
+            if f["metrics"] is not None:
+                metrics.merge(f["metrics"])
+    # The shards' per-round arrays merge into one record per round, in
+    # the single-process order: a round's crash warnings, then its record.
+    recs = [f["rec"] for f in finals]
+    for r_ix in range(executed):
+        rnd = r_ix + 1
+        for i in crash_by_round.get(rnd, ()):
+            obs.warn_crash(rnd, nodes[i])
+        obs.record_round(rnd, *(
+            (max if key == "maxw" else sum)(rec[key][r_ix] for rec in recs)
+            for key in _REC_KEYS
+        ))
+    if deadlock_idle is not None:
+        obs.warn_deadlock(executed, deadlock_idle, max_rounds)
     if trace is not None:
-        recs = [f["rec"] for f in finals]
-        warnings: List[Tuple[int, int, int, int, str]] = []
-        for s, f in enumerate(finals):
-            for rnd, seq, text in f["warnings"]:
-                warnings.append((rnd, 0, s, seq, text))
-        warned = False
-        for r_ix in range(executed):
-            if not warned and sum(rec["dropped"][r_ix] for rec in recs):
-                warned = True
-                warnings.append(
-                    (r_ix + 1, 1, -1, 0,
-                     f"run {run_id}: round {r_ix + 1} sent mail to already-"
-                     f"halted nodes (dropped; see dropped_messages)")
-                )
-        for _, _, _, _, text in sorted(warnings):
-            trace.warn(text)
-        for r_ix in range(executed):
-            trace.record_round(
-                run_id,
-                r_ix + 1,
-                sum(rec["sched"][r_ix] for rec in recs),
-                sum(rec["msgs"][r_ix] for rec in recs),
-                sum(rec["words"][r_ix] for rec in recs),
-                sum(rec["dropped"][r_ix] for rec in recs),
-                max(rec["maxw"][r_ix] for rec in recs),
-                lost=sum(rec["lost"][r_ix] for rec in recs),
-                duplicated=sum(rec["dup"][r_ix] for rec in recs),
-                corrupted=sum(rec["corrupt"][r_ix] for rec in recs),
-            )
-        if deadlock_warn is not None:
-            trace.warn(deadlock_warn)
         for f in finals:
             for (src, dst), hist in f["edge_words"].items():
                 merged = trace.edge_words.setdefault((src, dst), {})
@@ -1025,27 +715,6 @@ def run_sharded(
         if offenders and offenders[0][4] > trace.max_words:
             trace.max_words = offenders[0][4]
             trace.offender = offenders[0]
-    if metrics is not None:
-        for f in finals:
-            if f["metrics"] is not None:
-                metrics.merge(f["metrics"])
-        m_rounds = metrics.counter(
-            "congest_rounds_total", "Synchronous rounds executed")
-        if executed:
-            m_rounds.inc(executed)
-            recs = [f["rec"] for f in finals]
-            per_round = [
-                sum(rec["sched"][r_ix] for rec in recs)
-                for r_ix in range(executed)
-            ]
-            metrics.gauge(
-                "congest_scheduler_queue_depth",
-                "Nodes dispatched in the most recent round",
-            ).set(per_round[-1])
-            metrics.gauge(
-                "congest_scheduler_queue_depth_peak",
-                "Largest dispatch set seen in any round",
-            ).set_max(max(per_round))
     session_stats = None
     if transport is not None:
         session_stats = TransportStats()

@@ -23,8 +23,9 @@ This module supplies the **vectorized scheduler**
   targets plus woken nodes), word-cost accounting with the exact
   :func:`~repro.congest.network.payload_words` semantics for one-integer
   tuple payloads, per-message budget enforcement, halted-receiver drops,
-  :class:`~repro.congest.trace.RoundTrace` / metrics feeds, and the
-  wake-aware quiet / deadlock stopping rules — all bit-identical to the
+  and the wake-aware quiet / deadlock stopping rules, reporting rounds,
+  metrics and warnings through the same observer as
+  :meth:`~repro.congest.network.Network.run` — all bit-identical to the
   active-set scheduler (locked by the A/B harness in
   ``tests/test_exhaustive_small.py`` and ``tests/test_vectorized.py``);
 * kernels for the :mod:`repro.congest.algorithms` primitives, attached to
@@ -40,12 +41,11 @@ fingerprint-identical by the PR 1/PR 4 regression suites.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Dict, Hashable, Optional
 
 import numpy as np
 
-from .network import CongestViolation, Network, NodeContext, RunResult
+from .network import CongestViolation, Network, NodeContext, RunResult, _RunObserver
 
 Node = Hashable
 
@@ -194,40 +194,8 @@ def run_vectorized(
     n = len(nodes)
     word_bits = net.word_bits
     budget = net.max_words
-    run_id = trace.begin_run() if trace is not None else 0
-    if metrics is not None:
-        m_rounds = metrics.counter(
-            "congest_rounds_total", "Synchronous rounds executed")
-        m_messages = metrics.counter(
-            "congest_messages_total",
-            "Messages sent (senders pay for dropped mail too)")
-        m_words = metrics.counter(
-            "congest_words_total", "Total payload words sent")
-        m_dropped = metrics.counter(
-            "congest_dropped_messages_total",
-            "Messages dropped on delivery to halted nodes")
-        metrics.counter(
-            "congest_lost_messages_total",
-            "Messages destroyed by injected faults")
-        metrics.counter(
-            "congest_duplicated_messages_total",
-            "Extra stutter copies delivered by injected faults")
-        metrics.counter(
-            "congest_corrupted_messages_total",
-            "Messages mangled in flight by injected faults")
-        m_round_wall = metrics.histogram(
-            "congest_round_wall_seconds",
-            "Wall-clock of the per-round handler dispatch loop")
-        m_queue = metrics.gauge(
-            "congest_scheduler_queue_depth",
-            "Nodes dispatched in the most recent round")
-        m_queue_peak = metrics.gauge(
-            "congest_scheduler_queue_depth_peak",
-            "Largest dispatch set seen in any round")
-        m_dispatch = metrics.counter(
-            "congest_node_dispatch_total",
-            "Rounds each node was dispatched (hot-node detection)",
-            labels=("node",))
+    obs = _RunObserver(nodes, trace, metrics)
+    run_id = obs.run_id
     halted_count = kernel.halted_count
     # Round 1 dispatches every live node — the synchronous start.
     active = np.flatnonzero(~kernel.halted)
@@ -237,7 +205,6 @@ def run_vectorized(
     dropped_total = 0
     max_words_seen = 0
     sent_last_round = True
-    warned_drop = False
     stop_reason = "max_rounds"
     while rounds < max_rounds:
         if halted_count == n:
@@ -253,19 +220,13 @@ def run_vectorized(
                 stop_reason = "quiet"
                 break
         if active.size == 0:
-            if trace is not None:
-                trace.warn(
-                    f"run {run_id}: deadlock after round {rounds} — "
-                    f"{n - halted_count} nodes idle un-halted with no "
-                    f"messages in flight; fast-forwarding to round "
-                    f"{max_rounds}"
-                )
+            obs.warn_deadlock(rounds, n - halted_count, max_rounds)
             rounds = max_rounds
             stop_reason = "deadlock"
             break
         rounds += 1
         sched = active
-        handler_t0 = time.perf_counter() if metrics is not None else 0.0
+        started = obs.dispatch_started()
         out_src, out_dst, out_val, woken = kernel.round(
             rounds, sched, in_src, in_dst, in_val
         )
@@ -297,8 +258,7 @@ def run_vectorized(
                         nodes[int(out_src[k])], nodes[int(out_dst[k])],
                         int(words[k]),
                     )
-        if metrics is not None:
-            m_round_wall.observe(time.perf_counter() - handler_t0)
+        obs.record_dispatch(sched, started)
         # Synchronous delivery: sends arrive next round; mail to nodes
         # that halted during (or before) this round is dropped — the
         # sender paid for it.
@@ -315,14 +275,7 @@ def run_vectorized(
                 in_src, in_dst, in_val = out_src, out_dst, out_val
         else:
             in_src = in_dst = in_val = _EMPTY
-        if dropped:
-            dropped_total += dropped
-            if trace is not None and not warned_drop:
-                warned_drop = True
-                trace.warn(
-                    f"run {run_id}: round {rounds} sent mail to already-"
-                    f"halted nodes (dropped; see dropped_messages)"
-                )
+        dropped_total += dropped
         # Next round's schedule: delivery targets plus armed wakes, each
         # already halt-filtered; unique-sorted for determinism.  Work is
         # proportional to the wavefront, never to n.
@@ -337,26 +290,9 @@ def run_vectorized(
         else:
             active = np.unique(woken) if woken.size else _EMPTY
         sent_last_round = nmsg > 0
-        if metrics is not None:
-            m_rounds.inc()
-            m_messages.inc(nmsg)
-            m_words.inc(round_words)
-            if dropped:
-                m_dropped.inc(dropped)
-            m_queue.set(int(sched.size))
-            m_queue_peak.set_max(int(sched.size))
-            for i in sched:
-                m_dispatch.inc(node=nodes[int(i)])
-        if trace is not None:
-            trace.record_round(
-                run_id,
-                rounds,
-                int(sched.size),
-                nmsg,
-                round_words,
-                dropped,
-                round_max_words,
-            )
+        obs.record_round(
+            rounds, int(sched.size), nmsg, round_words, dropped, round_max_words
+        )
     return RunResult(
         rounds,
         kernel.outputs(net),
