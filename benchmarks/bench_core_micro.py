@@ -20,6 +20,7 @@ The weight-sweep table checks that a face weight's cost does not grow with
 the face's border (Lemma 12).
 """
 
+import gc
 import statistics
 import time
 
@@ -208,6 +209,101 @@ def _check_weight_sweep(rows):
     """The k = 160 grid's per-face cost stays within 2x of k = 20's."""
     cost = {r["workload"]: r["us_per_face"] for r in rows}
     assert cost["grid(3, 160)"] <= 2 * cost["grid(3, 20)"], rows
+
+
+# -- dfs_tree scaling: time per 4x nodes -----------------------------------
+
+#: Repeats per instance of the scaling table (its 16k rows dominate).
+SCALING_REPEATS = 5
+#: The gate: from n ~ 4k to n ~ 16k, ``dfs_tree``'s median time per 4x
+#: of the algorithm's own work may grow at most this much on every family.
+#: Linear code reads 4x plus CPython's own growth (full collections over a
+#: larger heap).  NOT-CONTAINED building every candidate face's node set
+#: read 7.3x on the grid and 17.7x on the triangulated grid.
+SCALING_GATE = 6.5
+_SCALING_FAMILIES = (
+    ("grid", {1000: 32, 4000: 63, 16000: 126}, lambda k: gen.grid(k, k)),
+    ("triangulated_grid", {1000: 32, 4000: 63, 16000: 126},
+     lambda k: gen.triangulated_grid(k, k)),
+    ("delaunay", {1000: 1000, 4000: 4000, 16000: 16000},
+     lambda k: gen.delaunay(k, seed=0)),
+)
+
+
+def dfs_scaling_rows():
+    """``dfs_tree(graph, 0)``, embedding included, on grid, triangulated
+    grid and Delaunay at n ~ 1k, 4k and 16k: the median and quartiles of
+    :data:`SCALING_REPEATS` alternating repeats (repeat ``i`` runs the
+    instances in an order rotated by ``i``).  Each run gets a freshly
+    generated graph, untimed, and a collected heap, so no run pays for
+    another's inputs or garbage.
+
+    ``separator_nodes`` sums the component sizes over every separator
+    call: the work Theorem 2's algorithm does, about ``n`` per phase.  Its
+    growth is the algorithm's, not the implementation's (Delaunay's
+    phase count varies by instance), so ``ratio_per_4x`` (the median over
+    the previous size's) is also given per 4x of that work, which is
+    what :func:`_check_dfs_scaling` gates."""
+    instances = [(family, size, make, k)
+                 for family, params, make in _SCALING_FAMILIES
+                 for size, k in params.items()]
+    times = {(family, size): [] for family, size, _, _ in instances}
+    work = {key: set() for key in times}
+    shape = {}
+    counted = []
+
+    def counting(cfg, **kwargs):
+        counted.append(cfg.n)
+        return cycle_separator(cfg, **kwargs)
+
+    dfs_module.cycle_separator = counting
+    try:
+        for i in range(SCALING_REPEATS):
+            shift = i % len(instances)
+            for family, size, make, param in instances[shift:] + instances[:shift]:
+                graph = make(param)
+                shape[(family, size)] = (len(graph), graph.number_of_edges())
+                counted.clear()
+                gc.collect()
+                t0 = time.perf_counter()
+                dfs_tree(graph, 0)
+                times[(family, size)].append(time.perf_counter() - t0)
+                work[(family, size)].add(sum(counted))
+                del graph
+    finally:
+        dfs_module.cycle_separator = cycle_separator
+    rows = []
+    for key, seconds in times.items():
+        (family, size), (done,) = key, work[key]  # deterministic: one count
+        q1, median, q3 = statistics.quantiles(seconds, n=4)
+        row = {"family": family, "n": shape[key][0], "m": shape[key][1],
+               "separator_nodes": done, "repeats": SCALING_REPEATS,
+               "seconds": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3),
+               "ratio_per_4x": "-", "work_ratio": "-", "ratio_per_4x_work": "-"}
+        previous = (family, size // 4)
+        if previous in times:
+            (before,) = work[previous]
+            ratio = median / statistics.median(times[previous])
+            row.update(ratio_per_4x=round(ratio, 2), work_ratio=round(done / before, 2),
+                       ratio_per_4x_work=round(ratio * 4 * before / done, 2))
+        rows.append(row)
+    return rows
+
+
+_SCALING_TITLE = (
+    "dfs_tree scaling - grid, triangulated grid and Delaunay at n ~ 1k, 4k, 16k, "
+    f"root 0 (median, q1, q3 of {SCALING_REPEATS} alternating repeats, seconds; "
+    "ratio_per_4x = median / the previous size's median; work_ratio = the same "
+    "for separator_nodes; ratio_per_4x_work = ratio_per_4x * 4 / work_ratio)"
+)
+
+
+def _check_dfs_scaling(rows):
+    """From n ~ 4k to n ~ 16k every family's median time grows at most
+    :data:`SCALING_GATE` times per 4x of separator work."""
+    for row in rows:
+        if row["n"] > 10_000:
+            assert row["ratio_per_4x_work"] <= SCALING_GATE, rows
 
 
 # -- CONGEST scheduler A/B -------------------------------------------------
@@ -602,6 +698,9 @@ def test_micro_trace_overhead_bounded(benchmark):
 
 
 if __name__ == "__main__":
+    scaling_rows = dfs_scaling_rows()
+    emit("dfs_scaling.txt", scaling_rows, _SCALING_TITLE)
+    _check_dfs_scaling(scaling_rows)
     weight_rows = weight_sweep_rows()
     emit("weight_sweep.txt", weight_rows, _WEIGHT_TITLE)
     _check_weight_sweep(weight_rows)

@@ -117,6 +117,7 @@ def dfs_tree(
     if embedded and ledger is not None:
         ledger.charge_subroutine("planar-embedding")
     result = DFSResult(root)
+    rank = {v: i for i, v in enumerate(rotation.nodes)}
     in_tree: Set[Node] = {root}
     n = len(graph)
     before = 0
@@ -140,7 +141,9 @@ def dfs_tree(
                 ledger.begin_branch()
             subgraph = induced_copy(graph, component)
             anchor = _deepest_attachment(graph, component, result)
-            separator = _component_separator(rotation, component, subgraph, anchor[0], ledger)
+            separator = _component_separator(
+                rotation, rank, component, subgraph, anchor[0], ledger
+            )
             result.separator_phases[separator.phase] = (
                 result.separator_phases.get(separator.phase, 0) + 1
             )
@@ -160,20 +163,22 @@ def dfs_tree(
 # ----------------------------------------------------------------------
 def _component_separator(
     rotation: RotationSystem,
+    rank: Dict[Node, int],
     component: Set[Node],
     subgraph: nx.Graph,
     root: Node,
     ledger,
 ) -> SeparatorResult:
     """Theorem 1 applied to one component of :math:`G - T_d`, given its
-    induced copy ``subgraph``.
+    induced copy ``subgraph`` and ``rotation``'s node ranks (see
+    :func:`repro.planar.construct.embed_subgraph`).
 
     The component's spanning tree is rooted at ``root``, the node with the
     deepest neighbor in the partial tree — the same root the JOIN step will
     use.
     """
     tree = _attachment_spanning_tree(subgraph, root, set())
-    cfg = PlanarConfiguration(subgraph, embed_subgraph(rotation, component), tree)
+    cfg = PlanarConfiguration(subgraph, embed_subgraph(rotation, component, rank), tree)
     return cycle_separator(cfg, ledger=ledger)
 
 

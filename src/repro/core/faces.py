@@ -11,8 +11,11 @@ questions the distributed algorithm needs:
   Claims 1 and 4;
 * the full interior :math:`\\mathring{F}_e` (union of the subtrees hanging
   inside, as in Claim 3's proof);
-* whether another fundamental edge is *contained in* :math:`F_e` (used by
-  NOT-CONTAINED / NOT-CONTAINS, Section 5.2.4).
+* whether another fundamental edge is *contained in* :math:`F_e`.
+  NOT-CONTAINED / NOT-CONTAINS (Section 5.2.4) order their candidates by
+  face size, which :mod:`repro.core.separator` derives from the weight,
+  and ask this only within the tie group at the extreme size; Phase 4,
+  hiding edges and side sets read the interior directly.
 
 A view is endpoint-local, as in Lemma 12: construction reads only the
 rotations and tree pointers of ``u`` and ``v``.  The side decision, the

@@ -177,13 +177,8 @@ def _separate(
         weights_iter = {}
     else:
         weights_iter = weights
-    d_T = tree.depth
     for e, w in weights_iter.items():
-        u, v = e
-        fv = views[e]
-        lca_depth = d_T[fv.lca]
-        path_len = d_T[u] + d_T[v] - 2 * lca_depth + 1
-        inner = w if fv.z is not None else w - (d_T[v] - lca_depth + 1)
+        inner, path_len = _face_size(cfg, views[e], w)
         if 3 * inner <= 2 * n and 3 * (n - inner - path_len) <= 2 * n:
             balanced.append((path_len, e))
     if balanced:
@@ -195,12 +190,12 @@ def _separate(
     # ---------------------------------------------------------------- Phase 4
     heavy = [e for e, w in weights.items() if 3 * w > 2 * n]
     if heavy:
-        e = _containment_minimal(cfg, views, heavy)
+        e = _containment_minimal(cfg, views, heavy, weights)
         _charge(ledger, "not-contains")
         return _phase4(cfg, views[e], n, depth, ledger, ablation)
 
     # ---------------------------------------------------------------- Phase 5
-    e = _containment_maximal(cfg, views, fundamental)
+    e = _containment_maximal(cfg, views, fundamental, weights)
     _charge(ledger, "not-contained")
     fv = views[e]
     left, right = side_sets(cfg, fv)
@@ -423,17 +418,62 @@ def _hidden_fallback(
     )
 
 
+def _face_size(cfg: PlanarConfiguration, fv: FaceView, w: int) -> Tuple[int, int]:
+    """``(inner, path_len)`` of a real fundamental face from its weight ``w``:
+    :math:`|\\mathring{F}_e|` and :math:`|P_e|`, so that
+    :math:`|V(F_e)|` is their sum.
+
+    Definition 2's weight is the interior when ``u`` is an ancestor of
+    ``v`` and the interior plus the path from the LCA down to ``v``
+    otherwise (Lemmas 3/4), so both numbers follow from the weight, the
+    depths and the LCA, all known at the endpoints.
+    """
+    d_T = cfg.tree.depth
+    u, v = fv.u, fv.v
+    lca_depth = d_T[fv.lca]
+    path_len = d_T[u] + d_T[v] - 2 * lca_depth + 1
+    inner = w if fv.z is not None else w - (d_T[v] - lca_depth + 1)
+    return inner, path_len
+
+
+def _face_sizes(
+    cfg: PlanarConfiguration,
+    views: Dict[Edge, FaceView],
+    candidates: Sequence[Edge],
+    weights: Optional[Dict[Edge, int]],
+) -> Dict[Edge, int]:
+    """:math:`|V(F_e)|` of every candidate, from ``weights`` where the
+    caller holds them and from :func:`weight` otherwise."""
+    sizes = {}
+    for e in candidates:
+        w = weights[e] if weights is not None else weight(cfg, views[e])
+        sizes[e] = sum(_face_size(cfg, views[e], w))
+    return sizes
+
+
 def _containment_minimal(
     cfg: PlanarConfiguration,
     views: Dict[Edge, FaceView],
     candidates: Sequence[Edge],
+    weights: Optional[Dict[Edge, int]] = None,
 ) -> Edge:
     """A candidate whose face contains no other candidate's face
-    (NOT-CONTAINS-PROBLEM, Lemma 18)."""
-    order = sorted(candidates, key=lambda e: (len(views[e].face_nodes()), repr(e)))
-    for e in order:
-        fv = views[e]
-        if not any(f != e and fv.contains_edge(f) for f in candidates):
+    (NOT-CONTAINS-PROBLEM, Lemma 18).
+
+    Fundamental faces of a spanning tree are laminar: each is the dual
+    subtree below its co-tree edge in the interdigitating dual tree
+    (Har-Peled–Nayyeri).  If :math:`F_e` contains ``f`` then
+    :math:`V(F_f) \\subseteq V(F_e)`, so a face contains only faces no
+    larger than itself.  Candidates are taken smallest face first (sizes
+    from the weights, :func:`_face_size`), ties in ``repr`` order, and
+    each is tested only against candidates no larger: for the first, its
+    own tie group.  That tie check stays because nested faces of equal
+    size are common; no face outside it builds its interior.
+    """
+    size = _face_sizes(cfg, views, candidates, weights)
+    for e in sorted(candidates, key=lambda e: (size[e], repr(e))):
+        fv, s = views[e], size[e]
+        if not any(f != e and size[f] <= s and fv.contains_edge(f) for f in candidates):
             return e
     raise SeparatorError("no containment-minimal fundamental edge found")
 
@@ -442,14 +482,20 @@ def _containment_maximal(
     cfg: PlanarConfiguration,
     views: Dict[Edge, FaceView],
     candidates: Sequence[Edge],
+    weights: Optional[Dict[Edge, int]] = None,
 ) -> Edge:
     """A candidate whose face is contained in no other candidate's face
-    (NOT-CONTAINED-PROBLEM, Lemma 17)."""
-    order = sorted(
-        candidates, key=lambda e: (-len(views[e].face_nodes()), repr(e))
-    )
-    for e in order:
-        if not any(f != e and views[f].contains_edge(e) for f in candidates):
+    (NOT-CONTAINED-PROBLEM, Lemma 17).
+
+    By laminarity (see :func:`_containment_minimal`) a face lies only in
+    faces at least as large.  Candidates are taken largest face first,
+    ties in ``repr`` order, and each is tested only against candidates at
+    least as large: for the first, its own tie group at the maximum size.
+    """
+    size = _face_sizes(cfg, views, candidates, weights)
+    for e in sorted(candidates, key=lambda e: (-size[e], repr(e))):
+        s = size[e]
+        if not any(f != e and size[f] >= s and views[f].contains_edge(e) for f in candidates):
             return e
     raise SeparatorError("no containment-maximal fundamental edge found")
 

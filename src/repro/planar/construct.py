@@ -327,7 +327,9 @@ def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
     return order
 
 
-def embed_subgraph(rotation: RotationSystem, nodes) -> RotationSystem:
+def embed_subgraph(
+    rotation: RotationSystem, nodes, rank: Optional[Dict[Node, int]] = None
+) -> RotationSystem:
     """Restrict a rotation system to an induced subgraph.
 
     The paper uses this implicitly: each part :math:`P_i` of the partition
@@ -335,12 +337,19 @@ def embed_subgraph(rotation: RotationSystem, nodes) -> RotationSystem:
     :math:`\\mathcal{E}` restricted to :math:`G[P_i]`" (DFS-ORDER-PROBLEM,
     Section 5.2.1).  Restriction preserves the relative clockwise order of
     the surviving neighbors, so the result is again a valid embedding.
+
+    The kept nodes come in ``rotation``'s node order.  ``rank`` maps each
+    node of ``rotation`` to its index in that order; a caller restricting
+    one rotation many times builds it once, so each call costs
+    O(k log k + kept degrees) for k kept nodes instead of a pass over the
+    whole rotation.  Nodes absent from ``rotation`` are ignored.
     """
-    keep = set(nodes)
+    if rank is None:
+        rank = {v: i for i, v in enumerate(rotation.nodes)}
+    keep = {v for v in nodes if v in rank}
     order = {
         v: [u for u in rotation.neighbors_cw(v) if u in keep]
-        for v in rotation.nodes
-        if v in keep
+        for v in sorted(keep, key=rank.__getitem__)
     }
     return RotationSystem(order)
 

@@ -20,7 +20,12 @@ from repro.core.config import PlanarConfiguration
 from repro.core.dfs import dfs_tree
 from repro.core.faces import face_view
 from repro.core.regions import cycle_regions
-from repro.core.separator import cycle_separator
+from repro.core.separator import (
+    _containment_maximal,
+    _containment_minimal,
+    _face_size,
+    cycle_separator,
+)
 from repro.core.verify import check_dfs_tree, check_separator
 from repro.core.weights import interior_by_orders, weight
 from repro.planar import generators as gen
@@ -99,6 +104,45 @@ class TestFaceInteriors:
             fv = face_view(cfg, e)
             oracle = cycle_regions(cfg.rotation, fv.border, (root, anchor))
             assert fv.interior() == oracle.inside_nodes
+
+
+class TestContainmentBySize:
+    """NOT-CONTAINED / NOT-CONTAINS from weight-derived face sizes agree
+    with a full scan that builds every face's node set and tests every
+    candidate pair."""
+
+    @staticmethod
+    def _oracle_maximal(views, candidates):
+        order = sorted(candidates, key=lambda e: (-len(views[e].face_nodes()), repr(e)))
+        for e in order:
+            if not any(f != e and views[f].contains_edge(e) for f in candidates):
+                return e
+
+    @staticmethod
+    def _oracle_minimal(views, candidates):
+        order = sorted(candidates, key=lambda e: (len(views[e].face_nodes()), repr(e)))
+        for e in order:
+            if not any(f != e and views[e].contains_edge(f) for f in candidates):
+                return e
+
+    @given(planar_instances(), st.randoms(use_true_random=False))
+    @settings(**COMMON)
+    def test_helpers_match_full_scan(self, instance, rnd):
+        g, cfg = instance
+        fundamental = cfg.real_fundamental_edges()
+        for e in fundamental:
+            fv = face_view(cfg, e)
+            assert sum(_face_size(cfg, fv, weight(cfg, fv))) == len(fv.face_nodes())
+        if not fundamental:
+            return
+        for _ in range(4):
+            subset = rnd.sample(fundamental, rnd.randint(1, len(fundamental)))
+            views = {e: face_view(cfg, e) for e in subset}
+            assert _containment_maximal(cfg, views, subset) == \
+                self._oracle_maximal(views, subset)
+            views = {e: face_view(cfg, e) for e in subset}
+            assert _containment_minimal(cfg, views, subset) == \
+                self._oracle_minimal(views, subset)
 
 
 class TestTheorem1:

@@ -4,8 +4,11 @@ import networkx as nx
 import pytest
 
 from repro.core.config import PlanarConfiguration
+from repro.core.faces import face_view
 from repro.core.separator import (
     SeparatorError,
+    _containment_maximal,
+    _containment_minimal,
     compute_cycle_separators,
     cycle_separator,
 )
@@ -111,6 +114,31 @@ class TestPhaseBehaviour:
             report = separator_report(g, res.path)
             worst = max(worst, report.max_fraction)
         assert worst <= 2 / 3 + 1e-9
+
+
+class TestContainmentTieGroup:
+    """Nested faces of equal size: the size order alone cannot tell them
+    apart, so the helpers must still test containment inside the tie."""
+
+    @staticmethod
+    def _setup(graph, candidates):
+        cfg = PlanarConfiguration.build(graph, root=1)
+        views = {e: face_view(cfg, e) for e in candidates}
+        sizes = {len(views[e].face_nodes()) for e in candidates}
+        assert len(sizes) == 1
+        return cfg, views
+
+    def test_minimal_skips_a_tied_face_that_contains_another(self):
+        candidates = [(0, 5), (4, 5)]
+        cfg, views = self._setup(gen.triangulated_grid(3, 4), candidates)
+        assert views[(0, 5)].contains_edge((4, 5))
+        assert _containment_minimal(cfg, views, candidates) == (4, 5)
+
+    def test_maximal_skips_a_tied_face_contained_in_another(self):
+        candidates = [(12, 13), (4, 5)]
+        cfg, views = self._setup(gen.grid(4, 4), candidates)
+        assert views[(4, 5)].contains_edge((12, 13))
+        assert _containment_maximal(cfg, views, candidates) == (4, 5)
 
 
 class TestMultiPart:
