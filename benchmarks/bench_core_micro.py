@@ -36,7 +36,7 @@ from repro.core.dfs import dfs_tree
 from repro.core.faces import face_view
 from repro.core.separator import cycle_separator
 from repro.core.subroutines import dfs_order_phases
-from repro.core.weights import weight
+from repro.core.weights import fundamental_weights, weight
 from repro.planar import RotationSystem, embed, induced_components
 from repro.planar import generators as gen
 from repro.trees import bfs_tree
@@ -177,7 +177,9 @@ def weight_sweep_rows():
     ``delaunay(600)``.  Each row is the median and quartiles of
     :data:`REPEATS` sweeps over all real fundamental edges, in µs per
     face.  Lemma 12 makes a weight endpoint-local, so the cost must not
-    follow the border length."""
+    follow the border length.  ``pass_us_per_face`` is the median of the
+    same sweeps done by ``fundamental_weights``, the separator's one pass
+    that builds no view."""
     workloads = [(f"grid(3, {k})", PlanarConfiguration.build(gen.grid(3, k), root=0))
                  for k in (20, 40, 80, 160)]
     workloads.append((f"delaunay({N})", CONFIG))
@@ -185,23 +187,29 @@ def weight_sweep_rows():
     for workload, cfg in workloads:
         edges = cfg.real_fundamental_edges()
         longest = max(len(face_view(cfg, e).border) for e in edges)  # also a warm-up
-        times = []
+        times, pass_times = [], []
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             for e in edges:
                 weight(cfg, face_view(cfg, e))
-            times.append((time.perf_counter() - t0) / len(edges) * 1e6)
+            t1 = time.perf_counter()
+            fundamental_weights(cfg)
+            t2 = time.perf_counter()
+            times.append((t1 - t0) / len(edges) * 1e6)
+            pass_times.append((t2 - t1) / len(edges) * 1e6)
         q1, median, q3 = statistics.quantiles(times, n=4)
         rows.append({"workload": workload, "n": cfg.n, "faces": len(edges),
                      "longest_border": longest, "repeats": REPEATS,
                      "us_per_face": round(median, 2), "q1": round(q1, 2),
-                     "q3": round(q3, 2)})
+                     "q3": round(q3, 2),
+                     "pass_us_per_face": round(statistics.median(pass_times), 2)})
     return rows
 
 
 _WEIGHT_TITLE = (
     "Weight sweep - face_view + weight per real fundamental face, BFS trees "
-    f"(median, q1, q3 of {REPEATS} repeats, microseconds per face)"
+    f"(median, q1, q3 of {REPEATS} repeats, microseconds per face; "
+    "pass_us_per_face = the median of fundamental_weights' one pass, per face)"
 )
 
 

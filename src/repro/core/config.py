@@ -13,9 +13,12 @@ paper assumes:
 
 On top of the normalized rotation the configuration precomputes everything
 Definition 2 consumes: the LEFT/RIGHT-DFS-ORDERs :math:`\\pi_\\ell, \\pi_r`,
-subtree sizes :math:`n_T(v)`, depths :math:`d_T(v)`, and the per-subtree
+subtree sizes :math:`n_T(v)`, depths :math:`d_T(v)`, the per-subtree
 position ranges used for O(1) ancestor tests (exactly the information the
-distributed DFS-ORDER algorithm of Lemma 11 leaves at the nodes).
+distributed DFS-ORDER algorithm of Lemma 11 leaves at the nodes), and per
+node the prefix sums of its T-children's subtree sizes over rotation
+positions, so the inside-child mass of any rotation arc — a p-value of
+Lemma 12 — is one O(1) range sum (:meth:`PlanarConfiguration.child_size_between`).
 """
 
 from __future__ import annotations
@@ -74,6 +77,9 @@ class PlanarConfiguration:
         self.pi_right: Dict[Node, int] = {}
         self._order_children_left: Dict[Node, List[Node]] = {}
         self._order_children_right: Dict[Node, List[Node]] = {}
+        # Per node, prefix sums of child subtree sizes over rotation
+        # positions: entry i covers positions 0..i-1.
+        self._child_prefix: Dict[Node, List[int]] = {}
         self._compute_orders()
 
     # ------------------------------------------------------------------
@@ -108,12 +114,16 @@ class PlanarConfiguration:
 
     @staticmethod
     def _validate(graph: nx.Graph, rotation: RotationSystem, tree: RootedTree) -> None:
-        if set(rotation.nodes) != set(graph.nodes):
+        # The graph is read through its adjacency dict, not ``graph.nodes``
+        # or ``graph.edges()``: networkx caches those views on the graph,
+        # which makes a per-component copy cyclic garbage.
+        nodes = set(graph)
+        if set(rotation.nodes) != nodes:
             raise ConfigurationError("rotation and graph have different node sets")
-        if set(tree.nodes) != set(graph.nodes):
+        if set(tree.nodes) != nodes:
             raise ConfigurationError("tree is not spanning")
-        for v in graph.nodes:
-            if set(rotation.neighbors_cw(v)) != set(graph.neighbors(v)):
+        for v, row in graph._adj.items():
+            if set(rotation.neighbors_cw(v)) != row.keys():
                 raise ConfigurationError(f"rotation of {v!r} does not match the graph")
         for p, c in tree.edges():
             if not graph.has_edge(p, c):
@@ -125,9 +135,9 @@ class PlanarConfiguration:
         tree: RootedTree,
         root_anchor: Optional[Node],
     ) -> RotationSystem:
-        order: Dict[Node, List[Node]] = {}
+        order: Dict[Node, Tuple[Node, ...]] = {}
         for v in rotation.nodes:
-            nbrs = list(rotation.neighbors_cw(v))
+            nbrs = rotation.neighbors_cw(v)
             if not nbrs:
                 order[v] = nbrs
                 continue
@@ -135,31 +145,37 @@ class PlanarConfiguration:
                 first = root_anchor if root_anchor is not None else nbrs[0]
             else:
                 first = tree.parent[v]
-            if first not in nbrs:
+            if not rotation.has_edge(v, first):
                 raise ConfigurationError(
                     f"normalization target {first!r} is not a neighbor of {v!r}"
                 )
-            i = nbrs.index(first)
+            i = rotation.position(v, first)
             order[v] = nbrs[i:] + nbrs[:i]
         return RotationSystem(order)
 
     # ------------------------------------------------------------------
     # DFS orders (paper Section 3.1.1)
     # ------------------------------------------------------------------
-    def _children_in_rotation(self, v: Node) -> List[Node]:
-        """T-children of ``v`` in rotation order (parent/anchor first slot)."""
-        children = set(self.tree.children[v])
-        return [u for u in self.rotation.neighbors_cw(v) if u in children]
-
     def _compute_orders(self) -> None:
         tree = self.tree
+        parent, sizes = tree.parent, tree.subtree_size
         for v in tree.nodes:
-            in_rot = self._children_in_rotation(v)
+            # One walk of t_v: the T-children in rotation order and the
+            # prefix sums of their subtree sizes.
+            in_rot: List[Node] = []
+            prefix = [0]
+            total = 0
+            for y in self.rotation.neighbors_cw(v):
+                if parent[y] == v:
+                    in_rot.append(y)
+                    total += sizes[y]
+                prefix.append(total)
             # RIGHT-DFS-ORDER explores children by ascending rotation
             # position (the paper: "smaller position in t_v first");
             # LEFT-DFS-ORDER by descending position.
             self._order_children_right[v] = in_rot
-            self._order_children_left[v] = list(reversed(in_rot))
+            self._order_children_left[v] = in_rot[::-1]
+            self._child_prefix[v] = prefix
         self._preorder(self._order_children_left, self.pi_left)
         self._preorder(self._order_children_right, self.pi_right)
 
@@ -199,18 +215,29 @@ class PlanarConfiguration:
         """Position of ``u`` in the normalized :math:`t_v` (0 = parent)."""
         return self.rotation.position(v, u)
 
+    def child_size_between(self, x: Node, start: int, end: int) -> int:
+        """Total subtree size of ``x``'s T-children at the rotation positions
+        strictly between ``start`` and ``end``, walking ``+1`` and wrapping
+        past the last position; O(1) from the prefix sums."""
+        prefix = self._child_prefix[x]
+        if start < end:
+            return prefix[end] - prefix[start + 1]
+        return prefix[-1] - prefix[start + 1] + prefix[end]
+
     def real_fundamental_edges(self) -> List[Edge]:
         """All real fundamental edges, each as ``(u, v)`` with
-        :math:`\\pi_\\ell(u) < \\pi_\\ell(v)` (the paper's convention)."""
+        :math:`\\pi_\\ell(u) < \\pi_\\ell(v)` (the paper's convention),
+        in ``graph.edges()`` order but read from the adjacency dict (see
+        :meth:`_validate`)."""
         out: List[Edge] = []
-        tree = self.tree
-        for a, b in self.graph.edges():
-            if tree.parent.get(a) == b or tree.parent.get(b) == a:
-                continue
-            if self.pi_left[a] < self.pi_left[b]:
-                out.append((a, b))
-            else:
-                out.append((b, a))
+        parent, pi = self.tree.parent, self.pi_left
+        done = set()
+        for a, row in self.graph._adj.items():
+            for b in row:
+                if b in done or parent[a] == b or parent[b] == a:
+                    continue
+                out.append((a, b) if pi[a] < pi[b] else (b, a))
+            done.add(a)
         return out
 
     def orient(self, e: Edge) -> Edge:

@@ -18,13 +18,17 @@ questions the distributed algorithm needs:
   hiding edges and side sets read the interior directly.
 
 A view is endpoint-local, as in Lemma 12: construction reads only the
-rotations and tree pointers of ``u`` and ``v``.  The side decision, the
-walk neighbours of both endpoints and the first step ``z`` from ``u`` towards
-``v`` (when ``u`` is an ancestor of ``v``) are O(deg u + deg v); the border
-walk, its index and the LCA are computed on first use.  A border node's
-inside arc is computed from its rotation the first time it is asked for, and
-the interior once on first use.  Definition 2's weight therefore touches two
-rotations however long the border is.
+rotations and tree pointers of ``u`` and ``v``.  :func:`endpoint_frame`
+gives the side decision, the first step ``z`` from ``u`` towards ``v``
+(when ``u`` is an ancestor of ``v``) and both endpoints' inside arcs in
+O(deg u); the border walk, its index and the LCA are computed on first use.
+A p-value is an O(1) range sum over the inside arc of the configuration's
+prefix sums of child subtree sizes
+(:meth:`~repro.core.config.PlanarConfiguration.child_size_between`), so
+Definition 2's weight touches two rotation positions per endpoint however
+long the border is, and builds no position set.  The set of inside
+positions of a border node is built only when asked for, and the interior
+once on first use.
 
 The side decision is **chirality-free**.  With
 :math:`\\pi_\\ell(u) < \\pi_\\ell(v)`, "side A" is the set of positions
@@ -58,7 +62,10 @@ from .config import PlanarConfiguration
 Node = Hashable
 Edge = Tuple[Node, Node]
 
-__all__ = ["FaceView", "face_view"]
+__all__ = ["FaceView", "face_view", "endpoint_frame"]
+
+
+Arc = Tuple[int, int]
 
 
 def _arc(start: int, end: int, degree: int) -> List[int]:
@@ -69,16 +76,44 @@ def _arc(start: int, end: int, degree: int) -> List[int]:
     return list(range(start + 1, degree)) + list(range(end))
 
 
+def endpoint_frame(
+    cfg: PlanarConfiguration, u: Node, v: Node
+) -> Tuple[Optional[Node], bool, Arc, Arc]:
+    """Everything Lemma 12 reads at the endpoints of the fundamental edge
+    ``uv``, oriented so :math:`\\pi_\\ell(u) < \\pi_\\ell(v)`:
+    ``(z, inside_is_A, arc_u, arc_v)``.
+
+    ``z`` is the first step from ``u`` towards ``v`` when ``u`` is an
+    ancestor of ``v`` (``None`` otherwise) and ``inside_is_A`` the side
+    decision of the module docstring.  ``arc_x`` is the ``(start, end)``
+    pair of rotation positions of ``x`` that its inside arc lies strictly
+    between.  The border walk enters ``u`` from ``v`` and leaves to ``z``
+    or to ``u``'s parent, and enters ``v`` from its parent; parents sit at
+    position 0 of a normalized rotation, and neither endpoint of a
+    non-ancestor pair is the root.
+    """
+    tree = cfg.tree
+    at_u = cfg.t_position(u, v)
+    at_v = cfg.t_position(v, u)
+    if not tree.is_ancestor(u, v):
+        return None, False, (0, at_u), (at_v, 0)
+    z = tree.first_step(u, v)
+    to_z = cfg.t_position(u, z)
+    if at_u < to_z:
+        return z, True, (at_u, to_z), (0, at_v)
+    return z, False, (to_z, at_u), (at_v, 0)
+
+
 class FaceView:
     """All border-local information about one real fundamental face.
 
-    Construction reads only the two endpoints: it fixes the side decision,
-    the first step ``z`` from ``u`` towards ``v`` (``None`` unless ``u`` is
-    an ancestor of ``v``) and so the walk neighbours of ``u`` and ``v``.
-    The border walk, its index and the LCA are computed on first use; a
-    border node's inside arc on its first query and the interior on first
-    use, all cached on the view.  p-values, containment tests and weights
-    read from those.
+    Construction reads only the two endpoints (:func:`endpoint_frame`): it
+    fixes the side decision, the first step ``z`` from ``u`` towards ``v``
+    (``None`` unless ``u`` is an ancestor of ``v``) and both endpoints'
+    inside arcs.  The border walk, its index and the LCA are computed on
+    first use; a border node's set of inside positions on its first query
+    and the interior on first use, all cached on the view.  p-values,
+    containment tests and weights read from those.
     """
 
     __slots__ = (
@@ -87,6 +122,7 @@ class FaceView:
         "v",
         "z",
         "inside_is_A",
+        "_endpoint_arcs",
         "_border",
         "_index",
         "_lca",
@@ -97,20 +133,13 @@ class FaceView:
     def __init__(self, cfg: PlanarConfiguration, e: Edge):
         self.cfg = cfg
         self.u, self.v = u, v = cfg.orient(e)
-        tree = cfg.tree
         self._border: Optional[List[Node]] = None
         self._index: Optional[Dict[Node, int]] = None
         self._lca: Optional[Node] = None
         self._inside_positions: Dict[Node, FrozenSet[int]] = {}
         self._interior: Optional[FrozenSet[Node]] = None
-        # The side decision at the LCA, read at the endpoints (module
-        # docstring): u is the LCA exactly when it is an ancestor of v.
-        if tree.is_ancestor(u, v):
-            self.z: Optional[Node] = tree.first_step(u, v)
-            self.inside_is_A = cfg.t_position(u, v) < cfg.t_position(u, self.z)
-        else:
-            self.z = None
-            self.inside_is_A = False
+        self.z, self.inside_is_A, arc_u, arc_v = endpoint_frame(cfg, u, v)
+        self._endpoint_arcs = {u: arc_u, v: arc_v}
 
     # ------------------------------------------------------------------
     # the border walk, on first use
@@ -139,18 +168,18 @@ class FaceView:
             self._lca = self.u if self.z is not None else self.cfg.tree.lca(self.u, self.v)
         return self._lca
 
-    def _walk_neighbors(self, x: Node) -> Tuple[Node, Node]:
-        """(previous, next) of ``x`` along the cyclic border walk
-        ``u -> ... -> v -> (e) -> u``; O(1) at the endpoints."""
-        u, v = self.u, self.v
-        parent = self.cfg.tree.parent
-        if x == u:
-            return v, (self.z if self.z is not None else parent[u])
-        if x == v:
-            return parent[v], u
+    def _inside_arc(self, x: Node) -> Arc:
+        """The ``(start, end)`` rotation positions of border node ``x`` that
+        its inside arc lies strictly between.  An inner border node reads
+        its (previous, next) along the walk ``u -> ... -> v``."""
+        arc = self._endpoint_arcs.get(x)
+        if arc is not None:
+            return arc
         border = self.border
         i = self._border_index[x]
-        return border[i - 1], border[i + 1]
+        into = self.cfg.t_position(x, border[i - 1])
+        out = self.cfg.t_position(x, border[i + 1])
+        return (into, out) if self.inside_is_A else (out, into)
 
     # ------------------------------------------------------------------
     # queries
@@ -164,15 +193,11 @@ class FaceView:
         """Rotation positions of border node ``x`` pointing inside.
 
         The arc between the walk's incoming and outgoing edges at ``x``,
-        computed from ``x``'s rotation on the first query and cached.
+        built on the first query and cached.
         """
         arc = self._inside_positions.get(x)
         if arc is None:
-            prev, nxt = self._walk_neighbors(x)
-            i = self.cfg.t_position(x, prev)
-            o = self.cfg.t_position(x, nxt)
-            degree = self.cfg.rotation.degree(x)
-            arc = frozenset(_arc(i, o, degree) if self.inside_is_A else _arc(o, i, degree))
+            arc = frozenset(_arc(*self._inside_arc(x), self.cfg.rotation.degree(x)))
             self._inside_positions[x] = arc
         return arc
 
@@ -192,17 +217,9 @@ class FaceView:
         This is the quantity Definition 2 calls
         :math:`|F_e \\cap T_x|` restricted to the interior, which endpoint
         ``x`` computes locally from its rotation plus subtree sizes
-        (Lemma 12's proof): one pass over the inside arc.
+        (Lemma 12's proof): one O(1) range sum over the inside arc.
         """
-        tree = self.cfg.tree
-        parent, sizes = tree.parent, tree.subtree_size
-        t = self.cfg.t(x)
-        total = 0
-        for p in self.inside_positions(x):
-            y = t[p]
-            if parent[y] == x:
-                total += sizes[y]
-        return total
+        return self.cfg.child_size_between(x, *self._inside_arc(x))
 
     def interior(self) -> FrozenSet[Node]:
         """:math:`\\mathring{F}_e`: all nodes strictly inside the face.

@@ -99,6 +99,6 @@ def hiding_edges_in_region(
             continue
         if anchor not in f:
             out.append((f, f_view))
-        elif not (region & set(cfg.graph.nodes)) <= f_nodes:
+        elif not (region & set(cfg.graph)) <= f_nodes:
             out.append((f, f_view))
     return out

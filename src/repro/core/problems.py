@@ -34,7 +34,7 @@ from .separator import (
     compute_cycle_separators,
 )
 from .subroutines import dfs_order_phases, lca_problem as _lca, mark_path_phases
-from .weights import weight
+from .weights import fundamental_weights
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -127,9 +127,7 @@ def weights_problem(
         cfg = ctx.cfg
         if ledger is not None:
             ledger.charge_subroutine("weights")
-        out[ctx.index] = {
-            e: weight(cfg, face_view(cfg, e)) for e in cfg.real_fundamental_edges()
-        }
+        out[ctx.index] = fundamental_weights(cfg)
     return out
 
 

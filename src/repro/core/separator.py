@@ -44,7 +44,7 @@ from .augment import balanced_insertion, heavy_nested_insertion
 from .config import PlanarConfiguration
 from .faces import FaceView, face_view
 from .hidden import hiding_edges
-from .weights import augmented_weight, face_order, side_sets, weight
+from .weights import augmented_weight, face_order, fundamental_weights, side_sets, weight
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -98,6 +98,20 @@ class SeparatorResult:
 _MAX_DESCENT = 64
 
 
+class _Views(dict):
+    """Face views of one configuration, each built through :func:`face_view`
+    the first time a phase reads it: weights and face sizes need none, so
+    only the emitted border and the faces a containment test reads get one."""
+
+    def __init__(self, cfg: PlanarConfiguration):
+        super().__init__()
+        self.cfg = cfg
+
+    def __missing__(self, e: Edge) -> FaceView:
+        fv = self[e] = face_view(self.cfg, e)
+        return fv
+
+
 def cycle_separator(
     cfg: PlanarConfiguration,
     ledger=None,
@@ -143,19 +157,18 @@ def _separate(
     if n <= 2:
         return SeparatorResult(list(tree.iter_preorder()), "trivial")
 
-    fundamental = cfg.real_fundamental_edges()
+    weights = fundamental_weights(cfg)
     _charge(ledger, "precomputation")
 
     # ---------------------------------------------------------------- Phase 2
-    if not fundamental:
+    if not weights:
         _charge(ledger, "partwise-aggregation", 2)  # tree test + RANGE
         v0, rule = phase2_separator_node(tree)
         _charge(ledger, "mark-path")
         return SeparatorResult(tree.path(tree.root, v0), "phase2", rule)
 
     # ---------------------------------------------------------------- Phase 3
-    views = {e: face_view(cfg, e) for e in fundamental}
-    weights = {e: weight(cfg, views[e]) for e in fundamental}
+    views = _Views(cfg)
     _charge(ledger, "weights")
     _charge(ledger, "partwise-aggregation")  # RANGE over the window
     in_window = [e for e, w in weights.items() if n <= 3 * w <= 2 * n]
@@ -178,7 +191,7 @@ def _separate(
     else:
         weights_iter = weights
     for e, w in weights_iter.items():
-        inner, path_len = _face_size(cfg, views[e], w)
+        inner, path_len = _face_size(cfg, e, w)
         if 3 * inner <= 2 * n and 3 * (n - inner - path_len) <= 2 * n:
             balanced.append((path_len, e))
     if balanced:
@@ -195,7 +208,7 @@ def _separate(
         return _phase4(cfg, views[e], n, depth, ledger, ablation)
 
     # ---------------------------------------------------------------- Phase 5
-    e = _containment_maximal(cfg, views, fundamental, weights)
+    e = _containment_maximal(cfg, views, list(weights), weights)
     _charge(ledger, "not-contained")
     fv = views[e]
     left, right = side_sets(cfg, fv)
@@ -326,7 +339,7 @@ def _rooted_sweep(cfg: PlanarConfiguration, n: int, ledger) -> Optional[Separato
     """
     tree = cfg.tree
     rooted: List[Tuple[int, str, Node]] = []
-    for z in cfg.graph.nodes:
+    for z in cfg.graph:
         if z == tree.root:
             continue
         for tag, pi in (("l", cfg.pi_left), ("r", cfg.pi_right)):
@@ -355,7 +368,7 @@ def _is_balanced(cfg: PlanarConfiguration, path: List[Node], n: int, ledger) -> 
     computed directly and the rounds are charged.
     """
     _charge(ledger, "partwise-aggregation")
-    rest = set(cfg.graph.nodes) - set(path)
+    rest = set(cfg.graph) - set(path)
     return all(3 * len(c) <= 2 * n for c in induced_components(cfg.graph, rest))
 
 
@@ -418,21 +431,24 @@ def _hidden_fallback(
     )
 
 
-def _face_size(cfg: PlanarConfiguration, fv: FaceView, w: int) -> Tuple[int, int]:
-    """``(inner, path_len)`` of a real fundamental face from its weight ``w``:
-    :math:`|\\mathring{F}_e|` and :math:`|P_e|`, so that
+def _face_size(cfg: PlanarConfiguration, e: Edge, w: int) -> Tuple[int, int]:
+    """``(inner, path_len)`` of the real fundamental face of ``e = (u, v)``,
+    oriented so :math:`\\pi_\\ell(u) < \\pi_\\ell(v)`, from its weight
+    ``w``: :math:`|\\mathring{F}_e|` and :math:`|P_e|`, so that
     :math:`|V(F_e)|` is their sum.
 
     Definition 2's weight is the interior when ``u`` is an ancestor of
-    ``v`` and the interior plus the path from the LCA down to ``v``
-    otherwise (Lemmas 3/4), so both numbers follow from the weight, the
-    depths and the LCA, all known at the endpoints.
+    ``v`` (so the LCA) and the interior plus the path from the LCA down to
+    ``v`` otherwise (Lemmas 3/4), so both numbers follow from the weight,
+    the depths and the LCA, all known at the endpoints.
     """
-    d_T = cfg.tree.depth
-    u, v = fv.u, fv.v
-    lca_depth = d_T[fv.lca]
+    tree = cfg.tree
+    d_T = tree.depth
+    u, v = e
+    lca = tree.lca(u, v)
+    lca_depth = d_T[lca]
     path_len = d_T[u] + d_T[v] - 2 * lca_depth + 1
-    inner = w if fv.z is not None else w - (d_T[v] - lca_depth + 1)
+    inner = w if lca == u else w - (d_T[v] - lca_depth + 1)
     return inner, path_len
 
 
@@ -447,7 +463,7 @@ def _face_sizes(
     sizes = {}
     for e in candidates:
         w = weights[e] if weights is not None else weight(cfg, views[e])
-        sizes[e] = sum(_face_size(cfg, views[e], w))
+        sizes[e] = sum(_face_size(cfg, e, w))
     return sizes
 
 

@@ -14,6 +14,14 @@ here:
   - ``u`` an ancestor of ``v``:  the weight equals
     :math:`|\\mathring{F}_e|`.
 
+  :func:`fundamental_weights` evaluates the same formula for every real
+  fundamental edge in one pass, straight from the endpoint frames
+  (:func:`repro.core.faces.endpoint_frame`) and the configuration's
+  prefix sums of child subtree sizes, so each weight costs O(1) beyond the
+  first step ``z`` and builds no :class:`~repro.core.faces.FaceView` —
+  the linear-total-time shape of Har-Peled–Nayyeri's fundamental-cycle
+  weights.
+
 * :func:`augmented_weight` — the weights of the *full augmentation from
   u* (Section 3.1.3): the virtual faces :math:`F^\\ell_{uz}` for nodes
   ``z`` inside :math:`F_e`, used by Phase 4 of the separator algorithm.
@@ -32,10 +40,10 @@ self-consistent and verified against the region oracle.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Literal, Set, Tuple
+from typing import Dict, Hashable, Literal, Optional, Set, Tuple
 
 from .config import PlanarConfiguration
-from .faces import FaceView
+from .faces import FaceView, endpoint_frame
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -44,6 +52,7 @@ Orientation = Literal["left", "right", "none"]
 __all__ = [
     "orientation",
     "weight",
+    "fundamental_weights",
     "face_order",
     "augmented_weight",
     "side_sets",
@@ -78,14 +87,18 @@ def _view_order(cfg: PlanarConfiguration, fv: FaceView) -> Dict[Node, int]:
     return cfg.pi_right if fv.inside_is_A else cfg.pi_left
 
 
-def weight(cfg: PlanarConfiguration, fv: FaceView) -> int:
-    """Definition 2: the weight :math:`\\omega(F_e)` of a real fundamental
-    face, computed from order positions, depths, subtree sizes and the
-    locally-derived :math:`p`-values — never from the interior itself.
-    Everything is read at the two endpoints (Lemma 12)."""
-    u, v, z = fv.u, fv.v, fv.z
+def _definition2(
+    cfg: PlanarConfiguration,
+    u: Node,
+    v: Node,
+    z: Optional[Node],
+    inside_is_A: bool,
+    p_u: int,
+    p_v: int,
+) -> int:
+    """Definition 2's formula, from what the endpoints hold: their order
+    positions, depths, subtree sizes and :math:`p`-values."""
     tree = cfg.tree
-    p_u, p_v = fv.p_value(u), fv.p_value(v)
     if z is None:
         return (
             p_v
@@ -94,8 +107,35 @@ def weight(cfg: PlanarConfiguration, fv: FaceView) -> int:
             - (cfg.pi_left[u] + tree.subtree_size[u])
             + 2
         )
-    pi = _view_order(cfg, fv)
+    pi = cfg.pi_right if inside_is_A else cfg.pi_left
     return p_v + p_u + (pi[v] - pi[z]) - (tree.depth[v] - tree.depth[z])
+
+
+def weight(cfg: PlanarConfiguration, fv: FaceView) -> int:
+    """Definition 2: the weight :math:`\\omega(F_e)` of a real fundamental
+    face, computed from order positions, depths, subtree sizes and the
+    locally-derived :math:`p`-values — never from the interior itself.
+    Everything is read at the two endpoints (Lemma 12)."""
+    u, v = fv.u, fv.v
+    return _definition2(cfg, u, v, fv.z, fv.inside_is_A, fv.p_value(u), fv.p_value(v))
+
+
+def fundamental_weights(cfg: PlanarConfiguration) -> Dict[Edge, int]:
+    """Definition 2 for every real fundamental edge, keyed like
+    :meth:`~repro.core.config.PlanarConfiguration.real_fundamental_edges`.
+
+    Equal to :func:`weight` of each edge's view, without building the
+    views: each edge reads its :func:`~repro.core.faces.endpoint_frame`
+    and two O(1) range sums of child subtree sizes.
+    """
+    between = cfg.child_size_between
+    out: Dict[Edge, int] = {}
+    for u, v in cfg.real_fundamental_edges():
+        z, inside_is_A, arc_u, arc_v = endpoint_frame(cfg, u, v)
+        out[u, v] = _definition2(
+            cfg, u, v, z, inside_is_A, between(u, *arc_u), between(v, *arc_v)
+        )
+    return out
 
 
 def augmented_weight(
@@ -151,7 +191,7 @@ def side_sets(
     left: Set[Node] = set()
     right: Set[Node] = set()
     u_lo, u_hi = cfg.left_range(u)
-    for x in cfg.graph.nodes:
+    for x in cfg.graph:
         if x in face_nodes:
             continue
         if pi[x] < pi[u] or u_lo <= pi[x] <= u_hi:
@@ -191,7 +231,7 @@ def interior_by_orders(cfg: PlanarConfiguration, fv: FaceView) -> Set[Node]:
         hi = cfg.pi_left[v] - 1
         u_lo, u_hi = cfg.left_range(u)
         v_lo, v_hi = cfg.left_range(v)
-        for y in cfg.graph.nodes:
+        for y in cfg.graph:
             if y in border or u_lo <= cfg.pi_left[y] <= u_hi or v_lo <= cfg.pi_left[y] <= v_hi:
                 continue
             if lo <= cfg.pi_left[y] <= hi:

@@ -71,11 +71,13 @@ class TestOrders:
 
     def test_left_right_are_mirrors_on_children(self):
         cfg = make_config(gen.triangulated_grid(4, 5))
-        # First child in left order is the last in right order.
+        # Right order lists the T-children by rotation position; left order
+        # is its mirror.
         for v in cfg.graph.nodes:
-            cs = cfg._children_in_rotation(v)
-            if len(cs) >= 2:
-                assert cfg._order_children_left[v] == list(reversed(cfg._order_children_right[v]))
+            children = set(cfg.tree.children[v])
+            in_rot = [u for u in cfg.t(v) if u in children]
+            assert cfg._order_children_right[v] == in_rot
+            assert cfg._order_children_left[v] == in_rot[::-1]
 
     def test_ancestor_via_ranges_matches_tree(self):
         cfg = make_config(gen.delaunay(35, seed=5), kind="dfs")

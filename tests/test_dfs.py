@@ -1,5 +1,6 @@
 """End-to-end tests for Theorem 2 (deterministic DFS trees)."""
 
+import gc
 import hashlib
 import math
 
@@ -156,6 +157,33 @@ class TestDriverLocks:
         # and attachment instead of rebuilding them.
         assert res.join_iterations == [1] * res.phases
         assert calls == {"induced_copy": components, "_deepest_attachment": components}
+
+
+class TestNoCyclicGarbage:
+    """Per-component copies are freed by reference counting.  networkx
+    caches its ``nodes``/``edges`` views on a graph, and those views point
+    back at it, so reading them on a component copy made every copy cyclic
+    garbage that only the cycle collector frees."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gen.delaunay(250, seed=7), lambda: gen.triangulated_grid(16, 16)],
+        ids=["delaunay", "triangulated_grid"],
+    )
+    def test_dfs_tree_leaves_no_cyclic_garbage(self, build):
+        # networkx compiles each dispatched function on its first call,
+        # which leaves a few cyclic objects once per process.
+        dfs_tree(gen.grid(3, 3), 0)
+        graph = build()
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            dfs_tree(graph, 0)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestComplexityShape:

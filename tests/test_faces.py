@@ -162,11 +162,13 @@ class TestFaceView:
             calls.clear()
             fv = face_view(cfg, e)
             weight(cfg, fv)
-            # Two for the side decision (ancestor pairs only), two per
-            # endpoint arc.
-            bound = 6 if fv.z is not None else 4
+            # One per endpoint for the other endpoint's slot, one for z
+            # (ancestor pairs only); parents sit at position 0.
+            bound = 3 if fv.z is not None else 2
             assert len(calls) <= bound, (e, len(calls))
             assert walks == [], (e, walks)
+            # p-values are range sums: no set of inside positions is built.
+            assert fv._inside_positions == {}, e
             longest = max(longest, len(fv.border))
             walks.clear()
         assert longest >= 50

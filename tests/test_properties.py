@@ -27,7 +27,7 @@ from repro.core.separator import (
     cycle_separator,
 )
 from repro.core.verify import check_dfs_tree, check_separator
-from repro.core.weights import interior_by_orders, weight
+from repro.core.weights import fundamental_weights, interior_by_orders, weight
 from repro.planar import generators as gen
 from repro.trees import bfs_tree, dfs_spanning_tree, random_spanning_tree
 
@@ -91,6 +91,36 @@ class TestWeightExactness:
             assert interior_by_orders(cfg, fv) == fv.interior()
 
 
+class TestPrefixSumWeights:
+    """p-values from the configuration's prefix sums of child subtree sizes,
+    and the one-pass Definition 2, against the arc-walking oracle."""
+
+    @given(planar_instances())
+    @settings(**COMMON)
+    def test_p_value_matches_the_inside_arc_oracle(self, instance):
+        g, cfg = instance
+        tree = cfg.tree
+        for e in cfg.real_fundamental_edges():
+            oracle = face_view(cfg, e)
+            for x in oracle.border:
+                t = cfg.t(x)
+                expected = sum(
+                    tree.subtree_size[t[p]]
+                    for p in oracle.inside_positions(x)
+                    if tree.parent[t[p]] == x
+                )
+                assert face_view(cfg, e).p_value(x) == expected, (e, x)
+
+    @given(planar_instances())
+    @settings(**COMMON)
+    def test_one_pass_equals_weight_of_each_view(self, instance):
+        g, cfg = instance
+        fundamental = cfg.real_fundamental_edges()
+        weights = fundamental_weights(cfg)
+        assert list(weights) == fundamental
+        assert weights == {e: weight(cfg, face_view(cfg, e)) for e in fundamental}
+
+
 class TestFaceInteriors:
     @given(planar_instances())
     @settings(**COMMON)
@@ -132,7 +162,7 @@ class TestContainmentBySize:
         fundamental = cfg.real_fundamental_edges()
         for e in fundamental:
             fv = face_view(cfg, e)
-            assert sum(_face_size(cfg, fv, weight(cfg, fv))) == len(fv.face_nodes())
+            assert sum(_face_size(cfg, fv.edge, weight(cfg, fv))) == len(fv.face_nodes())
         if not fundamental:
             return
         for _ in range(4):
