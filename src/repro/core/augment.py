@@ -1,10 +1,11 @@
-"""Physically inserting virtual fundamental edges (face augmentations).
+"""Virtual fundamental edges (face augmentations): planar slots, exact
+sizes, and physical insertion.
 
 The distributed algorithm searches with the paper's deterministic weight
 *formulas* (:func:`repro.core.weights.augmented_weight`), but certifies its
-output constructively: a separator path between ``a`` and ``b`` is emitted
-only when the virtual edge ``ab`` has an actual planar insertion — an
-:math:`\\mathcal{E}`-compatible edge in the paper's terms — whose face
+output against the real face: a separator path between ``a`` and ``b`` is
+emitted only when the virtual edge ``ab`` has an actual planar insertion —
+an :math:`\\mathcal{E}`-compatible edge in the paper's terms — whose face
 splits the part into two light sides (Lemma 5's Jordan argument).
 
 This module enumerates all rotation slots for such an insertion, preferring
@@ -13,30 +14,44 @@ edge at the inner endpoint; adjacent to the fundamental edge at the face
 endpoint; adjacent to the virtual-root gap at the root).  A slot pair is
 planar exactly when its two corners lie on one face of the current
 embedding: the new edge then splits that face, while corners on two faces
-would merge them and break Euler's formula.  One walk of the face at the
-first corner (:meth:`~repro.planar.rotation.RotationSystem.corners_share_face`)
-decides this in O(face length), so only planar slot pairs are copied,
-inserted and handed to the face-interior computation.
+would merge them and break Euler's formula.  One face index of ``a``
+(:meth:`~repro.planar.rotation.RotationSystem.corner_faces`) decides this
+for every slot pair (:func:`planar_slot_pairs`).
+
+An insertion changes the configuration only in the rotation rows of ``a``
+and ``b``, which each gain one non-child neighbor, and — when the root's
+rotation is re-anchored at the new edge — in where the root's row starts,
+which moves whole root subtrees in the DFS orders.  The tree, depths and
+subtree sizes stay.  Definition 2 is read at the endpoints (Lemma 12) and
+exact (Lemmas 3/4), so the new face's interior size follows from those two
+rows without building anything (:func:`insertion_interiors`);
+:func:`balanced_insertion` certifies balance that way.
+:func:`insertion_variants` still builds each extended configuration, for
+callers that need its faces.
 
 A calibration finding recorded in DESIGN.md: for *virtual* faces the paper's
 sweep formulas are predictions, not exact counts — which subtrees hang on
 the face side at intermediate path nodes is fixed by the embedding, not by
-the insertion.  The constructive acceptance below is therefore deliberately
-semantic (is the real face balanced / heavy?), never formula-equality.
+the insertion.  The acceptance below therefore reads the real face's
+Definition-2 weight in the extended configuration, never the augmented
+formula.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from .config import ConfigurationError, PlanarConfiguration
 from .faces import FaceView, face_view
+from .weights import endpoint_weights, face_size
 
 Node = Hashable
 Edge = Tuple[Node, Node]
 
 __all__ = [
+    "planar_slot_pairs",
     "insertion_variants",
+    "insertion_interiors",
     "balanced_insertion",
     "heavy_nested_insertion",
     "AugmentationError",
@@ -70,36 +85,46 @@ def _candidate_refs(cfg: PlanarConfiguration, x: Node, anchor_edge: Optional[Nod
     return preferred + rest
 
 
-def _build_variants(
+def planar_slot_pairs(
     cfg: PlanarConfiguration,
     a: Node,
     b: Node,
-    ref_a: Optional[Node],
-    ref_b: Optional[Node],
-) -> List[PlanarConfiguration]:
-    """One slot pair -> every viable extended configuration.
+    prefer_a: Optional[Node] = None,
+    prefer_b: Optional[Node] = None,
+) -> Iterator[Tuple[Optional[Node], Optional[Node]]]:
+    """Every ``(ref_a, ref_b)`` slot pair whose insertion of the virtual
+    edge ``ab`` keeps the embedding planar, preferred slots first.
 
-    When the insertion touches the root's rotation start, the virtual-root
-    gap splits; both sub-corner (anchor) designations are produced so the
-    caller can pick the side its checks accept.
+    ``ref_x`` is the neighbor of ``x`` the new edge follows clockwise
+    (``None``: before ``t_x[0]``).  One face index of ``a``'s corners
+    decides every pair; an empty iteration means ``a`` and ``b`` are not
+    :math:`\\mathcal{E}`-compatible (no common face).
     """
-    if not cfg.rotation.corners_share_face(a, ref_a, b, ref_b):
-        return []
-    rotation = cfg.rotation.copy()
-    rotation.insert_edge(a, b, after_u=ref_a, after_v=ref_b)
-    graph = cfg.graph.copy()
-    graph.add_edge(a, b)
-    root = cfg.tree.root
-    anchors = [cfg.t(root)[0]]
-    if root in (a, b):
-        anchors.append(b if root == a else a)
-    out: List[PlanarConfiguration] = []
-    for anchor in anchors:
-        try:
-            out.append(PlanarConfiguration(graph, rotation, cfg.tree, root_anchor=anchor))
-        except ConfigurationError:  # anchor not a neighbor of the root
-            continue
-    return out
+    if a == b or cfg.graph.has_edge(a, b):
+        raise AugmentationError(f"{a!r}-{b!r} is not a virtual edge")
+    rotation = cfg.rotation
+    faces = rotation.corner_faces(a)
+    refs_b = [
+        (ref, faces.get(rotation.corner(b, ref)))
+        for ref in _candidate_refs(cfg, b, prefer_b)
+    ]
+    for ref_a in _candidate_refs(cfg, a, prefer_a):
+        face = faces[rotation.corner(a, ref_a)]
+        for ref_b, face_b in refs_b:
+            if face_b == face:
+                yield ref_a, ref_b
+
+
+def _anchors(cfg: PlanarConfiguration, a: Node, b: Node) -> Tuple[bool, ...]:
+    """Per planar slot pair, whether each extended configuration re-anchors
+    the root's rotation at the new edge.
+
+    When the insertion touches the root, the virtual-root gap splits; both
+    sub-corner (anchor) designations are produced so the caller can pick
+    the side its checks accept: the root's first neighbor, then the new
+    edge's other endpoint.
+    """
+    return (False, True) if cfg.tree.root in (a, b) else (False,)
 
 
 def insertion_variants(
@@ -109,18 +134,103 @@ def insertion_variants(
     prefer_a: Optional[Node] = None,
     prefer_b: Optional[Node] = None,
 ) -> Iterator[Tuple[PlanarConfiguration, FaceView]]:
-    """All planar insertions of the virtual edge ``ab``, lazily.
+    """All planar insertions of the virtual edge ``ab``, built, lazily.
 
-    Yields ``(extended configuration, view of the new fundamental face)``.
-    An empty iteration means ``a`` and ``b`` are not
+    Yields ``(extended configuration, view of the new fundamental face)``
+    per planar slot pair and root anchor (:func:`_anchors`).  An empty
+    iteration means ``a`` and ``b`` are not
     :math:`\\mathcal{E}`-compatible (no common face).
     """
-    if a == b or cfg.graph.has_edge(a, b):
-        raise AugmentationError(f"{a!r}-{b!r} is not a virtual edge")
-    for ref_a in _candidate_refs(cfg, a, prefer_a):
-        for ref_b in _candidate_refs(cfg, b, prefer_b):
-            for cfg2 in _build_variants(cfg, a, b, ref_a, ref_b):
-                yield cfg2, face_view(cfg2, (a, b))
+    root = cfg.tree.root
+    anchors = _anchors(cfg, a, b)
+    for ref_a, ref_b in planar_slot_pairs(cfg, a, b, prefer_a, prefer_b):
+        rotation = cfg.rotation.copy()
+        rotation.insert_edge(a, b, after_u=ref_a, after_v=ref_b)
+        graph = cfg.graph.copy()
+        graph.add_edge(a, b)
+        for reanchor in anchors:
+            anchor = (b if root == a else a) if reanchor else cfg.t(root)[0]
+            try:
+                cfg2 = PlanarConfiguration(graph, rotation, cfg.tree, root_anchor=anchor)
+            except ConfigurationError:  # anchor not a neighbor of the root
+                continue
+            yield cfg2, face_view(cfg2, (a, b))
+
+
+class _Insertion:
+    """The configuration inserting ``ab`` at ``(ref_a, ref_b)`` would build,
+    as far as :func:`~repro.core.weights.endpoint_weights` reads it at ``a``
+    and ``b``: their rows, order positions, depths and subtree sizes.
+
+    Each endpoint's row gains the other endpoint right after ``ref``
+    (``None``: last, as normalization keeps the parent or the root's first
+    neighbor at position 0).  With ``reanchor`` the root's row starts at the
+    new edge instead.  That moves whole root subtrees in both DFS orders,
+    but Definition 2 then reads order differences inside the subtree of
+    the root's child towards the other endpoint only, so the orders are
+    ``cfg``'s.
+    """
+
+    __slots__ = ("tree", "pi_left", "pi_right", "_pos", "_child_prefix")
+
+    # The configuration's O(1) range sum, over these rows' prefix sums.
+    child_size_between = PlanarConfiguration.child_size_between
+
+    def __init__(
+        self,
+        cfg: PlanarConfiguration,
+        a: Node,
+        b: Node,
+        ref_a: Optional[Node],
+        ref_b: Optional[Node],
+        reanchor: bool,
+    ):
+        tree = self.tree = cfg.tree
+        parent, sizes = tree.parent, tree.subtree_size
+        self.pi_left, self.pi_right = cfg.pi_left, cfg.pi_right
+        self._pos: Dict[Node, Dict[Node, int]] = {}
+        self._child_prefix: Dict[Node, List[int]] = {}
+        for x, y, ref in ((a, b, ref_a), (b, a, ref_b)):
+            t = cfg.t(x)
+            k = len(t) if ref is None else cfg.t_position(x, ref) + 1
+            if reanchor and x == tree.root:
+                row = (y,) + t[k:] + t[:k]
+            else:
+                row = t[:k] + (y,) + t[k:]
+            prefix = [0]
+            total = 0
+            for c in row:
+                if parent[c] == x:
+                    total += sizes[c]
+                prefix.append(total)
+            self._pos[x] = {c: i for i, c in enumerate(row)}
+            self._child_prefix[x] = prefix
+
+    def t_position(self, x: Node, y: Node) -> int:
+        return self._pos[x][y]
+
+    def interior_size(self, a: Node, b: Node) -> int:
+        """:math:`|\\mathring{F}_{ab}|` of the new face, from its exact
+        Definition-2 weight (Lemmas 3/4)."""
+        e = (a, b) if self.pi_left[a] < self.pi_left[b] else (b, a)
+        inner, _ = face_size(self, e, endpoint_weights(self, [e])[e])
+        return inner
+
+
+def insertion_interiors(
+    cfg: PlanarConfiguration,
+    a: Node,
+    b: Node,
+    prefer_a: Optional[Node] = None,
+    prefer_b: Optional[Node] = None,
+) -> Iterator[int]:
+    """The new face's interior size for every insertion
+    :func:`insertion_variants` would build, in its order, building none:
+    each is read in O(deg a + deg b) from ``cfg``."""
+    anchors = _anchors(cfg, a, b)
+    for ref_a, ref_b in planar_slot_pairs(cfg, a, b, prefer_a, prefer_b):
+        for reanchor in anchors:
+            yield _Insertion(cfg, a, b, ref_a, ref_b, reanchor).interior_size(a, b)
 
 
 def balanced_insertion(
@@ -135,12 +245,14 @@ def balanced_insertion(
 
     Looks for a planar insertion of ``ab`` whose face has both Jordan sides
     of size at most ``2n/3``: the inside is the face interior, the outside
-    is everything else minus the border path.  Returns the witnessing
-    interior size, or ``None`` when no insertion certifies balance.
+    is everything else minus the border path.  The certificate is a planar
+    slot pair plus the real face's exact Definition-2 weight in the
+    extended configuration (:func:`insertion_interiors`); nothing is
+    copied or built.  Returns the witnessing interior size, or ``None``
+    when no insertion certifies balance.
     """
     path_len = cfg.tree.path_length(a, b) + 1
-    for _, view in insertion_variants(cfg, a, b, prefer_a, prefer_b):
-        inside = len(view.interior())
+    for inside in insertion_interiors(cfg, a, b, prefer_a, prefer_b):
         outside = n - inside - path_len
         if 3 * inside <= 2 * n and 3 * outside <= 2 * n:
             return inside

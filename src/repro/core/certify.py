@@ -8,8 +8,11 @@ certificate a first-class artifact a downstream user can inspect:
 
 * ``"real-edge"`` — the endpoints are adjacent in ``G`` (the path + that
   edge is a cycle of ``G``);
-* ``"virtual-edge"`` — a planar insertion of the closing edge exists
-  (constructively exhibited on the rotation system);
+* ``"virtual-edge"`` — a planar insertion of the closing edge exists: a
+  slot pair whose two corners lie on one face of the rotation system
+  (:func:`repro.core.augment.planar_slot_pairs`), so inserting the edge
+  there splits that face and keeps the embedding planar.  Nothing is
+  copied or built;
 * ``"root-slit"`` — the path starts at the root and its closing curve runs
   through the virtual root's outer corner (the Lemma 8 / Phase 2 shape:
   cutting the disk from the outer anchor needs no crossing);
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from typing import Hashable, List, Literal, Sequence
 
-from .augment import insertion_variants
+from .augment import planar_slot_pairs
 from .config import PlanarConfiguration
 
 Node = Hashable
@@ -46,7 +49,7 @@ def certify_cycle(cfg: PlanarConfiguration, path: Sequence[Node]) -> Certificate
     a, b = path[0], path[-1]
     if cfg.graph.has_edge(a, b):
         return "real-edge"
-    for _cfg2, _view in insertion_variants(cfg, a, b):
+    for _slots in planar_slot_pairs(cfg, a, b):
         return "virtual-edge"
     if cfg.tree.root in (a, b):
         return "root-slit"

@@ -44,7 +44,14 @@ from .augment import balanced_insertion, heavy_nested_insertion
 from .config import PlanarConfiguration
 from .faces import FaceView, face_view
 from .hidden import hiding_edges
-from .weights import augmented_weight, face_order, fundamental_weights, side_sets, weight
+from .weights import (
+    augmented_weight,
+    face_order,
+    face_size,
+    fundamental_weights,
+    side_sets,
+    weight,
+)
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -191,7 +198,7 @@ def _separate(
     else:
         weights_iter = weights
     for e, w in weights_iter.items():
-        inner, path_len = _face_size(cfg, e, w)
+        inner, path_len = face_size(cfg, e, w)
         if 3 * inner <= 2 * n and 3 * (n - inner - path_len) <= 2 * n:
             balanced.append((path_len, e))
     if balanced:
@@ -431,27 +438,6 @@ def _hidden_fallback(
     )
 
 
-def _face_size(cfg: PlanarConfiguration, e: Edge, w: int) -> Tuple[int, int]:
-    """``(inner, path_len)`` of the real fundamental face of ``e = (u, v)``,
-    oriented so :math:`\\pi_\\ell(u) < \\pi_\\ell(v)`, from its weight
-    ``w``: :math:`|\\mathring{F}_e|` and :math:`|P_e|`, so that
-    :math:`|V(F_e)|` is their sum.
-
-    Definition 2's weight is the interior when ``u`` is an ancestor of
-    ``v`` (so the LCA) and the interior plus the path from the LCA down to
-    ``v`` otherwise (Lemmas 3/4), so both numbers follow from the weight,
-    the depths and the LCA, all known at the endpoints.
-    """
-    tree = cfg.tree
-    d_T = tree.depth
-    u, v = e
-    lca = tree.lca(u, v)
-    lca_depth = d_T[lca]
-    path_len = d_T[u] + d_T[v] - 2 * lca_depth + 1
-    inner = w if lca == u else w - (d_T[v] - lca_depth + 1)
-    return inner, path_len
-
-
 def _face_sizes(
     cfg: PlanarConfiguration,
     views: Dict[Edge, FaceView],
@@ -463,7 +449,7 @@ def _face_sizes(
     sizes = {}
     for e in candidates:
         w = weights[e] if weights is not None else weight(cfg, views[e])
-        sizes[e] = sum(_face_size(cfg, e, w))
+        sizes[e] = sum(face_size(cfg, e, w))
     return sizes
 
 
@@ -481,10 +467,10 @@ def _containment_minimal(
     (Har-Peled–Nayyeri).  If :math:`F_e` contains ``f`` then
     :math:`V(F_f) \\subseteq V(F_e)`, so a face contains only faces no
     larger than itself.  Candidates are taken smallest face first (sizes
-    from the weights, :func:`_face_size`), ties in ``repr`` order, and
-    each is tested only against candidates no larger: for the first, its
-    own tie group.  That tie check stays because nested faces of equal
-    size are common; no face outside it builds its interior.
+    from the weights, :func:`~repro.core.weights.face_size`), ties in
+    ``repr`` order, and each is tested only against candidates no larger:
+    for the first, its own tie group.  That tie check stays because nested
+    faces of equal size are common; no face outside it builds its interior.
     """
     size = _face_sizes(cfg, views, candidates, weights)
     for e in sorted(candidates, key=lambda e: (size[e], repr(e))):

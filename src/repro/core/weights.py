@@ -14,13 +14,15 @@ here:
   - ``u`` an ancestor of ``v``:  the weight equals
     :math:`|\\mathring{F}_e|`.
 
-  :func:`fundamental_weights` evaluates the same formula for every real
-  fundamental edge in one pass, straight from the endpoint frames
-  (:func:`repro.core.faces.endpoint_frame`) and the configuration's
-  prefix sums of child subtree sizes, so each weight costs O(1) beyond the
-  first step ``z`` and builds no :class:`~repro.core.faces.FaceView` —
-  the linear-total-time shape of Har-Peled–Nayyeri's fundamental-cycle
-  weights.
+  :func:`endpoint_weights` evaluates the same formula straight from the
+  endpoint frame (:func:`repro.core.faces.endpoint_frame`) and the
+  configuration's prefix sums of child subtree sizes, so each weight costs
+  O(1) beyond the first step ``z`` and builds no
+  :class:`~repro.core.faces.FaceView`; :func:`fundamental_weights` does so
+  for every real fundamental edge in one pass — the linear-total-time shape
+  of Har-Peled–Nayyeri's fundamental-cycle weights — and
+  :func:`face_size` turns a weight into the face's interior and border
+  sizes.
 
 * :func:`augmented_weight` — the weights of the *full augmentation from
   u* (Section 3.1.3): the virtual faces :math:`F^\\ell_{uz}` for nodes
@@ -40,7 +42,7 @@ self-consistent and verified against the region oracle.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Literal, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Literal, Optional, Set, Tuple
 
 from .config import PlanarConfiguration
 from .faces import FaceView, endpoint_frame
@@ -52,7 +54,9 @@ Orientation = Literal["left", "right", "none"]
 __all__ = [
     "orientation",
     "weight",
+    "endpoint_weights",
     "fundamental_weights",
+    "face_size",
     "face_order",
     "augmented_weight",
     "side_sets",
@@ -120,22 +124,54 @@ def weight(cfg: PlanarConfiguration, fv: FaceView) -> int:
     return _definition2(cfg, u, v, fv.z, fv.inside_is_A, fv.p_value(u), fv.p_value(v))
 
 
-def fundamental_weights(cfg: PlanarConfiguration) -> Dict[Edge, int]:
-    """Definition 2 for every real fundamental edge, keyed like
-    :meth:`~repro.core.config.PlanarConfiguration.real_fundamental_edges`.
+def endpoint_weights(cfg: PlanarConfiguration, edges: Iterable[Edge]) -> Dict[Edge, int]:
+    """Definition 2 for each fundamental edge ``(u, v)`` of ``edges``,
+    oriented so :math:`\\pi_\\ell(u) < \\pi_\\ell(v)`, read at its endpoints
+    only: equal to :func:`weight` of its view without building the view.
 
-    Equal to :func:`weight` of each edge's view, without building the
-    views: each edge reads its :func:`~repro.core.faces.endpoint_frame`
-    and two O(1) range sums of child subtree sizes.
+    Each edge reads its :func:`~repro.core.faces.endpoint_frame` and two
+    O(1) range sums of child subtree sizes (``cfg.child_size_between``),
+    plus order positions, depths and subtree sizes, so ``cfg`` may be
+    anything that answers those reads at the endpoints — such as the
+    configuration a virtual-edge insertion would build
+    (:mod:`repro.core.augment`).
     """
     between = cfg.child_size_between
     out: Dict[Edge, int] = {}
-    for u, v in cfg.real_fundamental_edges():
+    for u, v in edges:
         z, inside_is_A, arc_u, arc_v = endpoint_frame(cfg, u, v)
         out[u, v] = _definition2(
             cfg, u, v, z, inside_is_A, between(u, *arc_u), between(v, *arc_v)
         )
     return out
+
+
+def fundamental_weights(cfg: PlanarConfiguration) -> Dict[Edge, int]:
+    """Definition 2 for every real fundamental edge, keyed like
+    :meth:`~repro.core.config.PlanarConfiguration.real_fundamental_edges`,
+    in one pass that builds no view (:func:`endpoint_weights`)."""
+    return endpoint_weights(cfg, cfg.real_fundamental_edges())
+
+
+def face_size(cfg: PlanarConfiguration, e: Edge, w: int) -> Tuple[int, int]:
+    """``(inner, path_len)`` of the real fundamental face of ``e = (u, v)``,
+    oriented so :math:`\\pi_\\ell(u) < \\pi_\\ell(v)`, from its weight
+    ``w``: :math:`|\\mathring{F}_e|` and :math:`|P_e|`, so that
+    :math:`|V(F_e)|` is their sum.
+
+    Definition 2's weight is the interior when ``u`` is an ancestor of
+    ``v`` (so the LCA) and the interior plus the path from the LCA down to
+    ``v`` otherwise (Lemmas 3/4), so both numbers follow from the weight,
+    the depths and the LCA, all known at the endpoints.
+    """
+    tree = cfg.tree
+    d_T = tree.depth
+    u, v = e
+    lca = tree.lca(u, v)
+    lca_depth = d_T[lca]
+    path_len = d_T[u] + d_T[v] - 2 * lca_depth + 1
+    inner = w if lca == u else w - (d_T[v] - lca_depth + 1)
+    return inner, path_len
 
 
 def augmented_weight(

@@ -214,39 +214,43 @@ class RotationSystem:
                     a = b
         return count
 
-    def _corner(self, x: Node, after: Node | None) -> HalfEdge:
-        """Half-edge leaving the corner of ``x`` that an insertion
-        ``after`` that neighbor (``None``: before ``t_x[0]``) occupies."""
+    def corner(self, x: Node, after: Node | None) -> HalfEdge:
+        """The corner of ``x`` that an insertion ``after`` that neighbor
+        (``None``: before ``t_x[0]``) occupies, named by the half-edge
+        leaving it: the corner lies on that half-edge's face."""
         if after is None:
             return (x, self._order[x][0])
         return (x, self.successor_cw(x, after))
 
-    def corners_share_face(
-        self, u: Node, after_u: Node | None, v: Node, after_v: Node | None
-    ) -> bool:
-        """Whether ``insert_edge(u, v, after_u=..., after_v=...)`` keeps
-        this embedding planar, in O(face length).
+    def corner_faces(self, u: Node) -> Dict[HalfEdge, int]:
+        """Face index of ``u``'s corners, in O(total length of those faces).
 
-        The insertion slot at ``u`` is a corner of exactly one face: the
-        face of the half-edge leaving that corner.  On a connected
-        embedding the new edge is a chord of one face when both corners
-        lie on it (one face becomes two, so Euler's formula still holds)
-        and otherwise joins two faces into one (Euler's formula fails).
-        Walking the face of ``u``'s corner and looking for ``v``'s corner
-        therefore decides exactly what :meth:`validate` would after the
-        insertion.  Both endpoints need at least one neighbor.
+        Walks each face with a corner at ``u`` once and maps every
+        half-edge on it to the face's number (1, 2, ... in the order of
+        ``u``'s rotation).  ``insert_edge(u, v, after_u=..., after_v=...)``
+        keeps this embedding planar exactly when
+        ``index[corner(u, after_u)] == index.get(corner(v, after_v))``: on
+        a connected embedding the new edge is a chord of one face when both
+        corners lie on it (one face becomes two, so Euler's formula still
+        holds) and otherwise joins two faces into one (Euler's formula
+        fails), which is what :meth:`validate` would decide after the
+        insertion.  A corner of ``v`` missing from the index lies on no face
+        at ``u``.  ``u`` needs at least one neighbor.
         """
-        start = self._corner(u, after_u)
-        target = self._corner(v, after_v)
         order, pos = self._order, self._pos
-        a, b = start
-        while (a, b) != target:
-            # next_face_half_edge, inlined: this walk is the augment hot path.
-            nbrs = order[b]
-            a, b = b, nbrs[(pos[b][a] + 1) % len(nbrs)]
-            if (a, b) == start:
-                return False
-        return True
+        index: Dict[HalfEdge, int] = {}
+        face = 0
+        for first in order[u]:
+            if (u, first) in index:
+                continue
+            face += 1
+            a, b = u, first
+            while (a, b) not in index:
+                index[a, b] = face
+                # next_face_half_edge, inlined: this walk is the augment hot path.
+                nbrs = order[b]
+                a, b = b, nbrs[(pos[b][a] + 1) % len(nbrs)]
+        return index
 
     # ------------------------------------------------------------------
     # mutation
@@ -318,7 +322,7 @@ class RotationSystem:
 
         A whole-graph test and debug oracle: it enumerates every face and
         builds a graph, so no algorithm path calls it.  Insertions decide
-        planarity locally with :meth:`corners_share_face`.  Raises
+        planarity locally with :meth:`corner_faces`.  Raises
         :class:`EmbeddingError` on the first violation found.
         """
         for v, nbrs in self._order.items():

@@ -13,6 +13,7 @@ from repro.core.augment import (
 )
 from repro.core import config as config_module
 from repro.core import dfs as dfs_module
+from repro.core import separator as separator_module
 from repro.core.config import PlanarConfiguration
 from repro.core.faces import face_view
 from repro.core.verify import check_dfs_tree, separator_report
@@ -124,6 +125,39 @@ def _count_lr_and_certificates(monkeypatch):
     return lr_runs, certificates
 
 
+def _count_builds_in_balanced_insertion(monkeypatch):
+    """Count ``balanced_insertion`` calls, and the rotation systems, graphs
+    and configurations built or copied while one is running."""
+    calls, builds, depth = [], [], []
+    real_balanced = augment.balanced_insertion
+
+    def counted_balanced(*args, **kwargs):
+        calls.append(1)
+        depth.append(1)
+        try:
+            return real_balanced(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    def watch(owner, name):
+        real = getattr(owner, name)
+
+        def watched(*args, **kwargs):
+            if depth:
+                builds.append(f"{owner.__name__}.{name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, watched)
+
+    monkeypatch.setattr(augment, "balanced_insertion", counted_balanced)
+    monkeypatch.setattr(separator_module, "balanced_insertion", counted_balanced)
+    for owner in (RotationSystem, nx.Graph):
+        watch(owner, "__init__")
+        watch(owner, "copy")
+    watch(PlanarConfiguration, "__init__")
+    return calls, builds
+
+
 def _wrong_genus_grid():
     """``grid(4, 4)`` with two neighbours swapped at every degree-4 node:
     the right rows, but a rotation of genus > 0."""
@@ -143,21 +177,25 @@ class TestHotPath:
             raise AssertionError("validate() is a test oracle, not an algorithm step")
 
         corner_tests = []
-        real_corners = RotationSystem.corners_share_face
+        real_corners = RotationSystem.corner_faces
 
         def counted_corners(self, *args):
             corner_tests.append(1)
             return real_corners(self, *args)
 
         monkeypatch.setattr(RotationSystem, "validate", no_validate)
-        monkeypatch.setattr(RotationSystem, "corners_share_face", counted_corners)
+        monkeypatch.setattr(RotationSystem, "corner_faces", counted_corners)
         lr_runs, certificates = _count_lr_and_certificates(monkeypatch)
+        calls, builds = _count_builds_in_balanced_insertion(monkeypatch)
         g = gen.grid(12, 12)
         result = dfs_tree(g, 0)
         check_dfs_tree(g, result.parent, 0)
         assert len(lr_runs) == 1
         assert not certificates
         assert corner_tests  # the grid reaches the rooted sweep's insertions
+        # Insertions are sized from the parent configuration: nothing is
+        # copied or built to certify balance.
+        assert calls and not builds, builds
 
     def test_supplied_rotation_is_certified_without_an_lr_run(self, monkeypatch):
         g = gen.grid(12, 12)

@@ -23,11 +23,10 @@ from repro.core.regions import cycle_regions
 from repro.core.separator import (
     _containment_maximal,
     _containment_minimal,
-    _face_size,
     cycle_separator,
 )
 from repro.core.verify import check_dfs_tree, check_separator
-from repro.core.weights import fundamental_weights, interior_by_orders, weight
+from repro.core.weights import face_size, fundamental_weights, interior_by_orders, weight
 from repro.planar import generators as gen
 from repro.trees import bfs_tree, dfs_spanning_tree, random_spanning_tree
 
@@ -162,7 +161,7 @@ class TestContainmentBySize:
         fundamental = cfg.real_fundamental_edges()
         for e in fundamental:
             fv = face_view(cfg, e)
-            assert sum(_face_size(cfg, fv.edge, weight(cfg, fv))) == len(fv.face_nodes())
+            assert sum(face_size(cfg, fv.edge, weight(cfg, fv))) == len(fv.face_nodes())
         if not fundamental:
             return
         for _ in range(4):
@@ -249,6 +248,50 @@ class TestInsertionSoundness:
             cfg2.rotation.validate()
             assert view.border[0] == view.u and view.border[-1] == view.v
             break  # one variant suffices per example
+
+
+def physical_balanced_insertion(cfg, a, b, n, prefer_a=None, prefer_b=None):
+    """The oracle: build every insertion and count its face's interior."""
+    from repro.core.augment import insertion_variants
+
+    path_len = cfg.tree.path_length(a, b) + 1
+    for _, view in insertion_variants(cfg, a, b, prefer_a, prefer_b):
+        inside = len(view.interior())
+        if 3 * inside <= 2 * n and 3 * (n - inside - path_len) <= 2 * n:
+            return inside
+    return None
+
+
+class TestInsertionSizing:
+    """Insertions sized from the parent configuration equal the built ones."""
+
+    @given(planar_instances(max_n=30), st.data())
+    @settings(**COMMON)
+    def test_sizes_match_every_built_variant(self, instance, data):
+        from repro.core.augment import (
+            balanced_insertion,
+            insertion_interiors,
+            insertion_variants,
+        )
+
+        g, cfg = instance
+        root = cfg.tree.root
+        nodes = sorted(g.nodes, key=repr)
+        pairs = [(a, b) for a in nodes for b in nodes if a != b and not g.has_edge(a, b)]
+        if not pairs:
+            return
+        drawn = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+        rooted = [(a, b) for a, b in pairs if root in (a, b)]
+        if rooted:  # both root anchors
+            drawn += data.draw(st.lists(st.sampled_from(rooted), min_size=1, max_size=3))
+        for a, b in drawn:
+            prefer_a = data.draw(st.sampled_from((None,) + cfg.t(a)))
+            prefer_b = data.draw(st.sampled_from((None,) + cfg.t(b)))
+            built = [len(view.interior())
+                     for _, view in insertion_variants(cfg, a, b, prefer_a, prefer_b)]
+            assert list(insertion_interiors(cfg, a, b, prefer_a, prefer_b)) == built, (a, b)
+            assert balanced_insertion(cfg, a, b, cfg.n, prefer_a, prefer_b) == (
+                physical_balanced_insertion(cfg, a, b, cfg.n, prefer_a, prefer_b))
 
 
 class TestCertifyProperty:

@@ -198,6 +198,12 @@ def insertion_stays_planar(rot, u, after_u, v, after_v) -> bool:
     return True
 
 
+def corners_share_face(rot, u, after_u, v, after_v) -> bool:
+    """The local test: both corners in the face index of ``u``'s corners."""
+    faces = rot.corner_faces(u)
+    return faces[rot.corner(u, after_u)] == faces.get(rot.corner(v, after_v))
+
+
 def slot_pairs(rot, u, v):
     for after_u in (None,) + rot.neighbors_cw(u):
         for after_v in (None,) + rot.neighbors_cw(v):
@@ -223,7 +229,8 @@ CORNER_GRAPHS = [
 
 
 class TestCornersShareFace:
-    """``corners_share_face`` decides exactly what copy + insert + validate do."""
+    """The face index (``corner_faces``) decides exactly what copy + insert
+    + validate do."""
 
     @pytest.mark.parametrize("name,graph", CORNER_GRAPHS, ids=[n for n, _ in CORNER_GRAPHS])
     def test_matches_validate_on_every_slot_pair(self, name, graph):
@@ -235,7 +242,7 @@ class TestCornersShareFace:
                 if graph.has_edge(u, v):
                     continue
                 for after_u, after_v in slot_pairs(rot, u, v):
-                    local = rot.corners_share_face(u, after_u, v, after_v)
+                    local = corners_share_face(rot, u, after_u, v, after_v)
                     assert local == insertion_stays_planar(rot, u, after_u, v, after_v), (
                         u, after_u, v, after_v)
                     accepted += local
@@ -248,14 +255,14 @@ class TestCornersShareFace:
         rot = square_with_diagonal()
         last = rot.neighbors_cw(1)[-1]
         for after_v in (None,) + rot.neighbors_cw(3):
-            assert rot.corners_share_face(1, None, 3, after_v) == rot.corners_share_face(
-                1, last, 3, after_v)
+            assert corners_share_face(rot, 1, None, 3, after_v) == corners_share_face(
+                rot, 1, last, 3, after_v)
 
     def test_does_not_mutate(self):
         rot = square_with_diagonal()
         before = {v: rot.neighbors_cw(v) for v in rot.nodes}
         for after_u, after_v in slot_pairs(rot, 1, 3):
-            rot.corners_share_face(1, after_u, 3, after_v)
+            corners_share_face(rot, 1, after_u, 3, after_v)
         assert {v: rot.neighbors_cw(v) for v in rot.nodes} == before
 
     @given(planar_instances(max_n=30), st.data())
@@ -270,7 +277,7 @@ class TestCornersShareFace:
             return
         for u, v in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5)):
             for after_u, after_v in slot_pairs(rot, u, v):
-                assert rot.corners_share_face(u, after_u, v, after_v) == (
+                assert corners_share_face(rot, u, after_u, v, after_v) == (
                     insertion_stays_planar(rot, u, after_u, v, after_v))
 
 
