@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
-from .config import ConfigurationError, PlanarConfiguration
+from .config import PlanarConfiguration
 from .faces import FaceView, face_view
 from .weights import endpoint_weights, face_size
 
@@ -150,10 +150,7 @@ def insertion_variants(
         graph.add_edge(a, b)
         for reanchor in anchors:
             anchor = (b if root == a else a) if reanchor else cfg.t(root)[0]
-            try:
-                cfg2 = PlanarConfiguration(graph, rotation, cfg.tree, root_anchor=anchor)
-            except ConfigurationError:  # anchor not a neighbor of the root
-                continue
+            cfg2 = PlanarConfiguration(graph, rotation, cfg.tree, root_anchor=anchor)
             yield cfg2, face_view(cfg2, (a, b))
 
 

@@ -9,13 +9,18 @@ questions the distributed algorithm needs:
 * which rotation positions (and hence which neighbors / T-children) of a
   border node point *inside* :math:`F_e`  — the content of the paper's
   Claims 1 and 4;
+* whether a node lies inside :math:`F_e` (:meth:`FaceView.encloses`):
+  Remark 1's DFS-order intervals read at the endpoints, in O(deg) per node
+  and without listing the interior — what DETECT-FACE (Lemma 15)
+  broadcasts.  Edge containment and Claim 6's hiding edges ask this;
 * the full interior :math:`\\mathring{F}_e` (union of the subtrees hanging
-  inside, as in Claim 3's proof);
+  inside, as in Claim 3's proof), for callers that list its nodes: Phase 4's
+  leaves, side sets, and the reference the membership test is checked
+  against;
 * whether another fundamental edge is *contained in* :math:`F_e`.
   NOT-CONTAINED / NOT-CONTAINS (Section 5.2.4) order their candidates by
   face size, which :mod:`repro.core.separator` derives from the weight,
-  and ask this only within the tie group at the extreme size; Phase 4,
-  hiding edges and side sets read the interior directly.
+  and ask this only within the tie group at the extreme size.
 
 A view is endpoint-local, as in Lemma 12: construction reads only the
 rotations and tree pointers of ``u`` and ``v``.  :func:`endpoint_frame`
@@ -74,6 +79,14 @@ def _arc(start: int, end: int, degree: int) -> List[int]:
     if start < end:
         return list(range(start + 1, end))
     return list(range(start + 1, degree)) + list(range(end))
+
+
+def _in_arc(p: int, arc: Arc) -> bool:
+    """Whether position ``p`` lies in the arc ``_arc(*arc, degree)``."""
+    start, end = arc
+    if start < end:
+        return start < p < end
+    return p > start or p < end
 
 
 def endpoint_frame(
@@ -237,6 +250,44 @@ class FaceView:
             self._interior = frozenset(out)
         return self._interior
 
+    def encloses(self, y: Node) -> bool:
+        """Whether ``y`` lies in :math:`\\mathring{F}_e`, from Remark 1's
+        DFS-order intervals read at the endpoints: O(deg) ancestor tests and
+        at most one first step, never the interior.
+
+        A subtree hanging off an endpoint is decided by that endpoint's
+        inside arc.  Otherwise the face's order places the rest of the
+        interior in one interval: :math:`\\pi_\\ell` after :math:`T_u` and
+        before ``v`` when ``u`` is not an ancestor of ``v``, the face order
+        from ``z`` to before ``v`` when it is.  Ancestors of ``v`` in that
+        interval are border nodes.  :meth:`interior` is the set this agrees
+        with.
+        """
+        cfg = self.cfg
+        u, v = self.u, self.v
+        if y == u or y == v:
+            return False
+        first_step = cfg.tree.first_step
+        if cfg.is_ancestor(v, y):
+            return _in_arc(cfg.t_position(v, first_step(v, y)), self._endpoint_arcs[v])
+        z = self.z
+        if z is None:
+            if cfg.is_ancestor(u, y):
+                return _in_arc(cfg.t_position(u, first_step(u, y)), self._endpoint_arcs[u])
+            if cfg.is_ancestor(y, v):
+                return False
+            pi = cfg.pi_left
+            return pi[u] + cfg.tree.subtree_size[u] <= pi[y] < pi[v]
+        if not cfg.is_ancestor(u, y):
+            return False
+        c = first_step(u, y)
+        if c != z:
+            return _in_arc(cfg.t_position(u, c), self._endpoint_arcs[u])
+        if cfg.is_ancestor(y, v):
+            return False
+        pi = cfg.pi_right if self.inside_is_A else cfg.pi_left
+        return pi[z] <= pi[y] < pi[v]
+
     def face_nodes(self) -> Set[Node]:
         """All of :math:`V(F_e)`: border plus interior."""
         return set(self.border) | self.interior()
@@ -255,7 +306,7 @@ class FaceView:
             if x in self._border_index:
                 if self.cfg.t_position(x, y) not in self.inside_positions(x):
                     return False
-            elif x not in self.interior():
+            elif not self.encloses(x):
                 return False
         return True
 

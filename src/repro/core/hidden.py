@@ -7,6 +7,11 @@ incident to ``u`` but drops part of :math:`T_u \\cap F_e` (condition 2).
 Lemma 6 shows a leaf is :math:`(T, F_e)`-compatible with ``u`` exactly when
 it is not hidden, which is how Phase 4 decides whether the virtual edge to
 its chosen leaf can actually be drawn.
+
+Every membership question here — is ``z`` inside :math:`F_f`, is a node of
+:math:`T_u \\cap F_e` inside it — is one endpoint-local test
+(:meth:`~repro.core.faces.FaceView.encloses`), so scanning the faces inside
+:math:`F_e` builds none of their interiors.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .faces import FaceView, face_view
 Node = Hashable
 Edge = Tuple[Node, Node]
 
-__all__ = ["hiding_edges", "is_hidden", "hiding_edges_in_region"]
+__all__ = ["hiding_edges", "is_hidden"]
 
 
 def _t_u_face_nodes(cfg: PlanarConfiguration, fv: FaceView) -> Set[Node]:
@@ -41,24 +46,22 @@ def hiding_edges(
     Returns pairs ``(f, face_view_of_f)``; empty means ``z`` is
     :math:`(T, F_e)`-compatible with ``u`` (for a leaf ``z``, by Lemma 6).
     """
-    if z not in fv.interior():
+    if not fv.encloses(z):
         raise ValueError(f"{z!r} is not inside the face")
     u = fv.u
     t_u_nodes = _t_u_face_nodes(cfg, fv)
     out: List[Tuple[Edge, FaceView]] = []
     for f in cfg.real_fundamental_edges():
-        if set(f) == {fv.u, fv.v}:
-            continue
         if not fv.contains_edge(f):
             continue
         f_view = face_view(cfg, f)
-        f_interior = f_view.interior()
-        if z not in f_interior:
+        if not f_view.encloses(z):
             continue
-        if u not in f:
-            out.append((f, f_view))
-        elif not t_u_nodes <= (f_interior | set(f_view.border)):
-            out.append((f, f_view))
+        if u in f:
+            f_border = set(f_view.border)
+            if all(x in f_border or f_view.encloses(x) for x in t_u_nodes):
+                continue
+        out.append((f, f_view))
     return out
 
 
@@ -69,36 +72,3 @@ def is_hidden(
 ) -> bool:
     """Whether ``z`` is hidden in :math:`F_e` (Definition 4)."""
     return bool(hiding_edges(cfg, fv, z))
-
-
-def hiding_edges_in_region(
-    cfg: PlanarConfiguration,
-    region: Set[Node],
-    border: Set[Node],
-    anchor: Node,
-    z: Node,
-) -> List[Tuple[Edge, FaceView]]:
-    """Hiding edges for the *virtual* faces of Phase 5's reduction.
-
-    Phase 5 simulates Phase 4 inside a virtual fundamental face whose
-    interior is one of the outside sets :math:`F^e_\\ell / F^e_r` and whose
-    augmentation endpoint is the root (Lemma 8's construction).  A real
-    fundamental edge ``f`` hides ``z`` here when its face lies within the
-    region and encloses ``z``; the ``u``-incidence exemption of Definition 4
-    applies to ``anchor`` (the root).
-    """
-    out: List[Tuple[Edge, FaceView]] = []
-    allowed = region | border
-    for f in cfg.real_fundamental_edges():
-        f_view = face_view(cfg, f)
-        f_interior = f_view.interior()
-        if z not in f_interior:
-            continue
-        f_nodes = f_interior | set(f_view.border)
-        if not f_nodes <= allowed:
-            continue
-        if anchor not in f:
-            out.append((f, f_view))
-        elif not (region & set(cfg.graph)) <= f_nodes:
-            out.append((f, f_view))
-    return out

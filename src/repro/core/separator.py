@@ -551,7 +551,6 @@ def compute_cycle_separators(
         ledger.begin_parallel()
     for i, part in enumerate(parts):
         subgraph = induced_copy(graph, part)
-        require_connected(subgraph, what=f"part {i}")
         cfg = PlanarConfiguration(subgraph, embed_subgraph(rotation, part), trees[i])
         if ledger is not None:
             ledger.begin_branch()

@@ -218,8 +218,8 @@ def side_sets(
     :math:`F^e_r` the outside nodes with left position above
     :math:`\\pi_\\ell(v)`.  The paper computes the two sizes locally at the
     endpoints; this implementation materializes the sets (same values,
-    recorded as a deviation in DESIGN.md) because Phase 5's virtual-face
-    reduction also needs the membership.
+    recorded as a deviation in DESIGN.md) so that E7 can check they
+    partition the outside; Phase 5 reads only their sizes.
     """
     u, v = fv.u, fv.v
     face_nodes = fv.face_nodes()
@@ -243,43 +243,12 @@ def side_sets(
 
 
 def interior_by_orders(cfg: PlanarConfiguration, fv: FaceView) -> Set[Node]:
-    """Remark 1 membership: reconstruct :math:`\\mathring{F}_e` from order
-    positions plus endpoint-local child classification only.
+    """Remark 1 membership: :math:`\\mathring{F}_e` as the set of nodes
+    :meth:`~repro.core.faces.FaceView.encloses` admits — order intervals
+    plus the endpoints' inside arcs, never the subtree union.
 
-    This is what DETECT-FACE-PROBLEM (Lemma 15) computes distributively:
-    the interval test handles nodes outside :math:`T_u \\cup T_v`, the
-    endpoints broadcast the position ranges of their inside children.  Used
-    by experiment E7 to confirm the characterization against the first-
-    principles interior.
+    This is what DETECT-FACE-PROBLEM (Lemma 15) computes distributively, and
+    the same test edge containment and Claim 6's hiding edges ask per node.
+    Experiment E7 checks it against the first-principles interior.
     """
-    u, v = fv.u, fv.v
-    tree = cfg.tree
-    border = set(fv.border)
-    inside: Set[Node] = set()
-    for x in (u, v):
-        for c in fv.children_inside(x):
-            lo, hi = cfg.left_range(c)
-            inside.update(
-                y for y in tree.subtree_nodes(c) if lo <= cfg.pi_left[y] <= hi
-            )
-    if fv.z is None:
-        lo = cfg.pi_left[u] + tree.subtree_size[u]
-        hi = cfg.pi_left[v] - 1
-        u_lo, u_hi = cfg.left_range(u)
-        v_lo, v_hi = cfg.left_range(v)
-        for y in cfg.graph:
-            if y in border or u_lo <= cfg.pi_left[y] <= u_hi or v_lo <= cfg.pi_left[y] <= v_hi:
-                continue
-            if lo <= cfg.pi_left[y] <= hi:
-                inside.add(y)
-    else:
-        z = fv.z
-        pi = _view_order(cfg, fv)
-        lo, hi = pi[z], pi[v] - 1
-        v_lo, v_hi = cfg.left_range(v)
-        for y in tree.subtree_nodes(z):
-            if y in border or v_lo <= cfg.pi_left[y] <= v_hi:
-                continue
-            if lo <= pi[y] <= hi:
-                inside.add(y)
-    return inside
+    return {y for y in cfg.graph if fv.encloses(y)}

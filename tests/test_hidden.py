@@ -3,9 +3,11 @@
 import networkx as nx
 import pytest
 
+from repro.core import separator
 from repro.core.augment import balanced_insertion, insertion_variants
 from repro.core.config import PlanarConfiguration
-from repro.core.faces import face_view
+from repro.core.dfs import dfs_tree
+from repro.core.faces import FaceView, face_view
 from repro.core.hidden import hiding_edges, is_hidden
 from repro.planar import generators as gen
 from repro.trees import bfs_tree
@@ -115,3 +117,87 @@ class TestLemma6:
         for z in (2, 4):
             if not cfg.graph.has_edge(fv.u, z):
                 assert not is_hidden(cfg, fv, z)
+
+
+def materialized_hiding_edges(cfg, fv, z):
+    """Definition 4 read off built interiors: every contained face's
+    interior and border as sets, no order-interval membership."""
+    interior = fv.interior()
+    t_u_nodes = {fv.u} | {
+        y
+        for c in fv.children_inside(fv.u)
+        for y in cfg.tree.subtree_nodes(c)
+    }
+    out = []
+    for f in cfg.real_fundamental_edges():
+        a, b = f
+        if {a, b} == {fv.u, fv.v}:
+            continue
+        if not all(
+            cfg.t_position(x, y) in fv.inside_positions(x) if x in fv.border else x in interior
+            for x, y in ((a, b), (b, a))
+        ):
+            continue
+        f_view = face_view(cfg, f)
+        f_interior = f_view.interior()
+        if z not in f_interior:
+            continue
+        if fv.u not in f or not t_u_nodes <= (f_interior | set(f_view.border)):
+            out.append(f)
+    return out
+
+
+class TestHidingEdgesFromOrders:
+    """``hiding_edges`` answers membership with ``FaceView.encloses``."""
+
+    def test_matches_materialized_interiors(self):
+        seen = {"avoids u": 0, "at u": 0}
+        for name, g in gen.FAMILIES(0):
+            if g.number_of_edges() < len(g):
+                continue
+            nodes = sorted(g, key=repr)
+            for kind in ("bfs", "dfs"):
+                for root in (nodes[0], nodes[len(nodes) // 2]):
+                    cfg = make_config(g, root=root, kind=kind)
+                    for e in cfg.real_fundamental_edges():
+                        fv = face_view(cfg, e)
+                        for z in sorted(fv.interior(), key=repr):
+                            if cfg.tree.children[z]:
+                                continue
+                            got = [(f, view.edge) for f, view in hiding_edges(cfg, fv, z)]
+                            want = materialized_hiding_edges(cfg, fv, z)
+                            assert got == [(f, cfg.orient(f)) for f in want], (
+                                name, kind, root, e, z,
+                            )
+                            for f in want:
+                                seen["at u" if fv.u in f else "avoids u"] += 1
+        # Both conditions of Definition 4 occur.
+        assert all(seen.values()), seen
+
+    def test_scan_builds_no_other_interior(self, monkeypatch):
+        """On a run that reaches Claim 6's fallback, the scan builds no
+        interior but that of the face it scans."""
+        built = []
+        real_interior = FaceView.interior
+
+        def counted_interior(view):
+            if view._interior is None:
+                built.append(view.edge)
+            return real_interior(view)
+
+        calls = []
+        real_hiding_edges = separator.hiding_edges
+
+        def counted_hiding_edges(cfg, fv, z):
+            fv.interior()
+            built.clear()
+            out = real_hiding_edges(cfg, fv, z)
+            calls.append((fv.edge, list(built), len(out)))
+            return out
+
+        monkeypatch.setattr(FaceView, "interior", counted_interior)
+        monkeypatch.setattr(separator, "hiding_edges", counted_hiding_edges)
+        dfs_tree(gen.triangulated_grid(63, 63), 0)
+        assert calls
+        for edge, others, found in calls:
+            assert found and others == [], (edge, others)
