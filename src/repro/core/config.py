@@ -51,7 +51,9 @@ class PlanarConfiguration:
     graph:
         Connected planar graph.
     rotation:
-        Rotation system of exactly ``graph`` (any anchor; it is re-normalized).
+        Rotation system of ``graph`` or of a graph ``graph`` is induced in
+        (any anchor).  It is read, never mutated: the configuration restricts
+        and re-normalizes it into rows of its own (:meth:`_normalize`).
     tree:
         Rooted spanning tree of ``graph``.
     root_anchor:
@@ -70,8 +72,8 @@ class PlanarConfiguration:
         self.graph = graph
         self.tree = tree
         self.n = len(graph)
-        self._validate(graph, rotation, tree)
-        self.rotation = self._normalize(rotation, tree, root_anchor)
+        rows = self._normalize(graph, rotation, tree, root_anchor)
+        self.rotation = RotationSystem.adopt(rows)
         # DFS orders, 1-based, plus subtree position ranges in both orders.
         self.pi_left: Dict[Node, int] = {}
         self.pi_right: Dict[Node, int] = {}
@@ -80,7 +82,7 @@ class PlanarConfiguration:
         # Per node, prefix sums of child subtree sizes over rotation
         # positions: entry i covers positions 0..i-1.
         self._child_prefix: Dict[Node, List[int]] = {}
-        self._compute_orders()
+        self._compute_orders(rows)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -113,50 +115,59 @@ class PlanarConfiguration:
         return cls(graph, rotation, tree)
 
     @staticmethod
-    def _validate(graph: nx.Graph, rotation: RotationSystem, tree: RootedTree) -> None:
-        # The graph is read through its adjacency dict, not ``graph.nodes``
-        # or ``graph.edges()``: networkx caches those views on the graph,
-        # which makes a per-component copy cyclic garbage.
-        nodes = set(graph)
-        if set(rotation.nodes) != nodes:
-            raise ConfigurationError("rotation and graph have different node sets")
-        if set(tree.nodes) != nodes:
-            raise ConfigurationError("tree is not spanning")
-        for v, row in graph._adj.items():
-            if set(rotation.neighbors_cw(v)) != row.keys():
-                raise ConfigurationError(f"rotation of {v!r} does not match the graph")
-        for p, c in tree.edges():
-            if not graph.has_edge(p, c):
-                raise ConfigurationError(f"tree edge {p!r}-{c!r} is not a graph edge")
-
-    @staticmethod
     def _normalize(
+        graph: nx.Graph,
         rotation: RotationSystem,
         tree: RootedTree,
         root_anchor: Optional[Node],
-    ) -> RotationSystem:
-        order: Dict[Node, Tuple[Node, ...]] = {}
-        for v in rotation.nodes:
-            nbrs = rotation.neighbors_cw(v)
-            if not nbrs:
-                order[v] = nbrs
-                continue
-            if v == tree.root:
-                first = root_anchor if root_anchor is not None else nbrs[0]
+    ) -> Dict[Node, List[Node]]:
+        """Validate ``(graph, rotation, tree)`` and build the normalized
+        rows in one pass over ``graph``: each node's row of ``rotation`` is
+        restricted to the nodes of ``graph`` (the embedding "restricted
+        to :math:`G[P_i]`" of Section 5.2.1; restriction keeps the relative
+        clockwise order, so the result is again an embedding), checked
+        against the node's adjacency, and rotated to start at its parent,
+        or at the anchor for the root.
+
+        Nodes of ``rotation`` outside ``graph`` are ignored, so a part can
+        be handed the rotation of the graph it is induced in.  The graph
+        is read through its adjacency dict, not ``graph.nodes`` or
+        ``graph.edges()``: networkx caches those views on the graph, which
+        makes a per-component copy cyclic garbage.
+        """
+        adj, parent, source = graph._adj, tree.parent, rotation._order
+        if parent.keys() != adj.keys():
+            raise ConfigurationError("tree is not spanning")
+        root = tree.root
+        rows: Dict[Node, List[Node]] = {}
+        for v, nbrs in adj.items():
+            full = source.get(v)
+            if full is None:
+                raise ConfigurationError(f"rotation has no row for {v!r}")
+            row = [u for u in full if u in adj]
+            if len(row) != len(nbrs) or nbrs.keys() - row:
+                raise ConfigurationError(f"rotation of {v!r} does not match the graph")
+            if v == root:
+                if not row:
+                    rows[v] = row
+                    continue
+                first = root_anchor if root_anchor is not None else row[0]
+                if first not in nbrs:
+                    raise ConfigurationError(
+                        f"normalization target {first!r} is not a neighbor of {v!r}"
+                    )
             else:
-                first = tree.parent[v]
-            if not rotation.has_edge(v, first):
-                raise ConfigurationError(
-                    f"normalization target {first!r} is not a neighbor of {v!r}"
-                )
-            i = rotation.position(v, first)
-            order[v] = nbrs[i:] + nbrs[:i]
-        return RotationSystem(order)
+                first = parent[v]
+                if first not in nbrs:
+                    raise ConfigurationError(f"tree edge {first!r}-{v!r} is not a graph edge")
+            i = row.index(first)
+            rows[v] = row[i:] + row[:i] if i else row
+        return rows
 
     # ------------------------------------------------------------------
     # DFS orders (paper Section 3.1.1)
     # ------------------------------------------------------------------
-    def _compute_orders(self) -> None:
+    def _compute_orders(self, rows: Dict[Node, List[Node]]) -> None:
         tree = self.tree
         parent, sizes = tree.parent, tree.subtree_size
         for v in tree.nodes:
@@ -165,7 +176,7 @@ class PlanarConfiguration:
             in_rot: List[Node] = []
             prefix = [0]
             total = 0
-            for y in self.rotation.neighbors_cw(v):
+            for y in rows[v]:
                 if parent[y] == v:
                     in_rot.append(y)
                     total += sizes[y]
@@ -228,7 +239,7 @@ class PlanarConfiguration:
         """All real fundamental edges, each as ``(u, v)`` with
         :math:`\\pi_\\ell(u) < \\pi_\\ell(v)` (the paper's convention),
         in ``graph.edges()`` order but read from the adjacency dict (see
-        :meth:`_validate`)."""
+        :meth:`_normalize`)."""
         out: List[Edge] = []
         parent, pi = self.tree.parent, self.pi_left
         done = set()

@@ -23,12 +23,12 @@ check_dfs_tree`, which the test suite applies to every run.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import networkx as nx
 
 from ..planar.checks import require_connected, require_planar_rotation
-from ..planar.construct import embed, embed_subgraph, induced_components, induced_copy
+from ..planar.construct import embed, induced_components, induced_copy
 from ..planar.rotation import RotationSystem
 from ..trees.rooted import RootedTree
 from .config import PlanarConfiguration
@@ -117,7 +117,6 @@ def dfs_tree(
     if embedded and ledger is not None:
         ledger.charge_subroutine("planar-embedding")
     result = DFSResult(root)
-    rank = {v: i for i, v in enumerate(rotation.nodes)}
     in_tree: Set[Node] = {root}
     n = len(graph)
     before = 0
@@ -141,9 +140,7 @@ def dfs_tree(
                 ledger.begin_branch()
             subgraph = induced_copy(graph, component)
             anchor = _deepest_attachment(graph, component, result)
-            separator = _component_separator(
-                rotation, rank, component, subgraph, anchor[0], ledger
-            )
+            separator = _component_separator(rotation, subgraph, anchor[0], ledger)
             result.separator_phases[separator.phase] = (
                 result.separator_phases.get(separator.phase, 0) + 1
             )
@@ -163,22 +160,20 @@ def dfs_tree(
 # ----------------------------------------------------------------------
 def _component_separator(
     rotation: RotationSystem,
-    rank: Dict[Node, int],
-    component: Set[Node],
     subgraph: nx.Graph,
     root: Node,
     ledger,
 ) -> SeparatorResult:
     """Theorem 1 applied to one component of :math:`G - T_d`, given its
-    induced copy ``subgraph`` and ``rotation``'s node ranks (see
-    :func:`repro.planar.construct.embed_subgraph`).
+    induced copy ``subgraph`` and the whole graph's ``rotation``, which the
+    configuration restricts to the component.
 
     The component's spanning tree is rooted at ``root``, the node with the
     deepest neighbor in the partial tree — the same root the JOIN step will
     use.
     """
-    tree = _attachment_spanning_tree(subgraph, root, set())
-    cfg = PlanarConfiguration(subgraph, embed_subgraph(rotation, component, rank), tree)
+    parent, _ = _attachment_spanning_tree(subgraph, root, set())
+    cfg = PlanarConfiguration(subgraph, rotation, RootedTree(parent, root))
     return cycle_separator(cfg, ledger=ledger)
 
 
@@ -219,29 +214,33 @@ def _attachment_spanning_tree(
     subgraph: nx.Graph,
     root: Node,
     marked: Set[Node],
-) -> RootedTree:
+) -> Tuple[Dict[Node, Optional[Node]], Dict[Node, int]]:
     """Spanning tree preferring marked-marked edges (the paper's 0/1-weight
     MST of Lemma 2, which clusters the remaining separator nodes into
-    tree paths).  Implemented as a prioritized graph search."""
+    tree paths).  Implemented as a prioritized graph search; returns the
+    tree's parent map and depths."""
+    adj = subgraph._adj
     parent: Dict[Node, Optional[Node]] = {root: None}
+    depth: Dict[Node, int] = {root: 0}
     # Two-tier frontier: weight-0 edges (both endpoints marked) first.
     light: List[Tuple[Node, Node]] = []
-    heavy: List[Tuple[Node, Node]] = [(root, u) for u in subgraph.neighbors(root)]
+    heavy: List[Tuple[Node, Node]] = [(root, u) for u in adj[root]]
     while light or heavy:
         v, u = light.pop() if light else heavy.pop()
         if u in parent:
             continue
         parent[u] = v
-        for w in subgraph.neighbors(u):
+        depth[u] = depth[v] + 1
+        for w in adj[u]:
             if w in parent:
                 continue
             if u in marked and w in marked:
                 light.append((u, w))
             else:
                 heavy.append((u, w))
-    if len(parent) != len(subgraph):
+    if len(parent) != len(adj):
         raise DFSError("component subgraph is not connected")
-    return RootedTree(parent, root)
+    return parent, depth
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +278,7 @@ def _join(
             else:
                 subgraph, (r, attach) = first
                 first = None
-            tree = _attachment_spanning_tree(subgraph, r, todo)
-            target = _farthest_marked(tree, todo)
-            path = tree.path(r, target)
+            path = _join_path(subgraph, r, todo)
             # DFS-RULE: hang the path below the attachment point; parents
             # and depths are final from now on.
             base = result.depth[attach]
@@ -302,8 +299,17 @@ def _join(
     return iterations
 
 
-def _farthest_marked(tree: RootedTree, marked: Set[Node]) -> Node:
-    """The marked node the paper's JOIN picks: the farthest (deepest) from
-    the top of the marked Steiner tree, so at least half of the deepest
-    marked path joins this iteration."""
-    return max(marked, key=lambda m: (tree.depth[m], repr(m)))
+def _join_path(subgraph: nx.Graph, root: Node, marked: Set[Node]) -> List[Node]:
+    """The path one JOIN iteration hangs: down the spanning tree that
+    prefers marked-marked edges, from ``root`` to the marked node the
+    paper's JOIN picks, the farthest from the top of the marked Steiner
+    tree, so at least half of the deepest marked path joins.  The path is
+    read off the search's parent map; no tree is built."""
+    parent, depth = _attachment_spanning_tree(subgraph, root, marked)
+    y = max(marked, key=lambda m: (depth[m], repr(m)))
+    path = [y]
+    while y != root:
+        y = parent[y]
+        path.append(y)
+    path.reverse()
+    return path

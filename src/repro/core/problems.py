@@ -20,7 +20,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from ..planar.construct import embed, embed_subgraph, induced_copy
+from ..planar.construct import embed, induced_copy
 from ..planar.rotation import RotationSystem
 from ..trees.rooted import RootedTree
 from ..trees.spanning import boruvka_part_spanning_trees
@@ -96,7 +96,7 @@ def part_contexts(
     out = []
     for i, part in enumerate(parts):
         subgraph = induced_copy(graph, part)
-        cfg = PlanarConfiguration(subgraph, embed_subgraph(rotation, part), trees[i])
+        cfg = PlanarConfiguration(subgraph, rotation, trees[i])
         out.append(PartContext(i, part, cfg))
     return out
 

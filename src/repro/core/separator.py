@@ -38,7 +38,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from ..planar.checks import require_connected
-from ..planar.construct import embed, embed_subgraph, induced_components, induced_copy
+from ..planar.construct import embed, induced_components, induced_copy
 from ..trees.centroid import phase2_separator_node
 from .augment import balanced_insertion, heavy_nested_insertion
 from .config import PlanarConfiguration
@@ -551,7 +551,7 @@ def compute_cycle_separators(
         ledger.begin_parallel()
     for i, part in enumerate(parts):
         subgraph = induced_copy(graph, part)
-        cfg = PlanarConfiguration(subgraph, embed_subgraph(rotation, part), trees[i])
+        cfg = PlanarConfiguration(subgraph, rotation, trees[i])
         if ledger is not None:
             ledger.begin_branch()
         results[i] = cycle_separator(cfg, ledger=ledger)

@@ -122,12 +122,17 @@ def check_dfs_tree(graph: nx.Graph, parent: Dict[Node, Optional[Node]], root: No
     for p, c in tree.edges():
         if not graph.has_edge(p, c):
             raise VerificationError(f"tree edge {p!r}-{c!r} is not a graph edge")
-    for a, b in graph.edges():
-        if not (tree.is_ancestor(a, b) or tree.is_ancestor(b, a)):
-            raise VerificationError(
-                f"cross edge {a!r}-{b!r}: endpoints are unrelated in the tree, "
-                "so this is not a DFS tree"
-            )
+    # ``graph.edges()``'s order, read from the adjacency dict: the cached
+    # edge view would make the caller's graph cyclic garbage.
+    done = set()
+    for a, nbrs in graph._adj.items():
+        for b in nbrs:
+            if b not in done and not (tree.is_ancestor(a, b) or tree.is_ancestor(b, a)):
+                raise VerificationError(
+                    f"cross edge {a!r}-{b!r}: endpoints are unrelated in the tree, "
+                    "so this is not a DFS tree"
+                )
+        done.add(a)
     return tree
 
 

@@ -279,9 +279,7 @@ class DynamicPipeline:
         own_ledger = ledger is None
         if own_ledger:
             ledger = self._ledger(graph, self.root)
-        cfg = PlanarConfiguration.build(
-            graph, root=self.root, rotation=self.dyn.rotation.copy()
-        )
+        cfg = PlanarConfiguration.build(graph, root=self.root, rotation=self.dyn.rotation)
         sep = cycle_separator(cfg, ledger=ledger)
         self.separator_path: Tuple[Node, ...] = tuple(sep.path)
         self.separator_phase = sep.phase
@@ -399,7 +397,7 @@ class DynamicPipeline:
         graph = self.dyn.graph
         cfg = PlanarConfiguration(
             graph,
-            self.dyn.rotation.copy(),
+            self.dyn.rotation,
             RootedTree(self._sep_tree_parent, self._sep_tree_root),
         )
         return certify_cycle(cfg, list(self.separator_path))

@@ -69,7 +69,9 @@ def require_planar_rotation(graph: nx.Graph, rotation: RotationSystem) -> None:
     for v, nbrs in graph.adjacency():
         if v not in rotation or v in nbrs or set(rotation.neighbors_cw(v)) != nbrs.keys():
             raise NotPlanarError(f"rotation of {v!r} does not match the graph")
-    n, m = len(graph), graph.number_of_edges()
+    # Counted from the rows (loop-free by now): ``number_of_edges`` caches
+    # a degree view that makes the caller's graph cyclic garbage.
+    n, m = len(graph), sum(map(len, graph._adj.values())) // 2
     f = max(rotation.num_faces(), 1)  # a lone node bounds one face
     if n - m + f != 2:
         raise NotPlanarError(

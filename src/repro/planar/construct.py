@@ -32,7 +32,7 @@ def embed(graph: nx.Graph) -> RotationSystem:
     order = lr_rotation(graph)
     if order is None:
         raise NotPlanarError.of(graph)
-    return RotationSystem(order)
+    return RotationSystem.adopt(order)
 
 
 def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
@@ -45,7 +45,9 @@ def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
     ``check_planarity`` embedding:
 
     * the adjacency of the self-loop-free copy is built in edge-iteration
-      order (``graph.edges()``), not ``graph``'s own adjacency order;
+      order (``graph.edges()``'s, read from ``graph._adj``: the cached
+      edge view would point back at ``graph`` and make the caller's graph
+      cyclic garbage), not ``graph``'s own adjacency order;
     * the oriented graph's out-edges keep insertion order, and both
       nesting-depth sorts are stable sorts of that order;
     * signs are resolved edge by edge in that same order;
@@ -62,11 +64,15 @@ def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
     n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
     rows: List[Dict[int, None]] = [{} for _ in range(n)]
-    for a, b in graph.edges():
-        if a != b:
-            i, j = index[a], index[b]
-            rows[i][j] = None
-            rows[j][i] = None
+    done = set()
+    for a, nbrs in graph._adj.items():
+        i = index[a]
+        for b in nbrs:
+            if b not in done and a != b:
+                j = index[b]
+                rows[i][j] = None
+                rows[j][i] = None
+        done.add(a)
     m = sum(map(len, rows)) // 2
     if n > 2 and m > 3 * n - 6:
         return None
@@ -327,9 +333,7 @@ def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
     return order
 
 
-def embed_subgraph(
-    rotation: RotationSystem, nodes, rank: Optional[Dict[Node, int]] = None
-) -> RotationSystem:
+def embed_subgraph(rotation: RotationSystem, nodes) -> RotationSystem:
     """Restrict a rotation system to an induced subgraph.
 
     The paper uses this implicitly: each part :math:`P_i` of the partition
@@ -337,21 +341,18 @@ def embed_subgraph(
     :math:`\\mathcal{E}` restricted to :math:`G[P_i]`" (DFS-ORDER-PROBLEM,
     Section 5.2.1).  Restriction preserves the relative clockwise order of
     the surviving neighbors, so the result is again a valid embedding.
+    :class:`repro.core.config.PlanarConfiguration` restricts the rotation
+    it is given in the same way while normalizing it, so the algorithm
+    hands it the whole graph's rotation instead of calling this.
 
-    The kept nodes come in ``rotation``'s node order.  ``rank`` maps each
-    node of ``rotation`` to its index in that order; a caller restricting
-    one rotation many times builds it once, so each call costs
-    O(k log k + kept degrees) for k kept nodes instead of a pass over the
-    whole rotation.  Nodes absent from ``rotation`` are ignored.
+    The kept nodes come in ``nodes``' order, and the call costs
+    O(k + kept degrees) for k kept nodes.  Nodes absent from ``rotation``
+    are ignored.
     """
-    if rank is None:
-        rank = {v: i for i, v in enumerate(rotation.nodes)}
-    keep = {v for v in nodes if v in rank}
-    order = {
-        v: [u for u in rotation.neighbors_cw(v) if u in keep]
-        for v in sorted(keep, key=rank.__getitem__)
-    }
-    return RotationSystem(order)
+    rows = rotation._order
+    kept = [v for v in nodes if v in rows]
+    keep = set(kept)
+    return RotationSystem.adopt({v: [u for u in rows[v] if u in keep] for v in kept})
 
 
 def _view_nodes(adj, nodes):

@@ -59,6 +59,18 @@ class RotationSystem:
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
+    def adopt(cls, order: Dict[Node, List[Node]]) -> "RotationSystem":
+        """A rotation system over ``order`` and its lists themselves, not
+        copies: for a caller that has just built fresh rows and hands them
+        over, keeping no reference of its own."""
+        rotation = cls.__new__(cls)
+        rotation._order = order
+        rotation._pos = {}
+        for v in order:
+            rotation._index_row(v)
+        return rotation
+
+    @classmethod
     def from_graph(cls, graph: nx.Graph) -> "RotationSystem":
         """Compute a rotation system for a planar graph.
 

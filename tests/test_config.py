@@ -120,6 +120,37 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             PlanarConfiguration(g, embed(g), fake)
 
+    def test_supergraph_rotation_is_restricted(self):
+        g = gen.delaunay(40, seed=3)
+        part = max(induced_components(g, range(25)), key=len)
+        sub = induced_copy(g, part)
+        tree = bfs_tree(sub, min(part))
+        cfg = PlanarConfiguration(sub, embed(g), tree)
+        restricted = PlanarConfiguration(sub, embed_subgraph(embed(g), part), tree)
+        assert rows_of(cfg) == rows_of(restricted)
+
+    def test_rotation_missing_a_graph_node_raises(self):
+        g = gen.grid(3, 3)
+        with pytest.raises(ConfigurationError):
+            PlanarConfiguration(g, embed_subgraph(embed(g), range(8)), bfs_tree(g, 0))
+
+    def test_rotation_missing_a_row_edge_raises(self):
+        g = gen.grid(3, 3)
+        rot = embed(g)
+        rot.delete_edge(4, 5)
+        with pytest.raises(ConfigurationError):
+            PlanarConfiguration(g, rot, bfs_tree(g, 0))
+
+    def test_rotation_with_an_edge_between_graph_nodes_raises(self):
+        # Only nodes outside ``graph`` are dropped: an extra neighbour
+        # inside it is a mismatch, as before restriction existed.
+        g = gen.grid(3, 3)
+        rot = embed(g)
+        h = g.copy()
+        h.remove_edge(4, 5)
+        with pytest.raises(ConfigurationError):
+            PlanarConfiguration(h, rot, bfs_tree(h, 0))
+
     def test_build_rejects_disconnected(self):
         g = nx.Graph([(0, 1), (2, 3)])
         with pytest.raises(Exception):
@@ -141,6 +172,88 @@ class TestSubgraphEmbedding:
         rot = embed(g)
         sub = embed_subgraph(rot, range(12))
         sub.validate()
+
+
+def rows_of(cfg):
+    return {v: cfg.rotation.neighbors_cw(v) for v in cfg.rotation.nodes}
+
+
+def tree_plus_chord(n, seed):
+    g = gen.random_tree(n, seed=seed)
+    rng = random.Random(seed)
+    u, v = rng.sample(sorted(g), 2)
+    while g.has_edge(u, v):
+        u, v = rng.sample(sorted(g), 2)
+    g.add_edge(u, v)
+    return g
+
+
+def random_connected_partition(graph, rng, parts):
+    """Grow ``parts`` regions from random seeds, one random frontier node
+    at a time: every region stays connected and the regions cover the
+    graph."""
+    owner = {s: i for i, s in enumerate(rng.sample(sorted(graph), parts))}
+    frontier = list(owner)
+    while frontier:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        for u in sorted(graph[v]):
+            if u not in owner:
+                owner[u] = owner[v]
+                frontier.append(u)
+    regions = [[] for _ in range(parts)]
+    for v, i in owner.items():
+        regions[i].append(v)
+    return regions
+
+
+PARTITION_FAMILIES = {
+    "delaunay": lambda seed: gen.delaunay(60, seed=seed),
+    "grid": lambda seed: gen.grid(7, 8),
+    "outerplanar": lambda seed: gen.outerplanar(40, chords=12, seed=seed),
+    "tree-plus-chord": lambda seed: tree_plus_chord(40, seed),
+}
+
+
+class TestSingleBuild:
+    """A part's configuration built from the whole graph's rotation equals
+    the two-step build that first restricts the rotation to the part
+    (:func:`embed_subgraph`) and then normalizes it, field for field."""
+
+    @pytest.mark.parametrize("family", sorted(PARTITION_FAMILIES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_restrict_then_normalize(self, family, seed):
+        rng = random.Random(seed)
+        graph = PARTITION_FAMILIES[family](seed)
+        rotation = embed(graph)
+        for part in random_connected_partition(graph, rng, rng.randint(1, 8)):
+            sub = induced_copy(graph, part)
+            root = rng.choice(sorted(part))
+            tree = (bfs_tree if rng.random() < 0.5 else dfs_spanning_tree)(sub, root)
+            anchor = None
+            if len(sub[root]) > 1 and rng.random() < 0.5:
+                anchor = rng.choice(sorted(sub[root]))
+            one = PlanarConfiguration(sub, rotation, tree, root_anchor=anchor)
+            two = PlanarConfiguration(
+                sub, embed_subgraph(rotation, part), tree, root_anchor=anchor
+            )
+            assert rows_of(one) == rows_of(two)
+            for field in ("n", "pi_left", "pi_right", "_order_children_left",
+                          "_order_children_right", "_child_prefix"):
+                assert getattr(one, field) == getattr(two, field), field
+            # The rows themselves, from first principles: the parent's
+            # clockwise order kept on the part, started at the parent
+            # (at the anchor, else the first kept neighbour, for the root).
+            for v in part:
+                kept = [u for u in rotation.neighbors_cw(v) if u in sub]
+                if not kept:
+                    assert one.t(v) == ()
+                    continue
+                if v != root:
+                    first = tree.parent[v]
+                else:
+                    first = anchor if anchor is not None else kept[0]
+                i = kept.index(first)
+                assert one.t(v) == tuple(kept[i:] + kept[:i])
 
 
 def assert_same_copy(graph, make_nodes):

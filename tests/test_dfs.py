@@ -15,6 +15,8 @@ from repro.congest import CostModel, RoundLedger
 from repro.planar import embed
 from repro.planar import generators as gen
 from repro.planar.checks import NotConnectedError, NotPlanarError
+from repro.planar.rotation import RotationSystem
+from repro.trees.rooted import RootedTree
 
 
 class TestCorrectness:
@@ -151,12 +153,32 @@ class TestDriverLocks:
                 return _original(*args)
 
             monkeypatch.setattr(dfs_module, name, counted)
+        builds = {"rotation": 0, "tree": 0}
+
+        def counting(kind, original):
+            def build(*args, **kwargs):
+                builds[kind] += 1
+                return original(*args, **kwargs)
+
+            return build
+
+        monkeypatch.setattr(
+            RotationSystem, "__init__", counting("rotation", RotationSystem.__init__)
+        )
+        monkeypatch.setattr(
+            RotationSystem, "adopt", classmethod(counting("rotation", RotationSystem.adopt.__func__))
+        )
+        monkeypatch.setattr(RootedTree, "__init__", counting("tree", RootedTree.__init__))
         res = dfs_tree(gen.grid(9, 9), 0)
         components = sum(res.separator_phases.values())
         # Every JOIN takes one iteration, which reuses the separator's copy
         # and attachment instead of rebuilding them.
         assert res.join_iterations == [1] * res.phases
         assert calls == {"induced_copy": components, "_deepest_attachment": components}
+        # One rotation system per component (restricted and normalized in
+        # one build) plus the embedding, and one spanning tree per
+        # component, the separator's: JOIN walks its search's parent map.
+        assert builds == {"rotation": components + 1, "tree": components}
 
 
 class TestNoCyclicGarbage:
@@ -180,6 +202,25 @@ class TestNoCyclicGarbage:
         gc.disable()
         try:
             dfs_tree(graph, 0)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_caller_graph_is_freed_by_reference_counting(self):
+        # The embedding, a supplied rotation's certificate and the DFS
+        # check read the caller's graph without caching a networkx view
+        # on it, so a dropped input graph does not wait for the collector.
+        dfs_tree(gen.grid(3, 3), 0)
+        graph = gen.delaunay(250, seed=7)
+        rotation = embed(graph)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            check_dfs_tree(graph, dfs_tree(graph, 0).parent, 0)
+            check_dfs_tree(graph, dfs_tree(graph, 0, rotation=rotation).parent, 0)
+            del graph, rotation
             assert gc.collect() == 0
         finally:
             if enabled:

@@ -151,6 +151,36 @@ class TestDynamicPipeline:
             check_separator(pipeline.graph, list(pipeline.separator_path))
             check_dfs_tree(pipeline.graph, pipeline.parent, pipeline.root)
 
+    def test_certification_leaves_the_live_rotation_unchanged_and_unaliased(
+        self, monkeypatch
+    ):
+        # The live rotation is handed over without a copy: the
+        # configurations must neither change its rows nor share them.
+        import repro.dynamic.repair as repair_module
+
+        pipeline = DynamicPipeline(gen.delaunay(40, seed=3))
+        live = pipeline.dyn.rotation
+        rows = {v: live.neighbors_cw(v) for v in live.nodes}
+        configs = []
+        certify = repair_module.certify_cycle
+
+        def recording(cfg, path):
+            configs.append(cfg)
+            return certify(cfg, path)
+
+        monkeypatch.setattr(repair_module, "certify_cycle", recording)
+        pipeline._certify_current()
+        pipeline._recompute_separator()
+        assert len(configs) == 2
+        assert {v: live.neighbors_cw(v) for v in live.nodes} == rows
+        for cfg in configs:
+            assert cfg.rotation is not live
+            for v, row in rows.items():
+                own = cfg.rotation._order[v]
+                assert own is not live._order[v]
+                i = row.index(own[0])
+                assert tuple(own) == row[i:] + row[:i]
+
     def test_fingerprint_parity_incremental_vs_recompute(self):
         # Satellite 3(b): both modes agree on the logical state after the
         # same update sequence.
