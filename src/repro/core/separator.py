@@ -24,6 +24,9 @@ Phase map (Section 5.3):
   algorithm inserts the root edge of Lemma 8 and recurses into Phase 4 on
   the extended configuration (the paper's ``G' = G + r_T u'`` construction;
   a separator of the supergraph is a separator of ``G``).
+* *Rescue* (DESIGN.md errata): where the paper's emission is unbalanced or
+  Lemma 8 finds no edge, the rooted window sweep (``"phase5-rooted"``),
+  then Phase 2's root-to-centroid path, checked (``"last-resort"``).
 
 The implementation keeps the paper's structure but replaces "it can be
 shown that the insertion exists" steps with *constructive* insertions
@@ -72,11 +75,13 @@ class SeparatorResult:
         The separator nodes in T-path order.
     phase:
         Which phase emitted it (``"trivial"``, ``"phase2"``, ``"phase3"``,
-        ``"phase4.1"``, ``"phase4.1-hidden"``, ``"phase4.2"``, ``"phase5"``),
-        with the recursion depth appended as ``"+k"`` when the constructive
-        Lemma 7/8 edge insertions were exercised.
+        ``"phase3b"``, ``"phase4.1"``, ``"phase4.1-hidden"``,
+        ``"phase4.2"``, ``"phase5"``, ``"phase5-rooted"``,
+        ``"last-resort"``), with the recursion depth appended as ``"+k"``
+        when the constructive Lemma 7/8 edge insertions were exercised.
     rule:
-        Finer-grained annotation (e.g. Phase 2's centroid fallback).
+        Finer-grained annotation (e.g. Phase 2's and the last resort's
+        centroid fallback).
     """
 
     __slots__ = ("path", "phase", "rule")
@@ -248,13 +253,7 @@ def _separate(
     # inside is the window-sized interior, the outside is at most
     # ``n - n/3``.  Both sweep directions are tried (the mirrored embedding
     # convention makes "left" ambiguous; the insertion filter disambiguates).
-    result = _rooted_sweep(cfg, n, ledger)
-    if result is None:
-        raise SeparatorError(
-            "Phase 5: no compatible rooted window edge exists; Lemma 8 "
-            "guarantees one should"
-        )
-    return result
+    return _rescue(cfg, n, ledger, "Phase 5")
 
 
 def _phase4(
@@ -388,7 +387,7 @@ def _emit_checked(
 ) -> SeparatorResult:
     """Emit a candidate separator whose balance the paper's case analysis
     does not certify constructively, verifying it first and falling back to
-    the certified rooted sweep.
+    :func:`_rescue`.
 
     The paper's Sub-phase 4.2, Claim-6 fallback and Lemma 8's middle case
     all assume sweep coverage properties that fail on path-degenerate
@@ -399,10 +398,38 @@ def _emit_checked(
     if _is_balanced(cfg, path, n, ledger):
         _charge(ledger, "mark-path")
         return SeparatorResult(path, phase)
-    result = _rooted_sweep(cfg, n, ledger)
+    return _rescue(cfg, n, ledger, f"{phase} emission is unbalanced")
+
+
+def _centroid_last_resort(
+    cfg: PlanarConfiguration, n: int, ledger
+) -> Optional[SeparatorResult]:
+    """Phase 2's rule, checked: the root path to
+    :func:`~repro.trees.centroid.phase2_separator_node` of ``T``.
+
+    In ``T`` alone the path separates (Phase 2's argument); the non-tree
+    edges of a near-tree part rarely merge the T-components it leaves past
+    :math:`2n/3`, and :func:`_is_balanced` certifies every use.  Returns
+    ``None`` when the path is unbalanced.
+    """
+    tree = cfg.tree
+    _charge(ledger, "partwise-aggregation", 2)  # tree test + RANGE, as Phase 2
+    v0, rule = phase2_separator_node(tree)
+    path = tree.path(tree.root, v0)
+    if not _is_balanced(cfg, path, n, ledger):
+        return None
+    _charge(ledger, "mark-path")
+    return SeparatorResult(path, "last-resort", rule)
+
+
+def _rescue(cfg: PlanarConfiguration, n: int, ledger, what: str) -> SeparatorResult:
+    """The backstop where the paper's case analysis does not separate:
+    the rooted sweep, then the checked centroid path (DESIGN.md errata)."""
+    result = _rooted_sweep(cfg, n, ledger) or _centroid_last_resort(cfg, n, ledger)
     if result is None:
         raise SeparatorError(
-            f"{phase} emission is unbalanced and no rooted fallback exists"
+            f"{what}: no rooted window edge is insertable and the centroid "
+            "path is unbalanced"
         )
     return result
 

@@ -18,11 +18,12 @@ scratch:
   the region root, and splicing it back yields a DFS tree of the whole
   graph.
 * **Separator repair**: deletes can only shrink the components of
-  ``G - S``; an insert merges two components, and the merged size is
-  checked against the paper's :math:`2n/3` bound.  The separator is
-  recomputed when its path/closing structure is damaged (a path edge, a
-  T-path tree edge, or the certificate's feasibility) or when a merge
-  busts the bound.
+  ``G - S``; an insert with both ends off ``S`` can merge two, so the
+  component of ``G - S`` that now holds the edge is measured against the
+  paper's :math:`2n/3` bound by a walk that stops one node past it.  The
+  separator is recomputed when its path/closing structure is damaged (a
+  path edge, a T-path tree edge, or the certificate's feasibility) or
+  when the walk passes the bound.
 * **Certified fallback**: the repair region is bounded by
   ``fallback_fraction * n`` (default the balance constant ``2/3``).  The
   bound is *certified* in the sense that crossing it provably makes a
@@ -151,7 +152,6 @@ class DynamicPipeline:
             "full_recomputes": 0,
             "rounds": 0,
         }
-        self._comps_dirty = False
         self._recompute_all(count=False)
 
     # ------------------------------------------------------------------
@@ -284,38 +284,11 @@ class DynamicPipeline:
         self.separator_path: Tuple[Node, ...] = tuple(sep.path)
         self.separator_phase = sep.phase
         self.certificate = certify_cycle(cfg, sep.path)
-        self._sep_tree_parent: Dict[Node, Optional[Node]] = dict(cfg.tree.parent)
-        self._sep_tree_root: Node = cfg.tree.root
-        self._rebuild_components()
+        self._sep_tree = cfg.tree
         if own_ledger:
             self._charge(ledger)
         if count:
             self.stats["separator_recomputes"] += 1
-
-    def _rebuild_components(self) -> None:
-        """Component id/size of every node of ``G - S`` (None for S)."""
-        graph = self.dyn.graph
-        sep = set(self.separator_path)
-        self._comp_id: Dict[Node, int] = {}
-        self._comp_size: Dict[int, int] = {}
-        next_id = 0
-        for start in graph.nodes:
-            if start in sep or start in self._comp_id:
-                continue
-            stack = [start]
-            self._comp_id[start] = next_id
-            size = 0
-            while stack:
-                v = stack.pop()
-                size += 1
-                for u in graph.neighbors(v):
-                    if u in sep or u in self._comp_id:
-                        continue
-                    self._comp_id[u] = next_id
-                    stack.append(u)
-            self._comp_size[next_id] = size
-            next_id += 1
-        self._comps_dirty = False
 
     # ------------------------------------------------------------------
     # incremental repair
@@ -334,50 +307,41 @@ class DynamicPipeline:
         sep = set(self.separator_path)
         if u in sep or v in sep:
             return  # components of G - S are untouched
-        if self._comps_dirty:
-            self._rebuild_components()
-        cu, cv = self._comp_id[u], self._comp_id[v]
-        if cu == cv:
-            return
-        merged = self._comp_size[cu] + self._comp_size[cv]
         if "ignore-separator-merge" in self.repair_bugs:
-            # Injected bug: merge the bookkeeping but never re-balance.
-            self._merge_components(cu, cv)
-            return
-        if merged > math.floor(2 * self.n / 3):
+            return  # Injected bug: never re-balance after a merge.
+        if self._component_exceeds(u, sep, math.floor(2 * self.n / 3)):
             self._recompute_separator()
-        else:
-            self._merge_components(cu, cv)
 
-    def _merge_components(self, cu: int, cv: int) -> None:
-        if self._comp_size[cu] < self._comp_size[cv]:
-            cu, cv = cv, cu
-        for node, cid in self._comp_id.items():
-            if cid == cv:
-                self._comp_id[node] = cu
-        self._comp_size[cu] += self._comp_size.pop(cv)
+    def _component_exceeds(self, start: Node, sep: set, bound: int) -> bool:
+        """Whether ``start``'s component of ``G - S`` has more than
+        ``bound`` nodes; the walk stops at the ``bound + 1``-st."""
+        graph = self.dyn.graph
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in graph.neighbors(stack.pop()):
+                if w in sep or w in seen:
+                    continue
+                seen.add(w)
+                if len(seen) > bound:
+                    return True
+                stack.append(w)
+        return False
 
     def _separator_after_delete(self, u: Node, v: Node) -> None:
         path = self.separator_path
-        sep = set(path)
         on_path_edge = any(
             {path[i], path[i + 1]} == {u, v} for i in range(len(path) - 1)
         )
         closing_edge = len(path) >= 2 and {path[0], path[-1]} == {u, v}
-        tree_edge = (
-            self._sep_tree_parent.get(u) == v or self._sep_tree_parent.get(v) == u
-        )
+        parent = self._sep_tree.parent
+        tree_edge = parent.get(u) == v or parent.get(v) == u
         if on_path_edge or closing_edge or tree_edge:
             # The T-path itself, its closing edge, or its spanning tree
             # lost an edge: the separator's cycle structure is damaged
-            # beyond local patching.
+            # beyond local patching.  Any other delete only shrinks the
+            # components of G - S, so balance holds.
             self._recompute_separator()
-            return
-        if u not in sep and v not in sep:
-            # A component of G - S may have split; sizes only shrink, so
-            # balance holds, but the merge bookkeeping must be rebuilt
-            # before the next insert consults it.
-            self._comps_dirty = True
 
     def _finalize_separator(self) -> None:
         """The certified part of the fallback: re-certify, else recompute.
@@ -394,12 +358,7 @@ class DynamicPipeline:
             self.certificate = cert
 
     def _certify_current(self) -> str:
-        graph = self.dyn.graph
-        cfg = PlanarConfiguration(
-            graph,
-            self.dyn.rotation,
-            RootedTree(self._sep_tree_parent, self._sep_tree_root),
-        )
+        cfg = PlanarConfiguration(self.dyn.graph, self.dyn.rotation, self._sep_tree)
         return certify_cycle(cfg, list(self.separator_path))
 
     # -- DFS side ------------------------------------------------------

@@ -231,12 +231,9 @@ def run_job(
     from ..core.config import PlanarConfiguration
     from ..core.dfs import dfs_tree
     from ..core.separator import cycle_separator
-    from ..core.verify import (
-        VerificationError,
-        check_dfs_tree,
-        check_separator,
-        separator_report,
-    )
+    from ..core.verify import VerificationError, check_dfs_tree, check_separator
+    from ..planar.checks import require_connected
+    from ..planar.construct import embed
 
     if deadline_ts is not None and time.time() >= deadline_ts:
         return {"status": "expired"}
@@ -280,18 +277,21 @@ def run_job(
             graph = _build_graph(spec)
             nodes = sorted(graph.nodes)
             root = nodes[spec.root % len(nodes)]
-            cfg = PlanarConfiguration.build(graph, root=root)
+            # One planarity test: the rotation is certified, not re-embedded,
+            # by both the configuration and the DFS.
+            require_connected(graph)
+            rotation = embed(graph)
+            cfg = PlanarConfiguration.build(graph, root=root, rotation=rotation)
     except (ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
         return _finish({"status": "invalid", "error": f"{type(exc).__name__}: {exc}"})
     try:
         with span("separator"):
             sep = cycle_separator(cfg)
-            report = separator_report(graph, sep.path)
-            check_separator(graph, sep.path)
+            report = check_separator(graph, sep.path)
         with span("certify"):
             certificate = certify_cycle(cfg, sep.path)
         with span("dfs"):
-            dfs = dfs_tree(graph, root)
+            dfs = dfs_tree(graph, root, rotation=rotation)
             check_dfs_tree(graph, dfs.parent, root)
     except VerificationError as exc:
         return _finish({"status": "oracle-violation", "error": str(exc)})

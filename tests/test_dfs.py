@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.config import PlanarConfiguration
 from repro.core.dfs import DFSError, dfs_tree
-from repro.core.separator import SeparatorError
 from repro.core.verify import check_dfs_tree
 from repro.congest import CostModel, RoundLedger
 from repro.planar import embed
@@ -286,13 +285,6 @@ class TestEdgeCasesAndErrors:
         with pytest.raises(NotConnectedError):
             dfs_tree(nx.Graph([(0, 1), (2, 3)]), 0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=SeparatorError,
-        reason="known defect: on a long path with one short chord near the "
-        "root, phase 4.2 finds no balanced emission and no rooted fallback "
-        "(path + one chord, n 5..18, chord length 2..4: 18 of 714 fail)",
-    )
     def test_path_with_one_chord(self):
         g = nx.path_graph(14)
         g.add_edge(2, 4)
@@ -300,37 +292,19 @@ class TestEdgeCasesAndErrors:
         check_dfs_tree(g, res.parent, 0)
 
 
-# (n, a, k, root) cases of the path + one chord (a, a + k) sweep where
-# phase 4.2 finds no balanced emission and no rooted fallback.
-PATH_CHORD_FAILURES = {
-    (14, 2, 2, 0), (14, 9, 2, 13), (15, 2, 2, 0), (15, 10, 2, 14),
-    (16, 2, 2, 0), (16, 11, 2, 15), (17, 2, 2, 0), (17, 3, 2, 0),
-    (17, 11, 2, 16), (17, 12, 2, 16), (17, 2, 3, 0), (17, 11, 3, 16),
-    (18, 2, 2, 0), (18, 3, 2, 0), (18, 12, 2, 17), (18, 13, 2, 17),
-    (18, 2, 3, 0), (18, 12, 3, 17),
-}  # fmt: skip
-
-
 def _path_chord_cases():
     for n in range(5, 19):
         for k in range(2, 5):
             for a in range(n - k):
                 for root in (0, n - 1):
-                    marks = ()
-                    if (n, a, k, root) in PATH_CHORD_FAILURES:
-                        marks = pytest.mark.xfail(
-                            strict=True,
-                            raises=SeparatorError,
-                            reason="known defect: phase 4.2 emission is unbalanced "
-                            "and no rooted fallback exists",
-                        )
-                    yield pytest.param(n, a, k, root, marks=marks, id=f"n{n}-a{a}-k{k}-r{root}")
+                    yield pytest.param(n, a, k, root, id=f"n{n}-a{a}-k{k}-r{root}")
 
 
 class TestPathWithOneChordSweep:
     """``path_graph(n)`` plus one chord ``(a, a + k)``, n 5..18, k 2..4,
-    every chord start, rooted at either path end: 696 of 714 cases pass,
-    and the 18 that raise are pinned so no change moves the set."""
+    every chord start, rooted at either path end.  18 of the 714 cases
+    need the checked centroid last resort: phase 4.2's emission is
+    unbalanced and the rooted sweep finds no insertable window edge."""
 
     @pytest.mark.parametrize("n,a,k,root", _path_chord_cases())
     def test_sweep(self, n, a, k, root):
@@ -338,6 +312,33 @@ class TestPathWithOneChordSweep:
         g.add_edge(a, a + k)
         res = dfs_tree(g, root)
         check_dfs_tree(g, res.parent, root)
+
+
+def _star_with_hub_triangle(k=8):
+    """``star_graph(k)`` plus a triangle through the hub: two new nodes
+    joined to each other and to the hub."""
+    g = nx.star_graph(k)
+    g.add_edges_from([(0, k + 1), (0, k + 2), (k + 1, k + 2)])
+    return g
+
+
+class TestLastResortEveryRoot:
+    """Inputs where the rooted sweep finds no insertable window edge at some
+    roots, so only the checked centroid path separates: every root must
+    yield a verified DFS tree."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [gen.grid(12, 12), nx.windmill_graph(5, 3), _star_with_hub_triangle()],
+        ids=["grid-12x12", "friendship-F5", "star8-hub-triangle"],
+    )
+    def test_every_root(self, graph):
+        fired = 0
+        for root in graph.nodes:
+            res = dfs_tree(graph, root)
+            check_dfs_tree(graph, res.parent, root)
+            fired += res.separator_phases.get("last-resort", 0)
+        assert fired > 0
 
 
 def _build(graph, root, rotation=None):

@@ -245,6 +245,40 @@ class TestDynamicPipeline:
         assert below.stats["fallbacks"] == 1
         assert below.stats["region_repairs"] == 0
 
+    @staticmethod
+    def _two_triangle_path():
+        # path_graph(15) with chords (4, 6) and (10, 12): rooted at 0 the
+        # separator is (6, 4, 5), leaving components of 4 and 8 nodes.
+        g = nx.path_graph(15)
+        g.add_edges_from([(4, 6), (10, 12)])
+        return g
+
+    def test_insert_after_an_off_separator_delete_is_rebalanced(self):
+        # Deleting 11-12 keeps both components whole (10-12 remains), and
+        # inserting 0-7 then merges them into 12 > 2n/3 = 10 nodes: the
+        # insert must re-balance even though a delete came first.
+        pipeline = DynamicPipeline(self._two_triangle_path())
+        assert pipeline.separator_path == (6, 4, 5)
+        pipeline.apply([("delete", 11, 12)])
+        pipeline.apply([("insert", 0, 7)])
+        check_separator(pipeline.graph, list(pipeline.separator_path))
+
+    def test_every_delete_then_insert_pair_repairs_soundly(self):
+        # Every non-bridge delete, then every insert applicable after it
+        # (the deleted edge included), as two batches.
+        g = self._two_triangle_path()
+        applicable = 0
+        for e in list(g.edges):
+            if not nx.is_connected(nx.restricted_view(g, [], [e])):
+                continue  # bridge deletes are rejected
+            rest = nx.restricted_view(g, [], [e])
+            for f in nx.non_edges(rest):
+                pipeline = DynamicPipeline(g)
+                pipeline.apply([("delete", *e)])
+                pipeline.apply([("insert", *f)])
+                applicable += 1
+        assert applicable == 540
+
     def test_unsound_repair_raises_instead_of_returning(self):
         # Satellite 3(c): with a deliberately broken repair rule the
         # oracles fire and the pipeline never hands back a broken state.

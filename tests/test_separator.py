@@ -105,6 +105,18 @@ class TestPhaseBehaviour:
         res = cycle_separator(cfg)
         check_separator(cfg.graph, res.path, cfg.tree)
 
+    def test_hub_rooted_star_with_triangle_takes_the_last_resort(self):
+        # Every node is adjacent to the hub root, so the rooted sweep has
+        # no window edge to insert; the checked centroid path separates.
+        g = nx.star_graph(8)
+        g.add_edges_from([(0, 9), (0, 10), (9, 10)])
+        cfg = PlanarConfiguration.build(g, root=0)
+        ledger = RoundLedger(CostModel(len(g), 2))
+        res = cycle_separator(cfg, ledger=ledger)
+        check_separator(g, res.path, cfg.tree)
+        assert res.phase == "last-resort"
+        assert ledger.by_subroutine["mark-path"] > 0
+
     def test_balance_guarantee_is_two_thirds(self):
         worst = 0.0
         for seed in range(5):

@@ -116,6 +116,23 @@ class TestJobs:
         assert result["oracles"] == {"separator": True, "dfs": True}
         verify_result(result)  # and the independent re-check agrees
 
+    def test_run_job_runs_one_planarity_test(self, monkeypatch):
+        # The configuration and the DFS certify the job's one rotation
+        # instead of each re-embedding the graph.
+        import repro.planar.construct as construct
+
+        calls = []
+        lr = construct.lr_rotation
+
+        def counting(graph):
+            calls.append(len(graph))
+            return lr(graph)
+
+        monkeypatch.setattr(construct, "lr_rotation", counting)
+        result = run_job(parse_job(GRID36).canonical())
+        assert result["status"] == "ok"
+        assert calls == [36]
+
     def test_run_job_rejects_disconnected_instance(self):
         spec = parse_job({"edges": [[0, 1], [2, 3]], "root": 0})
         assert run_job(spec.canonical())["status"] == "invalid"
