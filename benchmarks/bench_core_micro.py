@@ -23,7 +23,11 @@ against sizing it from the parent configuration, and fails on any call
 where the two disagree.  The component-setup A/B replays every
 component ``dfs_tree`` builds, restricting the rotation and then
 normalizing it against one configuration build, and fails on any
-component where the two disagree.
+component where the two disagree.  The oracle A/B times the churn
+engine's two per-batch oracles on live churn states: the ``G - S``
+report as an adjacency walk against networkx's subgraph view, and the
+cycle certificate read from the live rotation against a configuration
+build plus a slot-pair search; each pair must agree on every state.
 """
 
 import gc
@@ -36,7 +40,8 @@ from _common import emit
 from repro.applications import biconnectivity
 from repro.congest import Network, RoundTrace
 from repro.obs import Tracer
-from repro.core.augment import balanced_insertion, insertion_variants
+from repro.core.augment import balanced_insertion, insertion_variants, planar_slot_pairs
+from repro.core.certify import certify_cycle
 from repro.core.config import PlanarConfiguration
 import repro.core.dfs as dfs_module
 import repro.core.separator as separator_module
@@ -44,7 +49,9 @@ from repro.core.dfs import dfs_tree
 from repro.core.faces import face_view
 from repro.core.separator import cycle_separator
 from repro.core.subroutines import dfs_order_phases
+from repro.core.verify import separator_report
 from repro.core.weights import fundamental_weights, weight
+from repro.dynamic import DynamicPipeline, flap_updates
 from repro.planar import RotationSystem, embed, embed_subgraph, induced_components
 from repro.planar import generators as gen
 from repro.trees import RootedTree, bfs_tree
@@ -113,6 +120,107 @@ def embed_speedup_rows():
 _EMBED_TITLE = (
     "Embedding - the in-repo LR-planarity port vs networkx check_planarity "
     f"+ from_networkx_embedding (median, q1, q3 of {REPEATS} alternating repeats)"
+)
+
+
+# -- per-batch oracles: adjacency walk and live-rotation certificate --------
+
+#: The oracle rows replay live churn states of two workloads, every state
+#: ``ORACLE_PASSES`` times per repeat: ``delaunay(150)`` at 8 seeds, whose
+#: separators close with real edges, and the lattices, whose separators
+#: need the face test (virtual edges).
+ORACLE_PASSES = 10
+ORACLE_WORKLOADS = (
+    ("churn delaunay-150 x8", lambda: [gen.delaunay(150, seed=s) for s in range(8)]),
+    ("churn grid-12/14 + tri-grid-16",
+     lambda: [gen.grid(12, 12), gen.grid(14, 14), gen.triangulated_grid(16, 16)]),
+)
+
+
+def _churn_states(graphs):
+    """``(graph, rotation, separator tree, separator path)`` of each live
+    state, read from the repair engine after three flap batches."""
+    states = []
+    for seed, graph in enumerate(graphs):
+        pipeline = DynamicPipeline(graph)
+        for batch in flap_updates(graph, seed=seed, rate=0.02, rounds=3):
+            pipeline.apply(batch)
+        states.append((pipeline.dyn.graph, pipeline.dyn.rotation,
+                       pipeline._sep_tree, list(pipeline.separator_path)))
+    return states
+
+
+def _view_components(graph, separator):
+    """The ``G - S`` component sizes through a networkx subgraph view."""
+    sep = set(separator)
+    assert not sep - set(graph.nodes)
+    rest = graph.subgraph(set(graph.nodes) - sep)
+    return sorted((len(c) for c in nx.connected_components(rest)), reverse=True)
+
+
+def _slot_pair_certificate(graph, rotation, tree, path):
+    """The certificate from a configuration built on the live rotation
+    and the slot enumeration augment uses."""
+    cfg = PlanarConfiguration(graph, rotation, tree)
+    if len(path) <= 2:
+        return "trivial"
+    a, b = path[0], path[-1]
+    if graph.has_edge(a, b):
+        return "real-edge"
+    if next(planar_slot_pairs(cfg, a, b), None) is not None:
+        return "virtual-edge"
+    return "root-slit" if tree.root in (a, b) else "none"
+
+
+def oracle_speedup_rows():
+    """The two per-batch churn oracles, each against the construction it
+    replaced, on the live states of :data:`ORACLE_WORKLOADS`: the ``G - S``
+    balance report as one adjacency walk (``separator_report``) against
+    networkx's connected components of a subgraph view, and the cycle
+    certificate read from the live rotation's faces (``certify_cycle``)
+    against a configuration build plus a slot-pair search.  Both pairs
+    must agree on every state."""
+    rows = []
+    for workload, graphs in ORACLE_WORKLOADS:
+        states = _churn_states(graphs())
+        calls = ORACLE_PASSES * len(states)
+        certificates = sorted({certify_cycle(g, rot, tree.root, path)
+                               for g, rot, tree, path in states})
+        ab = (
+            ("G - S report", [
+                ("networkx subgraph view",
+                 lambda: [_view_components(g, path)
+                          for _ in range(ORACLE_PASSES) for g, _, _, path in states]),
+                ("separator_report (adjacency walk)",
+                 lambda: [separator_report(g, path).components
+                          for _ in range(ORACLE_PASSES) for g, _, _, path in states]),
+            ]),
+            ("cycle certificate", [
+                ("configuration + slot pairs",
+                 lambda: [_slot_pair_certificate(g, rot, tree, path)
+                          for _ in range(ORACLE_PASSES) for g, rot, tree, path in states]),
+                ("certify_cycle (live rotation)",
+                 lambda: [certify_cycle(g, rot, tree.root, path)
+                          for _ in range(ORACLE_PASSES) for g, rot, tree, path in states]),
+            ]),
+        )
+        for oracle, configs in ab:
+            results, stats = _alternating(configs)
+            first, second = results.values()
+            assert first == second, (workload, oracle)
+            base = stats[configs[0][0]][1]
+            for name, _ in configs:
+                rows.append({"oracle": oracle, "implementation": name, "workload": workload,
+                             "certificates": "/".join(certificates), "calls": calls,
+                             **_timing(stats[name], base),
+                             "us_per_call": round(1e6 * stats[name][1] / calls, 1)})
+    return rows
+
+
+_ORACLE_TITLE = (
+    "Per-batch churn oracles - adjacency walk vs networkx view, live-rotation "
+    "certificate vs configuration + slot pairs "
+    f"(seconds per {ORACLE_PASSES} passes; median, q1, q3 of {REPEATS} alternating repeats)"
 )
 
 
@@ -715,6 +823,17 @@ def test_micro_embed_speedup(benchmark):
     benchmark(lambda: embed(GRAPH))
 
 
+def test_micro_oracle_speedup(benchmark):
+    """Both per-batch churn oracles must agree with the constructions they
+    replaced and beat them (asserted/recorded in
+    benchmarks/results/oracle_speedup.txt)."""
+    rows = oracle_speedup_rows()
+    emit("oracle_speedup.txt", rows, _ORACLE_TITLE)
+    assert all(r["speedup"] > 1.0 for r in rows if "(" in r["implementation"]), rows
+    states = _churn_states(ORACLE_WORKLOADS[0][1]())
+    benchmark(lambda: [separator_report(g, path) for g, _, _, path in states])
+
+
 def test_micro_configuration(benchmark):
     tree = bfs_tree(GRAPH, 0)
     benchmark(lambda: PlanarConfiguration(GRAPH, ROTATION, tree))
@@ -936,6 +1055,7 @@ if __name__ == "__main__":
     _check_weight_sweep(weight_rows)
     emit("insertion_speedup.txt", insertion_speedup_rows(), _INSERTION_TITLE)
     emit("embed_speedup.txt", embed_speedup_rows(), _EMBED_TITLE)
+    emit("oracle_speedup.txt", oracle_speedup_rows(), _ORACLE_TITLE)
     emit("components_speedup.txt", components_speedup_rows(), _COMPONENTS_TITLE)
     emit("component_setup.txt", component_setup_rows(), _COMPONENT_SETUP_TITLE)
     emit("scheduler_speedup.txt", all_speedup_rows(), _SPEEDUP_TITLE)

@@ -8,24 +8,33 @@ certificate a first-class artifact a downstream user can inspect:
 
 * ``"real-edge"`` — the endpoints are adjacent in ``G`` (the path + that
   edge is a cycle of ``G``);
-* ``"virtual-edge"`` — a planar insertion of the closing edge exists: a
-  slot pair whose two corners lie on one face of the rotation system
-  (:func:`repro.core.augment.planar_slot_pairs`), so inserting the edge
-  there splits that face and keeps the embedding planar.  Nothing is
-  copied or built;
+* ``"virtual-edge"`` — the endpoints share a face of the rotation system,
+  so the closing edge can be drawn inside that face without crossing:
+  some corner of ``b`` lies on a face through a corner of ``a``
+  (:meth:`~repro.planar.rotation.RotationSystem.corner_faces`).  This is
+  exactly "a planar slot pair exists"
+  (:func:`repro.core.augment.planar_slot_pairs`), since the slot pairs
+  enumerate every corner of both endpoints.  Nothing is copied or built;
 * ``"root-slit"`` — the path starts at the root and its closing curve runs
   through the virtual root's outer corner (the Lemma 8 / Phase 2 shape:
   cutting the disk from the outer anchor needs no crossing);
 * ``"none"`` — no certificate (the set still separates, but the cycle
   property could not be established).
+
+The certificate reads only the graph, the rotation and the root, so a
+caller holding a live rotation (the churn engine) certifies without
+building a configuration.  A rotation's faces do not depend on where its
+rows start, so a configuration's normalized rotation gives the same
+answer as the rotation it was built from.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Literal, Sequence
+from typing import Hashable, Literal, Sequence
 
-from .augment import planar_slot_pairs
-from .config import PlanarConfiguration
+import networkx as nx
+
+from ..planar.rotation import RotationSystem
 
 Node = Hashable
 Certificate = Literal["real-edge", "virtual-edge", "root-slit", "trivial", "none"]
@@ -33,13 +42,19 @@ Certificate = Literal["real-edge", "virtual-edge", "root-slit", "trivial", "none
 __all__ = ["certify_cycle"]
 
 
-def certify_cycle(cfg: PlanarConfiguration, path: Sequence[Node]) -> Certificate:
+def certify_cycle(
+    graph: nx.Graph, rotation: RotationSystem, root: Node, path: Sequence[Node]
+) -> Certificate:
     """Certify the cycle property of a separator path.
 
     Parameters
     ----------
-    cfg:
-        The configuration the separator was computed on.
+    graph:
+        The (connected planar) graph the separator was computed on.
+    rotation:
+        A rotation system of ``graph``, any anchor.
+    root:
+        The root of the spanning tree the separator is a T-path of.
     path:
         The separator nodes in T-path order (as emitted by
         :func:`repro.core.separator.cycle_separator`).
@@ -47,10 +62,11 @@ def certify_cycle(cfg: PlanarConfiguration, path: Sequence[Node]) -> Certificate
     if len(path) <= 2:
         return "trivial"
     a, b = path[0], path[-1]
-    if cfg.graph.has_edge(a, b):
+    if graph.has_edge(a, b):
         return "real-edge"
-    for _slots in planar_slot_pairs(cfg, a, b):
+    faces = rotation.corner_faces(a)
+    if any((b, x) in faces for x in rotation.neighbors_cw(b)):
         return "virtual-edge"
-    if cfg.tree.root in (a, b):
+    if root in (a, b):
         return "root-slit"
     return "none"

@@ -73,13 +73,33 @@ class SeparatorReport:
 
 
 def separator_report(graph: nx.Graph, separator: Iterable[Node]) -> SeparatorReport:
-    """Component-size report of removing ``separator`` from ``graph``."""
+    """Component-size report of removing ``separator`` from ``graph``.
+
+    One stack walk over the adjacency dict that never enters ``S``: each
+    walk started at a node not yet reached counts one component of
+    ``G - S``.  No subgraph view or induced copy is built.
+    """
+    adj = graph._adj
     sep = set(separator)
-    unknown = sep - set(graph.nodes)
+    unknown = [v for v in sep if v not in adj]
     if unknown:
         raise VerificationError(f"separator contains non-nodes: {sorted(map(repr, unknown))}")
-    rest = graph.subgraph(set(graph.nodes) - sep)
-    components = sorted((len(c) for c in nx.connected_components(rest)), reverse=True)
+    seen = set(sep)
+    components: List[int] = []
+    for source in adj:
+        if source in seen:
+            continue
+        seen.add(source)
+        stack = [source]
+        size = 1
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+                    size += 1
+        components.append(size)
+    components.sort(reverse=True)
     return SeparatorReport(len(graph), len(sep), components)
 
 

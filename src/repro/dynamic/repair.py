@@ -35,7 +35,12 @@ After **every** batch the engine re-runs the definitional oracles —
 ``check_separator``, ``check_dfs_tree`` and ``certify_cycle`` — on the
 repaired state and raises :class:`UnsoundRepairError` (a
 :class:`~repro.core.verify.VerificationError`) instead of returning, so
-an unsound repair can never be observed silently.  ``repair_bugs`` is the
+an unsound repair can never be observed silently.  A batch pays only for
+what it changed: the kept separator is re-certified on the live graph
+and rotation (do its endpoints still share a face?) with no
+configuration built and no re-embedding, and ``check_separator`` walks
+the live adjacency; only a separator recompute builds a configuration,
+one, from the live rotation.  ``repair_bugs`` is the
 chaos hook: a frozenset of named, deliberately-broken repair rules
 (``"keep-cross-edges"``, ``"ignore-separator-merge"``) the churn campaign
 injects to prove the oracles catch exactly this class of bug.
@@ -51,7 +56,7 @@ import networkx as nx
 
 from ..congest.ledger import CostModel, RoundLedger
 from ..core.certify import certify_cycle
-from ..core.config import PlanarConfiguration
+from ..core.config import ConfigurationError, PlanarConfiguration
 from ..core.dfs import dfs_tree
 from ..core.separator import cycle_separator
 from ..core.verify import VerificationError, check_dfs_tree, check_separator
@@ -283,7 +288,7 @@ class DynamicPipeline:
         sep = cycle_separator(cfg, ledger=ledger)
         self.separator_path: Tuple[Node, ...] = tuple(sep.path)
         self.separator_phase = sep.phase
-        self.certificate = certify_cycle(cfg, sep.path)
+        self.certificate = certify_cycle(cfg.graph, cfg.rotation, cfg.tree.root, sep.path)
         self._sep_tree = cfg.tree
         if own_ledger:
             self._charge(ledger)
@@ -349,7 +354,9 @@ class DynamicPipeline:
         A kept separator can lose certificate feasibility without losing
         any tracked edge (inserts can crowd out the virtual closing
         corner).  Re-certifying on the *current* embedding after every
-        mutated batch makes the certificate itself the fallback trigger.
+        mutated batch makes the certificate itself the fallback trigger;
+        the check reads the live rotation's faces
+        (:meth:`_certify_current`).
         """
         cert = self._certify_current()
         if cert not in _SOUND_CERTIFICATES:
@@ -358,8 +365,30 @@ class DynamicPipeline:
             self.certificate = cert
 
     def _certify_current(self) -> str:
-        cfg = PlanarConfiguration(self.dyn.graph, self.dyn.rotation, self._sep_tree)
-        return certify_cycle(cfg, list(self.separator_path))
+        """Certify the kept separator on the live graph and rotation.
+
+        No configuration is built: the certificate reads faces of the live
+        rotation directly.  The consistency checks a configuration build
+        would make run here in one pass over the adjacency, with its
+        messages: the separator's tree spans the graph, every rotation row
+        holds exactly its node's neighbors, and every tree edge is a graph
+        edge.
+        """
+        adj = self.dyn.graph._adj
+        source = self.dyn.rotation._order
+        tree = self._sep_tree
+        parent, root = tree.parent, tree.root
+        if parent.keys() != adj.keys():
+            raise ConfigurationError("tree is not spanning")
+        for v, nbrs in adj.items():
+            row = source.get(v)
+            if row is None:
+                raise ConfigurationError(f"rotation has no row for {v!r}")
+            if len(row) != len(nbrs) or nbrs.keys() - row:
+                raise ConfigurationError(f"rotation of {v!r} does not match the graph")
+            if v != root and parent[v] not in nbrs:
+                raise ConfigurationError(f"tree edge {parent[v]!r}-{v!r} is not a graph edge")
+        return certify_cycle(self.dyn.graph, self.dyn.rotation, root, self.separator_path)
 
     # -- DFS side ------------------------------------------------------
     def _dfs_after_insert(self, u: Node, v: Node) -> None:

@@ -56,6 +56,16 @@ def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
       counterclockwise of it (``add_half_edge_first``, and
       ``add_half_edge(cw=leftmost)``).
 
+    networkx links each row into a cyclic list and splices the back
+    edges into it while its embedding DFS runs; here each row is written
+    once, in its final clockwise order, by the same DFS.  A non-root
+    row starts at the parent (networkx's ``add_half_edge_first``), so
+    it reads from the leftmost neighbour as networkx's does; a root row
+    starts at the first tree child's block, whose newest side -1 insert
+    is the leftmost there.  The rest of the row follows the out-edges in
+    signed nesting order (the comment at the embedding step says what
+    each contributes).
+
     Conflict-pair intervals are ``[low, high]`` slots of a 4-list
     ``[left.low, left.high, right.low, right.high]``.  Rows are keyed
     and ordered like ``graph``'s nodes; isolated nodes get empty rows.
@@ -63,25 +73,26 @@ def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
     nodes = list(graph)
     n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
-    rows: List[Dict[int, None]] = [{} for _ in range(n)]
+    adjs: List[List[int]] = [[] for _ in range(n)]
     done = set()
     for a, nbrs in graph._adj.items():
         i = index[a]
         for b in nbrs:
             if b not in done and a != b:
                 j = index[b]
-                rows[i][j] = None
-                rows[j][i] = None
+                adjs[i].append(j)
+                adjs[j].append(i)
         done.add(a)
-    m = sum(map(len, rows)) // 2
+    m = sum(map(len, adjs)) // 2
     if n > 2 and m > 3 * n - 6:
         return None
-    adjs = [list(row) for row in rows]
 
-    # Orientation by DFS: heights, lowpoints and nesting depths.
+    # Orientation by DFS: heights, lowpoints and nesting depths.  An edge
+    # {v, w} met from v is already oriented towards v exactly when w is
+    # v's parent or a deeper node (a descendant's back edge).
     height: List[Optional[int]] = [None] * n
     parent_edge: List[Optional[int]] = [None] * n
-    out: List[Dict[int, int]] = [{} for _ in range(n)]  # v -> {w: edge v->w}
+    out: List[List[int]] = [[] for _ in range(n)]  # v's out-edges, oriented order
     tail, head = [0] * m, [0] * m
     lowpt, lowpt2, nesting = [0] * m, [0] * m, [0] * m
     roots: List[int] = []
@@ -96,6 +107,7 @@ def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
         while stack:
             v = stack.pop()
             e = parent_edge[v]
+            up = -1 if e is None else tail[e]
             hv = height[v]
             row, out_v = adjs[v], out[v]
             i = ind[v]
@@ -103,24 +115,25 @@ def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
                 w = row[i]
                 if resume[v]:  # back from the tree edge v->w
                     resume[v] = False
-                    vw = out_v[w]
+                    vw = parent_edge[w]
                 else:
-                    if v in out[w]:  # already oriented w->v
+                    hw = height[w]
+                    if w == up or (hw is not None and hw > hv):  # already w->v
                         i += 1
                         continue
                     vw = edges
                     edges += 1
-                    out_v[w] = vw
+                    out_v.append(vw)
                     tail[vw], head[vw] = v, w
                     lowpt[vw] = lowpt2[vw] = hv
-                    if height[w] is None:  # tree edge
+                    if hw is None:  # tree edge
                         parent_edge[w] = vw
                         height[w] = hv + 1
                         ind[v], resume[v] = i, True
                         stack.append(v)
                         stack.append(w)
                         break
-                    lowpt[vw] = height[w]  # back edge
+                    lowpt[vw] = hw  # back edge
                 low = lowpt[vw]
                 nesting[vw] = 2 * low + (lowpt2[vw] < hv)
                 if e is not None:
@@ -134,7 +147,7 @@ def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
                 i += 1
 
     # Testing: the LR partition, recorded as ref/side constraints.
-    ordered = [sorted(out_v.values(), key=nesting.__getitem__) for out_v in out]
+    ordered = [sorted(out_v, key=nesting.__getitem__) for out_v in out]
     ref: List[Optional[int]] = [None] * m
     side = [1] * m
     lowpt_edge: List[Optional[int]] = [None] * m
@@ -252,9 +265,18 @@ def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
             if not descended and e is not None:
                 remove_back_edges(e)
 
-    # Embedding: resolve signs, sort again, then place back edges.
+    # Embedding: resolve signs, sort again, then write each row in its
+    # final clockwise order.  A row is the parent (none at a root), then
+    # per out-edge in signed nesting order: a back edge's head, or for a
+    # tree edge to w the side -1 back edges into the row made while w's
+    # subtree ran (newest first, each went counterclockwise of the last),
+    # w, and the side +1 ones (newest first, each went directly clockwise
+    # of w).
     for out_v in out:
-        for e in out_v.values():
+        for e in out_v:
+            if ref[e] is None:
+                nesting[e] *= side[e]
+                continue
             chain = [e]  # e's ref chain, each ref cleared once followed
             while ref[chain[-1]] is not None:
                 x = chain[-1]
@@ -264,73 +286,39 @@ def lr_rotation(graph: nx.Graph) -> Optional[Dict[Node, List[Node]]]:
             for x in reversed(chain):
                 s = side[x] = side[x] * s
             nesting[e] *= s
-    cw: List[Dict[int, int]] = []  # v -> {u: clockwise successor of u}
-    ccw: List[Dict[int, int]] = []
-    leftmost: List[Optional[int]] = []
-    for v, out_v in enumerate(out):
-        ordered[v] = sorted(out_v.values(), key=nesting.__getitem__)
-        nbrs = [head[e] for e in ordered[v]]
-        cw.append(dict(zip(nbrs, nbrs[1:] + nbrs[:1])))
-        ccw.append(dict(zip(nbrs, nbrs[-1:] + nbrs[:-1])))
-        leftmost.append(nbrs[0] if nbrs else None)
-
-    def insert_before(x: int, new: int, at: int) -> None:
-        """Put ``new`` directly counterclockwise of ``at`` around ``x``."""
-        prev = ccw[x][at]
-        cw[x][new], ccw[x][new] = at, prev
-        cw[x][prev] = ccw[x][at] = new
-        if at == leftmost[x]:
-            leftmost[x] = new
-
-    def insert_after(x: int, new: int, at: int) -> None:
-        """Put ``new`` directly clockwise of ``at`` around ``x``."""
-        nxt = cw[x][at]
-        cw[x][new], ccw[x][new] = nxt, at
-        cw[x][at] = ccw[x][nxt] = new
-
-    left_ref: List[Optional[int]] = [None] * n
-    right_ref: List[Optional[int]] = [None] * n
+    ordered = [sorted(out_v, key=nesting.__getitem__) for out_v in out]
+    rows: List[List[int]] = [[] for _ in range(n)]
+    left: List[List[int]] = [[] for _ in range(n)]  # side -1 inserts, oldest first
+    right: List[List[int]] = [[] for _ in range(n)]  # side +1 inserts, oldest first
     ind = [0] * n
     for r in roots:
         stack = [r]
         while stack:
             v = stack.pop()
             adj = ordered[v]
+            row = rows[v]
             i = ind[v]
+            if i:  # back from the tree edge adj[i - 1]
+                left_v, right_v = left[v], right[v]
+                row.extend(reversed(left_v))
+                row.append(head[adj[i - 1]])
+                row.extend(reversed(right_v))
+                left_v.clear()
+                right_v.clear()
             while i < len(adj):
                 ei = adj[i]
                 i += 1
                 w = head[ei]
-                if parent_edge[w] == ei:  # tree edge: v becomes w's leftmost
-                    if leftmost[w] is None:
-                        cw[w][v] = ccw[w][v] = leftmost[w] = v
-                    else:
-                        insert_before(w, v, leftmost[w])
-                    left_ref[v] = right_ref[v] = w
+                if parent_edge[w] == ei:  # tree edge: v leads w's row
+                    rows[w].append(v)
                     ind[v] = i
                     stack.append(v)
                     stack.append(w)
                     break
-                if side[ei] == 1:
-                    insert_after(w, v, right_ref[w])
-                else:
-                    insert_before(w, v, left_ref[w])
-                    left_ref[w] = v
+                row.append(w)
+                (right if side[ei] == 1 else left)[w].append(v)
 
-    order: Dict[Node, List[Node]] = {}
-    for v, node in enumerate(nodes):
-        row = []
-        start = leftmost[v]
-        if start is not None:
-            cw_v = cw[v]
-            u = start
-            while True:
-                row.append(nodes[u])
-                u = cw_v[u]
-                if u == start:
-                    break
-        order[node] = row
-    return order
+    return {node: [nodes[u] for u in rows[v]] for v, node in enumerate(nodes)}
 
 
 def embed_subgraph(rotation: RotationSystem, nodes) -> RotationSystem:

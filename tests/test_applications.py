@@ -115,7 +115,7 @@ class TestCertify:
         g = gen.delaunay(60, seed=0)
         cfg = PlanarConfiguration.build(g, root=0)
         res = cycle_separator(cfg)
-        cert = certify_cycle(cfg, res.path)
+        cert = certify_cycle(cfg.graph, cfg.rotation, cfg.tree.root, res.path)
         if res.phase in ("phase3", "phase3b"):
             assert cert == "real-edge"
         assert cert != "none"
@@ -125,7 +125,7 @@ class TestCertify:
         for name, g in gen.FAMILIES(3):
             cfg = PlanarConfiguration.build(g, root=0)
             res = cycle_separator(cfg)
-            cert = certify_cycle(cfg, res.path)
+            cert = certify_cycle(cfg.graph, cfg.rotation, cfg.tree.root, res.path)
             certs[name] = (res.phase, cert)
             assert cert in {"real-edge", "virtual-edge", "root-slit", "trivial"}, certs
         assert any(c == "real-edge" for _, c in certs.values())

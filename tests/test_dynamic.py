@@ -154,32 +154,100 @@ class TestDynamicPipeline:
     def test_certification_leaves_the_live_rotation_unchanged_and_unaliased(
         self, monkeypatch
     ):
-        # The live rotation is handed over without a copy: the
-        # configurations must neither change its rows nor share them.
+        # Re-certification reads the live rotation itself; a separator
+        # recompute hands it to one configuration without a copy.
+        # Neither may change its rows, and the configuration must hold
+        # rows of its own.
         import repro.dynamic.repair as repair_module
 
         pipeline = DynamicPipeline(gen.delaunay(40, seed=3))
         live = pipeline.dyn.rotation
         rows = {v: live.neighbors_cw(v) for v in live.nodes}
-        configs = []
+        rotations = []
         certify = repair_module.certify_cycle
 
-        def recording(cfg, path):
-            configs.append(cfg)
-            return certify(cfg, path)
+        def recording(graph, rotation, root, path):
+            rotations.append(rotation)
+            return certify(graph, rotation, root, path)
 
         monkeypatch.setattr(repair_module, "certify_cycle", recording)
         pipeline._certify_current()
         pipeline._recompute_separator()
-        assert len(configs) == 2
+        assert len(rotations) == 2
+        assert rotations[0] is live
         assert {v: live.neighbors_cw(v) for v in live.nodes} == rows
-        for cfg in configs:
-            assert cfg.rotation is not live
-            for v, row in rows.items():
-                own = cfg.rotation._order[v]
-                assert own is not live._order[v]
-                i = row.index(own[0])
-                assert tuple(own) == row[i:] + row[:i]
+        own_rotation = rotations[1]
+        assert own_rotation is not live
+        for v, row in rows.items():
+            own = own_rotation._order[v]
+            assert own is not live._order[v]
+            i = row.index(own[0])
+            assert tuple(own) == row[i:] + row[:i]
+
+    def test_off_separator_non_tree_delete_builds_no_configuration(
+        self, monkeypatch
+    ):
+        # The hot path of churn: a delete that touches neither the DFS
+        # tree nor the separator's path or tree is a no-op repair, and
+        # re-certifying it builds no configuration and embeds nothing.
+        import repro.core.config as config_module
+        import repro.planar.construct as construct_module
+
+        g = gen.delaunay(60, seed=2)
+        pipeline = DynamicPipeline(g)
+        path = set(pipeline.separator_path)
+        sep_parent = pipeline._sep_tree.parent
+        edge = next(
+            (u, v)
+            for u, v in g.edges()
+            if u not in path and v not in path
+            and pipeline.parent[u] != v and pipeline.parent[v] != u
+            and sep_parent[u] != v and sep_parent[v] != u
+        )
+        counts = {"configurations": 0, "lr_rotation": 0}
+        init = config_module.PlanarConfiguration.__init__
+        lr = construct_module.lr_rotation
+
+        def counting_init(self, *args, **kwargs):
+            counts["configurations"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_lr(graph):
+            counts["lr_rotation"] += 1
+            return lr(graph)
+
+        monkeypatch.setattr(config_module.PlanarConfiguration, "__init__", counting_init)
+        monkeypatch.setattr(construct_module, "lr_rotation", counting_lr)
+        delta = pipeline.apply([("delete",) + edge])
+        assert delta["noop_repairs"] == 1
+        assert delta["separator_recomputes"] == delta["full_recomputes"] == 0
+        assert counts == {"configurations": 0, "lr_rotation": 0}
+
+    @pytest.mark.parametrize("damage", ["row", "missing-row", "tree-edge", "spanning"])
+    def test_recertification_checks_match_a_configuration_build(self, damage):
+        # The one-pass checks of the per-batch re-certification raise what
+        # building a configuration on the same state would raise.
+        from repro.core.config import ConfigurationError, PlanarConfiguration
+
+        pipeline = DynamicPipeline(gen.delaunay(30, seed=1))
+        graph, rotation = pipeline.dyn.graph, pipeline.dyn.rotation
+        tree = pipeline._sep_tree
+        if damage == "row":
+            v = next(iter(graph))
+            rotation._order[v] = rotation._order[v][:-1]
+        elif damage == "missing-row":
+            del rotation._order[next(iter(graph))]
+        elif damage == "tree-edge":
+            v = next(v for v in graph if tree.parent[v] is not None)
+            graph.remove_edge(v, tree.parent[v])
+            rotation.delete_edge(v, tree.parent[v])
+        else:
+            graph.add_edge(next(iter(graph)), "extra")
+        with pytest.raises(ConfigurationError) as built:
+            PlanarConfiguration(graph, rotation, tree)
+        with pytest.raises(ConfigurationError) as checked:
+            pipeline._certify_current()
+        assert str(checked.value) == str(built.value)
 
     def test_fingerprint_parity_incremental_vs_recompute(self):
         # Satellite 3(b): both modes agree on the logical state after the

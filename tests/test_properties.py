@@ -302,7 +302,7 @@ class TestCertifyProperty:
 
         g, cfg = instance
         res = cycle_separator(cfg)
-        cert = certify_cycle(cfg, res.path)
+        cert = certify_cycle(cfg.graph, cfg.rotation, cfg.tree.root, res.path)
         assert cert in {"real-edge", "virtual-edge", "root-slit", "trivial"}
 
 
