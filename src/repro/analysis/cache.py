@@ -51,43 +51,17 @@ __all__ = [
 #: that must agree with their parent about the active version).
 CODE_VERSION_ENV = "REPRO_BENCH_CODE_VERSION"
 
+_PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 #: Source files whose content defines the validity of cached artifacts:
-#: the generators that build the instances, the structures derived from
-#: them, and every module the simulator's dispatch path can execute
-#: (schedulers included — a scheduler edit must never serve stale
-#: results).  Editing any of these invalidates every cache entry.
-#: ``tests/test_vectorized.py`` asserts the congest package is covered
-#: in full, so a new simulator module cannot be forgotten here again.
-_FINGERPRINTED_SOURCES = (
-    "planar/generators.py",
-    "trees/spanning.py",
-    "trees/rooted.py",
-    "shortcuts/shortcuts.py",
-    "congest/__init__.py",
-    "congest/ledger.py",
-    "congest/network.py",
-    "congest/vectorized.py",
-    "congest/sharded.py",
-    "congest/trace.py",
-    "congest/faults.py",
-    "congest/transport.py",
-    "congest/algorithms.py",
-    "congest/awerbuch.py",
-    "congest/fragments_sim.py",
-    "congest/mst.py",
-    "congest/partwise_sim.py",
-    "congest/weights_sim.py",
-    "analysis/workloads.py",
-    "analysis/experiments.py",
-    "chaos/scenarios.py",
-    "chaos/campaign.py",
-    "chaos/churn.py",
-    "planar/rotation.py",
-    "planar/checks.py",
-    "dynamic/__init__.py",
-    "dynamic/mutations.py",
-    "dynamic/repair.py",
-)
+#: every module of the package, as sorted posix paths relative to it.
+#: Cached instances and unit results depend on the generators, the core
+#: algorithm, the simulator and the harnesses alike, and a hand-kept
+#: subset goes stale as soon as a module outside it changes.  Editing any
+#: source invalidates every cache entry.
+_FINGERPRINTED_SOURCES = tuple(sorted(
+    p.relative_to(_PACKAGE_ROOT).as_posix() for p in _PACKAGE_ROOT.rglob("*.py")
+))
 
 _computed_version: Optional[str] = None
 
@@ -104,15 +78,10 @@ def code_version() -> str:
         return env
     global _computed_version
     if _computed_version is None:
-        import repro
-
-        root = pathlib.Path(repro.__file__).parent
         digest = hashlib.sha256()
         for rel in _FINGERPRINTED_SOURCES:
-            path = root / rel
             digest.update(rel.encode())
-            if path.exists():
-                digest.update(path.read_bytes())
+            digest.update((_PACKAGE_ROOT / rel).read_bytes())
         _computed_version = digest.hexdigest()[:16]
     return _computed_version
 

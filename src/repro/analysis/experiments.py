@@ -34,7 +34,7 @@ from ..congest import CostModel, RoundLedger, awerbuch_dfs_run
 from ..core.config import PlanarConfiguration
 from ..core.dfs import dfs_tree
 from ..core.faces import face_view
-from ..core.separator import cycle_separator
+from ..core.separator import SeparatorError, cycle_separator
 from ..core.subroutines import dfs_order_phases, mark_path_phases
 from ..core.verify import check_dfs_tree, separator_report
 from ..core.weights import interior_by_orders, side_sets, weight
@@ -609,7 +609,7 @@ def _e11_unit(unit: Dict) -> List[Dict]:
                 runs += 1
                 try:
                     res = cycle_separator(cfg, ablation=ablation)
-                except Exception:
+                except SeparatorError:
                     errors += 1
                     continue
                 if not separator_report(g, res.path).balanced:

@@ -26,12 +26,7 @@ Six commands, mirroring the library's public entry points:
   writes a campaign JSON artifact (``--fail-on-violation`` for CI);
   ``shrink`` reduces one failing grid point to a minimal explicit fault
   plan and prints a ready-to-paste regression test; ``report``
-  pretty-prints a campaign artifact;
-* ``shard`` — separator-sharded execution (``docs/ARCHITECTURE.md``):
-  partition one instance by its own cycle-separator decomposition,
-  run a simulation both single-process and sharded, print the
-  partition summary (sizes, imbalance, cut fraction) and the
-  fingerprint-parity verdict; non-zero exit on divergence.
+  pretty-prints a campaign artifact.
 """
 
 from __future__ import annotations
@@ -477,121 +472,6 @@ def _cmd_chaos_shrink(args) -> int:
     return 0
 
 
-def _shard_sim_runners():
-    """Name → ``fn(graph, root, **run_kwargs) -> run`` for ``repro shard``.
-
-    Instance derivations (BFS tree, partwise parts/values, the planar
-    configuration) mirror the scheduler-equivalence harness in
-    ``tests/test_exhaustive_small.py`` so CLI spot checks and the CI
-    parity suite exercise the same workloads.
-    """
-    from .congest import (
-        awerbuch_dfs_run as dfs_sim,
-        bfs_run,
-        boruvka_mst_run,
-        fragment_merge_run,
-        partwise_aggregation_run,
-        weights_problem_run,
-    )
-
-    def _fragments(graph, root, **kw):
-        return fragment_merge_run(graph, bfs_tree(graph, root), **kw)
-
-    def _partwise(graph, root, **kw):
-        nodes = sorted(graph.nodes)
-        size = (len(nodes) + 3) // 4
-        parts = [nodes[i: i + size] for i in range(0, len(nodes), size)]
-        values = {v: (i * 13) % 17 for i, v in enumerate(nodes)}
-        return partwise_aggregation_run(graph, parts, values, **kw)
-
-    def _weights(graph, root, **kw):
-        return weights_problem_run(
-            PlanarConfiguration.build(graph, root=root), **kw
-        )
-
-    return {
-        "bfs": lambda graph, root, **kw: bfs_run(graph, root, **kw),
-        "dfs": lambda graph, root, **kw: dfs_sim(graph, root, **kw),
-        "fragments": _fragments,
-        "partwise": _partwise,
-        "weights": _weights,
-        "mst": lambda graph, root, **kw: boruvka_mst_run(graph, **kw),
-    }
-
-
-def _shard_fingerprint(run, trace) -> str:
-    """One parity hash per run: ``run_fingerprint`` for plain
-    :class:`RunResult` sims, the same delivered-message projection (trace
-    records + per-edge word histograms, ``active`` excluded) plus the
-    composite run's result fields otherwise."""
-    import hashlib
-
-    from .congest import RunResult, run_fingerprint
-
-    if isinstance(run, RunResult):
-        return run_fingerprint(run, trace)
-    digest = hashlib.sha256()
-    for rec in trace.records:
-        digest.update(
-            repr((rec.run, rec.round, rec.messages, rec.words, rec.dropped,
-                  rec.lost, rec.duplicated, rec.corrupted,
-                  rec.max_words)).encode()
-        )
-    for src, dst, hist in sorted(
-        (repr(s), repr(d), tuple(sorted(h.items())))
-        for (s, d), h in trace.edge_words.items()
-    ):
-        digest.update(f"{src}->{dst}:{hist};".encode())
-    for slot in getattr(run, "__slots__", ()) or sorted(vars(run)):
-        digest.update(f"{slot}={getattr(run, slot)!r};".encode())
-    return digest.hexdigest()
-
-
-def _cmd_shard(args) -> int:
-    from .congest import RoundTrace, partition_summary, separator_shard_partition
-
-    runners = _shard_sim_runners()
-    sims = sorted(runners) if args.sim == "all" else [args.sim]
-    graph = _make_graph(args)
-    root = args.root % len(graph)
-    root = list(graph.nodes)[root] if root not in graph else root
-
-    parts = separator_shard_partition(graph, args.shards)
-    summary = partition_summary(graph, parts)
-    print(f"instance: {args.family} n={len(graph)} "
-          f"m={graph.number_of_edges()} root={root}")
-    print(f"partition: {summary['shards']} shard(s), sizes {summary['sizes']}, "
-          f"imbalance {summary['imbalance']:.2f}, "
-          f"cut {summary['cut_edges']} edge(s) "
-          f"({summary['cut_fraction']:.1%} of {graph.number_of_edges()})")
-
-    failures = 0
-    for sim in sims:
-        run = runners[sim]
-        trace_single = RoundTrace()
-        single = run(graph, root, trace=trace_single, scheduler=args.scheduler)
-        trace_sharded = RoundTrace()
-        sharded = run(
-            graph, root, trace=trace_sharded, scheduler=args.scheduler,
-            shards=args.shards, shard_mode=args.mode,
-        )
-        fp_single = _shard_fingerprint(single, trace_single)
-        fp_sharded = _shard_fingerprint(sharded, trace_sharded)
-        ok = fp_single == fp_sharded
-        failures += 0 if ok else 1
-        verdict = "ok" if ok else "DIVERGED"
-        print(f"  {sim:<10} rounds {single.rounds:>5} -> {sharded.rounds:>5}  "
-              f"fingerprint {fp_sharded[:16]}  {verdict}")
-        if not ok:
-            print(f"    single-process: {fp_single}", file=sys.stderr)
-            print(f"    sharded ({args.shards}): {fp_sharded}", file=sys.stderr)
-    if failures:
-        print(f"FAIL: {failures} simulation(s) diverged under sharding",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _serve_config(args) -> "ServeConfig":
     from .serve import ServeConfig
 
@@ -1031,35 +911,6 @@ def main(argv=None) -> int:
                        help="also write the outcome record as JSON")
     c_srv.set_defaults(func=_cmd_chaos_serve)
 
-    p_sh = sub.add_parser(
-        "shard",
-        help="separator-sharded run with single-process parity check",
-        description="Partition one instance by its own cycle-separator "
-        "decomposition, run a simulation single-process and sharded "
-        "(repro.congest.sharded), and verify the run fingerprints are "
-        "bit-identical; see docs/ARCHITECTURE.md for the execution model.",
-    )
-    add_instance_args(p_sh)
-    p_sh.add_argument("--sim", default="dfs",
-                      choices=("bfs", "dfs", "fragments", "partwise",
-                               "weights", "mst", "all"),
-                      help="simulation to A/B (default dfs; 'all' runs "
-                      "every one)")
-    p_sh.add_argument("--shards", type=int, default=2,
-                      help="worker count (default 2)")
-    p_sh.add_argument("--mode", default="auto",
-                      choices=("auto", "inline", "process"),
-                      help="shard execution mode: 'process' forks one "
-                      "worker per shard, 'inline' runs the same sharded "
-                      "engine in-process (bit-identical, debuggable), "
-                      "'auto' forks when the platform supports it "
-                      "(default)")
-    p_sh.add_argument("--scheduler", default="active",
-                      choices=("dense", "active", "vectorized"),
-                      help="dispatcher for the single-process leg and "
-                      "inside each shard (default active)")
-    p_sh.set_defaults(func=_cmd_shard)
-
     def add_pool_args(p):
         p.add_argument("--workers", type=int, default=2,
                        help="worker processes (default 2)")
@@ -1160,7 +1011,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        # Ctrl-C during a long chaos/shard/serve run is a clean stop, not
+        # Ctrl-C during a long chaos/serve run is a clean stop, not
         # a crash: conventional 128 + SIGINT, no traceback.
         print("interrupted", file=sys.stderr)
         return 130

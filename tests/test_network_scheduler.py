@@ -23,10 +23,8 @@ from repro.congest import (
     partwise_aggregation_run,
     partwise_broadcast_run,
     read_jsonl,
-    separator_shard_partition,
     weights_problem_run,
 )
-from repro.congest.sharded import _fork_context
 from repro.core.config import PlanarConfiguration
 from repro.obs import MetricsRegistry
 from repro.planar import generators as gen
@@ -141,6 +139,48 @@ def _flood_program():
     return init, on_round
 
 
+def observe_faulty_flood(**run_kwargs):
+    """Flood a token from node 0 of ``grid(6, 6)`` under drops,
+    duplicates, corruption and two round-3 crashes; return the run, its
+    trace warnings and its ``congest_*`` metrics (wall time excluded).
+
+    Even nodes halt as they forward the token, so later mail to them is
+    dropped; odd nodes stay idle and un-halted, so the active loop ends in
+    a deadlock.
+    """
+    g = gen.grid(6, 6)
+    faults = FaultPlan(
+        seed=7, drop_rate=0.1, duplicate_rate=0.15, corrupt_rate=0.15,
+        crashes=[(2, 3), (35, 3)],
+    )
+
+    def init(ctx):
+        ctx.state["token"] = ctx.node == 0
+        ctx.state["sent"] = False
+
+    def on_round(ctx, inbox):
+        if inbox:
+            ctx.state["token"] = True
+        if not ctx.state["token"] or ctx.state["sent"]:
+            return None
+        ctx.state["sent"] = True
+        if ctx.node % 2 == 0:
+            ctx.halt(ctx.node)
+        return {u: (ctx.node,) for u in ctx.neighbors}
+
+    trace, metrics = RoundTrace(), MetricsRegistry()
+    res = Network(g).run(
+        init, on_round, 60, trace=trace, metrics=metrics, faults=faults,
+        **run_kwargs,
+    )
+    congest = {
+        name: value
+        for name, value in metrics.to_dict().items()
+        if name.startswith("congest_") and name != "congest_round_wall_seconds"
+    }
+    return res, trace.warnings, congest
+
+
 class TestSchedulerEquivalence:
     @pytest.mark.parametrize("make", [
         lambda: gen.grid(6, 9),
@@ -166,64 +206,11 @@ class TestSchedulerEquivalence:
             Network(nx.path_graph(3)).run(init, on_round, 5, scheduler="mystery")
 
     def test_observations_match_across_engines(self):
-        """Trace warnings and ``congest_*`` metrics agree between the
-        active loop and the sharded engine (inline and forked) on a run
-        with drops, duplicates, corruption, mail to halted nodes, two
+        """Trace warnings and ``congest_*`` metrics of the active loop on a
+        run with drops, duplicates, corruption, mail to halted nodes, two
         same-round crashes and a deadlock; dense agrees on the warnings
         up to the deadlock line and on the message counters."""
-        g = gen.grid(6, 6)
-        # The plan lists the two round-3 crashes against their shards'
-        # order; every engine must warn in the plan's order.
-        shard_of = {
-            v: s
-            for s, part in enumerate(separator_shard_partition(g, 3))
-            for v in part
-        }
-        assert shard_of[2] > shard_of[35]
-        faults = FaultPlan(
-            seed=7, drop_rate=0.1, duplicate_rate=0.15, corrupt_rate=0.15,
-            crashes=[(2, 3), (35, 3)],
-        )
-
-        def init(ctx):
-            ctx.state["token"] = ctx.node == 0
-            ctx.state["sent"] = False
-
-        def on_round(ctx, inbox):
-            # Flood a token from node 0.  Even nodes halt as they forward
-            # it, so later mail to them is dropped; odd nodes stay idle
-            # and un-halted, so the active loop ends in a deadlock.
-            if inbox:
-                ctx.state["token"] = True
-            if not ctx.state["token"] or ctx.state["sent"]:
-                return None
-            ctx.state["sent"] = True
-            if ctx.node % 2 == 0:
-                ctx.halt(ctx.node)
-            return {u: (ctx.node,) for u in ctx.neighbors}
-
-        def observe(**kw):
-            trace, metrics = RoundTrace(), MetricsRegistry()
-            res = Network(g).run(
-                init, on_round, 60, trace=trace, metrics=metrics,
-                faults=faults, **kw,
-            )
-            congest = {
-                name: value
-                for name, value in metrics.to_dict().items()
-                if name.startswith("congest_")
-                and name != "congest_round_wall_seconds"
-            }
-            return res, trace.warnings, congest
-
-        engines = {
-            "active": {},
-            "sharded-inline": {"shards": 3, "shard_mode": "inline"},
-        }
-        if _fork_context() is not None:
-            engines["sharded-process"] = {"shards": 3, "shard_mode": "process"}
-        seen = {label: observe(**kw) for label, kw in engines.items()}
-        res, warnings, congest = seen["active"]
+        res, warnings, congest = observe_faulty_flood()
         assert res.stop_reason == "deadlock"
         assert res.dropped_messages and res.lost_messages
         assert res.duplicated_messages and res.corrupted_messages
@@ -231,11 +218,8 @@ class TestSchedulerEquivalence:
             "run 1: round 3: node 2 crashed (crash-stop)",
             "run 1: round 3: node 35 crashed (crash-stop)",
         ]
-        for label, (_, other_warnings, other_congest) in seen.items():
-            assert other_warnings == warnings, label
-            assert other_congest == congest, label
 
-        _, dense_warnings, dense_congest = observe(scheduler="dense")
+        _, dense_warnings, dense_congest = observe_faulty_flood(scheduler="dense")
         assert "deadlock" in warnings[-1]
         assert dense_warnings == warnings[:-1]
         for name in (

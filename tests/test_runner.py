@@ -10,6 +10,8 @@ regression gate — i.e. the guarantees written down in docs/BENCHMARKS.md.
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +138,27 @@ class TestInstanceCache:
         ):
             assert rel in cache_mod._FINGERPRINTED_SOURCES
 
+    def test_every_loaded_source_is_fingerprinted(self):
+        # Unit results hold separators and DFS trees, so an edit anywhere
+        # on the algorithm's path (core/, the LR port, centroids, ...)
+        # must invalidate them, not only edits to a hand-picked list.
+        from repro.core.config import PlanarConfiguration
+        from repro.core.dfs import dfs_tree
+        from repro.core.separator import cycle_separator
+        from repro.planar import generators as gen
+
+        g = gen.delaunay(40, seed=3)
+        dfs_tree(g, 0)
+        cycle_separator(PlanarConfiguration.build(g, root=0))
+        root = Path(cache_mod.__file__).resolve().parents[1]
+        loaded = [
+            Path(module.__file__).resolve().relative_to(root).as_posix()
+            for name, module in list(sys.modules.items())
+            if name.startswith("repro.") and getattr(module, "__file__", None)
+        ]
+        missing = [rel for rel in loaded if rel not in cache_mod._FINGERPRINTED_SOURCES]
+        assert not missing, f"loaded sources missing from the fingerprint: {missing}"
+
     def test_disabled_cache_never_hits(self, tmp_path):
         cache = cache_mod.InstanceCache(tmp_path, enabled=False)
         cache.put("diameter", ["grid", 100, 0], 18)
@@ -145,6 +168,34 @@ class TestInstanceCache:
     def test_env_override_pins_version(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache_mod.CODE_VERSION_ENV, "pinned00")
         assert cache_mod.InstanceCache(tmp_path).version == "pinned00"
+
+
+# -- experiments ------------------------------------------------------------
+
+
+class TestE11Errors:
+    UNIT = {"variant": "full", "ablation": [], "seeds": [0]}
+
+    def test_separator_error_counts_as_ablation_error(self, monkeypatch):
+        from repro.analysis import experiments
+        from repro.core.separator import SeparatorError
+
+        def fail(cfg, ablation):
+            raise SeparatorError("no balanced candidate")
+
+        monkeypatch.setattr(experiments, "cycle_separator", fail)
+        (row,) = experiments._e11_unit(self.UNIT)
+        assert row["errors"] == row["runs"] > 0
+
+    def test_foreign_error_propagates(self, monkeypatch):
+        from repro.analysis import experiments
+
+        def fail(cfg, ablation):
+            raise TypeError("a bug, not an ablation failure")
+
+        monkeypatch.setattr(experiments, "cycle_separator", fail)
+        with pytest.raises(TypeError, match="a bug"):
+            experiments._e11_unit(self.UNIT)
 
 
 # -- runner -----------------------------------------------------------------

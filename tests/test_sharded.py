@@ -42,6 +42,7 @@ from repro.planar import generators as gen
 from repro.trees import bfs_tree
 
 from test_exhaustive_small import _trace_digest
+from test_network_scheduler import observe_faulty_flood
 
 GRAPHS = [
     ("grid_6x6", lambda: gen.grid(6, 6)),
@@ -313,6 +314,32 @@ class TestCrossShardFaults:
                 run_fingerprint(res, transport=res.transport),
             )
         assert obs["sharded"] == obs["single"]
+
+    def test_observations_match_single_process(self):
+        """Trace warnings and ``congest_*`` metrics of the sharded engine,
+        inline and forked, equal the active loop's on the faulty flood of
+        ``test_network_scheduler`` (drops, duplicates, corruption, mail to
+        halted nodes, two same-round crashes, a deadlock)."""
+        g = gen.grid(6, 6)
+        # The plan lists the two round-3 crashes against their shards'
+        # order; every engine must warn in the plan's order.
+        shard_of = {
+            v: s
+            for s, part in enumerate(separator_shard_partition(g, 3))
+            for v in part
+        }
+        assert shard_of[2] > shard_of[35]
+        engines = {
+            "active": {},
+            "sharded-inline": {"shards": 3, "shard_mode": "inline"},
+        }
+        if _fork_context() is not None:
+            engines["sharded-process"] = {"shards": 3, "shard_mode": "process"}
+        seen = {label: observe_faulty_flood(**kw) for label, kw in engines.items()}
+        _, warnings, congest = seen["active"]
+        for label, (_, other_warnings, other_congest) in seen.items():
+            assert other_warnings == warnings, label
+            assert other_congest == congest, label
 
 
 # ---------------------------------------------------------------------------
