@@ -727,70 +727,9 @@ def vectorized_speedup_rows(side: int = VEC_SIDE):
     ]
 
 
-SHARD_WORKERS = 3
-
-
-def sharded_speedup_rows(side: int = VEC_SIDE, shards: int = SHARD_WORKERS):
-    """Sharded worker processes vs the single-process active scheduler on
-    the same ~10^5-node grid wavefront.
-
-    The gate here is **determinism, not speed** (docs/BENCHMARKS.md):
-    round and message counts must match the single-process run exactly.
-    A synchronous wavefront is communication-bound — every round is an
-    IPC barrier — so this row documents the coordination cost honestly;
-    sharding pays off for handler-heavy programs and instances one
-    process cannot hold, not for this microbench.
-
-    The shard partition is a precomputed contiguous band split.  At this
-    scale the automatic separator decomposition dominates everything (two
-    cycle-separator calls on a 10^5-node grid), which would benchmark the
-    partitioner, not the engine; the separator path is exercised at
-    realistic sizes by tests/test_sharded.py and the ``sharded_dfs`` chaos
-    scenario, and any caller can amortize it the same way via
-    ``shard_partition=``.
-    """
-    from repro.congest.sharded import _fork_context
-
-    graph = gen.grid(side, side)
-    net = Network(graph)
-    n = len(graph)
-    max_rounds = 4 * side + 16
-    mode = "process" if _fork_context() is not None else "inline"
-    nodes = sorted(graph.nodes)
-    chunk = (n + shards - 1) // shards
-    bands = [nodes[i * chunk:(i + 1) * chunk] for i in range(shards)]
-
-    def run(**kw):
-        init, on_round = _wavefront_program()
-        return net.run(init, on_round, max_rounds=max_rounds,
-                       scheduler="active", **kw)
-
-    results, stats = _alternating([
-        ("single", run),
-        ("sharded", lambda: run(shards=shards, shard_mode=mode,
-                                shard_partition=bands)),
-    ])
-    single, sharded = results["single"], results["sharded"]
-    assert sharded.rounds == single.rounds
-    assert sharded.messages_sent == single.messages_sent
-    assert sharded.stop_reason == single.stop_reason == "halted"
-    assert sharded.shards == shards
-    return [
-        {
-            "scheduler": f"sharded-{mode}-x{shards}",
-            "workload": f"grid-{side}x{side}",
-            "n": n,
-            "rounds": sharded.rounds,
-            "messages": sharded.messages_sent,
-            **_timing(stats["sharded"], stats["single"][1]),
-        }
-    ]
-
-
 _SPEEDUP_TITLE = (
     f"Scheduler A/B - BFS wavefront: dense vs active on a {WAVE_N}-node "
-    f"path; active vs vectorized, and single-process vs separator-sharded "
-    f"({SHARD_WORKERS} workers), on a {VEC_SIDE}x{VEC_SIDE} grid "
+    f"path; active vs vectorized on a {VEC_SIDE}x{VEC_SIDE} grid "
     f"(median, q1, q3 of {REPEATS} alternating repeats)"
 )
 _speedup_rows_cache = None
@@ -801,11 +740,7 @@ def all_speedup_rows():
     ``__main__`` table share the same measurement)."""
     global _speedup_rows_cache
     if _speedup_rows_cache is None:
-        _speedup_rows_cache = (
-            scheduler_speedup_rows()
-            + vectorized_speedup_rows()
-            + sharded_speedup_rows()
-        )
+        _speedup_rows_cache = scheduler_speedup_rows() + vectorized_speedup_rows()
     return _speedup_rows_cache
 
 
@@ -938,26 +873,6 @@ def test_micro_vectorized_speedup(benchmark):
 
     vec_run()  # warm the columnar cache before timing
     benchmark(vec_run)
-
-
-def test_micro_sharded_parity(benchmark):
-    """Acceptance gate (PR 7): the separator-sharded engine must produce
-    identical round and message counts to the single-process scheduler on
-    the 10^5-node grid wavefront (asserted inside sharded_speedup_rows);
-    the measured coordination cost is recorded alongside the scheduler
-    rows in benchmarks/results/scheduler_speedup.txt."""
-    rows = all_speedup_rows()
-    emit("scheduler_speedup.txt", rows, _SPEEDUP_TITLE)
-    assert any(r["scheduler"].startswith("sharded") for r in rows)
-
-    from repro.congest.algorithms import bfs_run
-
-    small = gen.grid(24, 24)
-
-    def sharded_run():
-        return bfs_run(small, 0, shards=2, shard_mode="inline")
-
-    benchmark(sharded_run)
 
 
 def tracing_overhead_rows(n: int = WAVE_N):

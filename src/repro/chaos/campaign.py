@@ -68,11 +68,6 @@ class CampaignConfig:
     #: ``"vectorized"`` — and must fingerprint identically (the CI
     #: ``scheduler-parity`` job runs the smoke campaign both ways).
     scheduler: str = "active"
-    #: Separator shards for every unit's simulations (1 = single-process).
-    #: A sharded campaign must fingerprint identically to the baseline —
-    #: ``shards`` is part of the unit (and therefore the cache key) but
-    #: not the outcome fingerprint.
-    shards: int = 1
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -87,7 +82,6 @@ class CampaignConfig:
             "transport": self.transport,
             "transport_retries": self.transport_retries,
             "scheduler": self.scheduler,
-            "shards": self.shards,
         }
 
 
@@ -144,8 +138,6 @@ def campaign_units(config: CampaignConfig) -> List[Dict[str, Any]]:
             base["transport_retries"] = config.transport_retries
         if config.scheduler != "active":
             base["scheduler"] = config.scheduler
-        if config.shards != 1:
-            base["shards"] = config.shards
         units.append(
             {**base, "seed": 0, "drop_rate": 0.0,
              "duplicate_rate": 0.0, "corrupt_rate": 0.0}
@@ -200,7 +192,6 @@ def run_campaign_unit(unit: Dict[str, Any]) -> Dict[str, Any]:
         plan=unit_plan(unit),
         transport=transport,
         scheduler=unit.get("scheduler", "active"),
-        shards=unit.get("shards", 1),
     )
 
 

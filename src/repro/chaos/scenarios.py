@@ -39,9 +39,7 @@ from ..congest.algorithms import (
     resilient_broadcast_run,
     resilient_convergecast_run,
 )
-from ..congest.awerbuch import awerbuch_dfs_run, resilient_dfs_run
-from ..congest.faults import run_fingerprint
-from ..congest.trace import RoundTrace
+from ..congest.awerbuch import resilient_dfs_run
 from ..congest.fragments_sim import fragment_merge_run
 from ..congest.mst import boruvka_mst_run
 from ..congest.network import CongestViolation
@@ -119,8 +117,8 @@ def _bfs_parent(graph, root):
 
 
 @scenario("broadcast")
-def _broadcast(graph, root, *, faults=None, transport=None, metrics=None, scheduler="active",
-         shards=1):
+def _broadcast(graph, root, *, faults=None, transport=None, metrics=None,
+               scheduler="active"):
     """Resilient broadcast (its own ack layer; transport unused)."""
     result, report = resilient_broadcast_run(
         graph, root, 42, faults=faults, metrics=metrics, scheduler=scheduler
@@ -133,8 +131,8 @@ def _broadcast(graph, root, *, faults=None, transport=None, metrics=None, schedu
 
 
 @scenario("convergecast")
-def _convergecast(graph, root, *, faults=None, transport=None, metrics=None, scheduler="active",
-         shards=1):
+def _convergecast(graph, root, *, faults=None, transport=None, metrics=None,
+                  scheduler="active"):
     """Resilient convergecast; the root must see every surviving node."""
     parent = _bfs_parent(graph, root)
     values = {v: 1 for v in graph.nodes}
@@ -154,12 +152,12 @@ def _convergecast(graph, root, *, faults=None, transport=None, metrics=None, sch
 
 
 @scenario("dfs")
-def _dfs(graph, root, *, faults=None, transport=None, metrics=None, scheduler="active",
-         shards=1):
+def _dfs(graph, root, *, faults=None, transport=None, metrics=None,
+         scheduler="active"):
     """Awerbuch DFS; the parent map must be a DFS tree of the survivors."""
     result, report = resilient_dfs_run(
         graph, root, faults=faults, metrics=metrics, transport=transport,
-        scheduler=scheduler, shards=shards,
+        scheduler=scheduler,
     )
     if report is not None:
         raise VerificationError(f"dfs failed: {report.reason}")
@@ -169,14 +167,14 @@ def _dfs(graph, root, *, faults=None, transport=None, metrics=None, scheduler="a
 
 
 @scenario("fragments")
-def _fragments(graph, root, *, faults=None, transport=None, metrics=None, scheduler="active",
-         shards=1):
+def _fragments(graph, root, *, faults=None, transport=None, metrics=None,
+               scheduler="active"):
     """Fragment merge dynamic; must match the clean run's iteration count."""
     tree = bfs_tree(graph, root)
     clean = fragment_merge_run(graph, tree)
     run = fragment_merge_run(
         graph, tree, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler, shards=shards,
+        scheduler=scheduler,
     )
     if run.iterations != clean.iterations:
         raise VerificationError(
@@ -194,13 +192,13 @@ def _partwise_setup(graph):
 
 
 @scenario("partwise")
-def _partwise(graph, root, *, faults=None, transport=None, metrics=None, scheduler="active",
-         shards=1):
+def _partwise(graph, root, *, faults=None, transport=None, metrics=None,
+              scheduler="active"):
     """Part-wise aggregation; aggregates must equal the direct sums."""
     parts, values = _partwise_setup(graph)
     run = partwise_aggregation_run(
         graph, parts, values, faults=faults, transport=transport,
-        metrics=metrics, scheduler=scheduler, shards=shards,
+        metrics=metrics, scheduler=scheduler,
     )
     expected = {
         i: sum(values[v] for v in part) for i, part in enumerate(parts)
@@ -216,14 +214,14 @@ def _partwise(graph, root, *, faults=None, transport=None, metrics=None, schedul
 
 
 @scenario("weights")
-def _weights(graph, root, *, faults=None, transport=None, metrics=None, scheduler="active",
-         shards=1):
+def _weights(graph, root, *, faults=None, transport=None, metrics=None,
+             scheduler="active"):
     """Weight computation; must equal the clean run bit for bit."""
     cfg = PlanarConfiguration.build(graph, root=root)
     clean = weights_problem_run(cfg)
     run = weights_problem_run(
         cfg, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler, shards=shards,
+        scheduler=scheduler,
     )
     if run.weights != clean.weights or run.orders != clean.orders:
         raise VerificationError("weights diverged from the clean run")
@@ -231,73 +229,38 @@ def _weights(graph, root, *, faults=None, transport=None, metrics=None, schedule
 
 
 @scenario("mst")
-def _mst(graph, root, *, faults=None, transport=None, metrics=None, scheduler="active",
-         shards=1):
+def _mst(graph, root, *, faults=None, transport=None, metrics=None,
+         scheduler="active"):
     """Message-level Borůvka; the result must be the (tie-broken) MST."""
     run = boruvka_mst_run(
         graph, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler, shards=shards,
+        scheduler=scheduler,
     )
     check_mst(graph, run.edges)
     return {"rounds": run.rounds, "phases": run.phases}
 
 
-@scenario("sharded_dfs")
-def _sharded_dfs(graph, root, *, faults=None, transport=None, metrics=None,
-                 scheduler="active", shards=1):
-    """Separator-sharded DFS must be indistinguishable from single-process.
-
-    Runs Awerbuch's DFS twice under the same plan — once single-process,
-    once split over two separator shards (inline mode; bit-identical to
-    forked workers by construction, and an order of magnitude cheaper in
-    a campaign grid) — and fails if the ``run_fingerprint`` values ever
-    diverge.  The parent map is then oracle-checked as usual.  The
-    ``shards`` argument is ignored: this scenario *is* the sharded run.
-    """
-    tr_single = RoundTrace()
-    single = awerbuch_dfs_run(
-        graph, root, trace=tr_single, faults=faults, metrics=metrics,
-        transport=transport, scheduler=scheduler,
-    )
-    tr_sharded = RoundTrace()
-    sharded = awerbuch_dfs_run(
-        graph, root, trace=tr_sharded, faults=faults,
-        transport=transport, scheduler=scheduler,
-        shards=2, shard_mode="inline",
-    )
-    fp_single = run_fingerprint(single, tr_single)
-    fp_sharded = run_fingerprint(sharded, tr_sharded)
-    if fp_single != fp_sharded:
-        raise VerificationError(
-            f"sharded dfs diverged from single-process: "
-            f"{fp_sharded} != {fp_single}"
-        )
-    parent = {v: out[0] for v, out in sharded.outputs.items() if out is not None}
-    check_component_dfs(graph, parent, root, crashed=sharded.crashed)
-    return {"rounds": sharded.rounds}
-
-
 @scenario("pipeline")
-def _pipeline(graph, root, *, faults=None, transport=None, metrics=None, scheduler="active",
-         shards=1):
+def _pipeline(graph, root, *, faults=None, transport=None, metrics=None,
+              scheduler="active"):
     """The full Theorem 2 shape: fragments -> partwise -> weights (with a
     verified separator) -> MST -> DFS, every phase under the same plan."""
     rounds = 0
     stats = _fragments(
         graph, root, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler, shards=shards,
+        scheduler=scheduler,
     )
     rounds += stats["rounds"]
     stats = _partwise(
         graph, root, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler, shards=shards,
+        scheduler=scheduler,
     )
     rounds += stats["rounds"]
     cfg = PlanarConfiguration.build(graph, root=root)
     clean = weights_problem_run(cfg)
     run = weights_problem_run(
         cfg, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler, shards=shards,
+        scheduler=scheduler,
     )
     if run.weights != clean.weights or run.orders != clean.orders:
         raise VerificationError("pipeline: weights diverged from the clean run")
@@ -306,12 +269,12 @@ def _pipeline(graph, root, *, faults=None, transport=None, metrics=None, schedul
     check_separator(graph, sep.path)
     stats = _mst(
         graph, root, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler, shards=shards,
+        scheduler=scheduler,
     )
     rounds += stats["rounds"]
     stats = _dfs(
         graph, root, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler, shards=shards,
+        scheduler=scheduler,
     )
     rounds += stats["rounds"]
     return {"rounds": rounds, "separator_size": len(sep.path)}
@@ -364,7 +327,6 @@ def run_scenario(
     plan=None,
     transport=None,
     scheduler: str = "active",
-    shards: int = 1,
 ) -> Dict[str, Any]:
     """Run one scenario and normalize the outcome to a JSON-able dict.
 
@@ -378,12 +340,6 @@ def run_scenario(
     from the fingerprint: scheduler equivalence means the same campaign
     under ``--scheduler vectorized`` must fingerprint identically to the
     active-set baseline, and any divergence is itself a finding.
-
-    ``shards`` runs every simulation the scenario makes through the
-    separator-sharded engine (``Network.run(shards=k)``).  Like
-    ``scheduler`` it is recorded in the outcome but excluded from the
-    fingerprint — a sharded campaign must fingerprint identically to the
-    single-process baseline.
     """
     fn = SCENARIOS[name]
     graph, root = make_instance(n, graph_seed)
@@ -396,7 +352,6 @@ def run_scenario(
         "transport": transport is not None
         and type(transport).__name__ != "NullTransport",
         "scheduler": scheduler,
-        "shards": shards,
         "ok": True,
         "violation": None,
         "rounds": None,
@@ -404,7 +359,7 @@ def run_scenario(
     try:
         stats = fn(
             graph, root, faults=plan, transport=transport, metrics=metrics,
-            scheduler=scheduler, shards=shards,
+            scheduler=scheduler,
         )
     except VerificationError as exc:
         outcome["ok"] = False

@@ -29,7 +29,6 @@ from .network import (
     RunResult,
     payload_words,
 )
-from .sharded import partition_summary, run_sharded, separator_shard_partition
 from .trace import RoundRecord, RoundTrace, read_jsonl
 from .transport import (
     TRANSPORT_STATE_KEY,
@@ -78,9 +77,6 @@ __all__ = [
     "resilient_convergecast_run",
     "resilient_dfs_run",
     "run_fingerprint",
-    "run_sharded",
-    "separator_shard_partition",
-    "partition_summary",
     "weights_problem_run",
     "broadcast_run",
     "convergecast_run",

@@ -93,8 +93,6 @@ def bfs_run(
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport=None,
-    shards: int = 1,
-    shard_mode: str = "auto",
 ) -> RunResult:
     """Distributed BFS from ``root``.
 
@@ -136,8 +134,7 @@ def bfs_run(
             init, on_round,
             max_rounds=scale_rounds(transport, 4 * len(graph) + 16),
             trace=trace, scheduler=scheduler, faults=faults,
-            metrics=metrics, transport=transport, shards=shards,
-            shard_mode=shard_mode,
+            metrics=metrics, transport=transport,
         )
 
 
@@ -151,8 +148,6 @@ def broadcast_run(
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport=None,
-    shards: int = 1,
-    shard_mode: str = "auto",
 ) -> RunResult:
     """Downcast ``value`` from ``root`` along a known spanning tree.
 
@@ -197,8 +192,7 @@ def broadcast_run(
             init, on_round,
             max_rounds=scale_rounds(transport, 2 * len(graph) + 8),
             trace=trace, scheduler=scheduler, faults=faults,
-            metrics=metrics, transport=transport, shards=shards,
-            shard_mode=shard_mode,
+            metrics=metrics, transport=transport,
         )
 
 
@@ -213,8 +207,6 @@ def convergecast_run(
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport=None,
-    shards: int = 1,
-    shard_mode: str = "auto",
 ) -> RunResult:
     """Aggregate ``values`` up a known spanning tree (sum by default).
 
@@ -259,8 +251,7 @@ def convergecast_run(
             init, on_round,
             max_rounds=scale_rounds(transport, 2 * len(graph) + 8),
             trace=trace, scheduler=scheduler, faults=faults,
-            metrics=metrics, transport=transport, shards=shards,
-            shard_mode=shard_mode,
+            metrics=metrics, transport=transport,
         )
 
 

@@ -41,8 +41,6 @@ def awerbuch_dfs_run(
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport=None,
-    shards: int = 1,
-    shard_mode: str = "auto",
 ) -> RunResult:
     """Run Awerbuch's DFS; each node outputs ``(parent, depth)``."""
 
@@ -133,7 +131,6 @@ def awerbuch_dfs_run(
             max_rounds=scale_rounds(transport, 6 * len(graph) + 16),
             finalize=_finalize, trace=trace, scheduler=scheduler,
             faults=faults, metrics=metrics, transport=transport,
-            shards=shards, shard_mode=shard_mode,
         )
     return result
 
@@ -159,8 +156,6 @@ def resilient_dfs_run(
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport=None,
-    shards: int = 1,
-    shard_mode: str = "auto",
 ) -> Tuple[RunResult, Optional[FailureReport]]:
     """Awerbuch's DFS under faults, with graceful abort instead of a hang.
 
@@ -186,8 +181,7 @@ def resilient_dfs_run(
     with trace_span(trace, "resilient-dfs", root=repr(root)):
         result = awerbuch_dfs_run(
             graph, root, trace=trace, scheduler=scheduler, faults=faults,
-            metrics=metrics, transport=transport, shards=shards,
-            shard_mode=shard_mode,
+            metrics=metrics, transport=transport,
         )
     report = diagnose_run(result, kind="dfs", require_outputs=False)
     if report is not None:

@@ -81,8 +81,6 @@ def _flood_fragment_ids(
     faults=None,
     metrics=None,
     transport=None,
-    shards=1,
-    shard_mode="auto",
 ) -> int:
     """Flood new fragment ids from the re-pointed roots; returns rounds.
 
@@ -128,8 +126,6 @@ def _flood_fragment_ids(
         faults=faults,
         metrics=metrics,
         transport=transport,
-        shards=shards,
-        shard_mode=shard_mode,
     )
     for v, frag in result.outputs.items():
         fragment[v] = frag
@@ -145,8 +141,6 @@ def fragment_merge_run(
     faults=None,
     metrics=None,
     transport=None,
-    shards=1,
-    shard_mode="auto",
 ) -> FragmentRun | MarkPathMergeRun:
     """Run the odd-depth merge dynamic; optionally stop at a coalescence.
 
@@ -190,8 +184,7 @@ def fragment_merge_run(
                 rounds += _flood_fragment_ids(
                     graph, tree, fragment, updates, trace=trace,
                     scheduler=scheduler, faults=faults, metrics=metrics,
-                    transport=transport, shards=shards,
-                    shard_mode=shard_mode,
+                    transport=transport,
                 )
             if stop is not None and fragment[stop[0]] == fragment[stop[1]]:
                 # The merge edge: the first path edge whose endpoints were in
@@ -219,14 +212,11 @@ def mark_path_merge_run(
     faults=None,
     metrics=None,
     transport=None,
-    shards=1,
-    shard_mode="auto",
 ) -> MarkPathMergeRun:
     """Lemma 13's first phase: merge until ``u`` and ``v`` coalesce."""
     run = fragment_merge_run(
         graph, tree, stop=(u, v), trace=trace, scheduler=scheduler,
-        faults=faults, metrics=metrics, transport=transport, shards=shards,
-        shard_mode=shard_mode,
+        faults=faults, metrics=metrics, transport=transport,
     )
     assert isinstance(run, MarkPathMergeRun)
     return run

@@ -75,8 +75,6 @@ def _flood_leaders(
     faults=None,
     metrics=None,
     transport=None,
-    shards=1,
-    shard_mode="auto",
 ) -> Tuple[Dict[Node, Node], int]:
     """Pass 1: flood the (repr-) smallest member along fragment edges."""
 
@@ -110,8 +108,6 @@ def _flood_leaders(
         faults=faults,
         metrics=metrics,
         transport=transport,
-        shards=shards,
-        shard_mode=shard_mode,
     )
     return dict(result.outputs), result.rounds
 
@@ -125,8 +121,6 @@ def _exchange_and_moe(
     faults=None,
     metrics=None,
     transport=None,
-    shards=1,
-    shard_mode="auto",
 ) -> Tuple[Dict[Node, Optional[Tuple[EdgeKey, Node, Node]]], int]:
     """Passes 2+3: learn neighbor fragments, convergecast the MOE.
 
@@ -189,7 +183,7 @@ def _exchange_and_moe(
     result = Network(graph, max_words=8).run(
         init, on_round, max_rounds=scale_rounds(transport, 2 * len(graph) + 8),
         trace=trace, scheduler=scheduler, faults=faults, metrics=metrics,
-        transport=transport, shards=shards, shard_mode=shard_mode,
+        transport=transport,
     )
     moes = {
         v: result.outputs[v] for v in graph.nodes if leader[v] == v
@@ -204,8 +198,6 @@ def boruvka_mst_run(
     faults=None,
     metrics=None,
     transport=None,
-    shards=1,
-    shard_mode="auto",
 ) -> MSTRun:
     """Run message-level Borůvka to completion.
 
@@ -225,7 +217,6 @@ def boruvka_mst_run(
                 leader, flood_rounds = _flood_leaders(
                     graph, fragment_edges, trace=trace, scheduler=scheduler,
                     faults=faults, metrics=metrics, transport=transport,
-                    shards=shards, shard_mode=shard_mode,
                 )
             rounds += flood_rounds
             if len(set(leader.values())) == 1:
@@ -234,8 +225,7 @@ def boruvka_mst_run(
                 moes, moe_rounds = _exchange_and_moe(
                     graph, leader, fragment_edges, trace=trace,
                     scheduler=scheduler, faults=faults, metrics=metrics,
-                    transport=transport, shards=shards,
-                    shard_mode=shard_mode,
+                    transport=transport,
                 )
             rounds += moe_rounds
             phases += 1

@@ -43,9 +43,7 @@ fault hooks, and carries out the steps of a round: apply the crashes due,
 dispatch a schedule and validate its sends, deliver them in the one
 documented order, fold in the wakes.  :class:`_RunObserver` owns what a
 run reports: the ``congest_*`` metrics and the trace's round records and
-warnings.  :meth:`Network.run` (active and dense) loops over both; each
-shard of :mod:`repro.congest.sharded` holds a round state over its own
-nodes and its coordinator reports through an observer;
+warnings.  :meth:`Network.run` (active and dense) loops over both;
 :func:`repro.congest.vectorized.run_vectorized` keeps its numpy dispatch
 and reports through an observer.
 """
@@ -278,11 +276,6 @@ class RunResult:
         ``scheduler="vectorized"`` request that fell back).  Purely
         informational — deliberately excluded from ``run_fingerprint``,
         which hashes what the network *did*, not how it was dispatched.
-    shards:
-        How many separator shards executed the run (1 for the single-
-        process schedulers).  Like ``fast_path``, informational only and
-        excluded from ``run_fingerprint`` — sharding changes how the run
-        was dispatched, never what the network did.
     """
 
     __slots__ = (
@@ -298,7 +291,6 @@ class RunResult:
         "crashed",
         "transport",
         "fast_path",
-        "shards",
     )
 
     def __init__(
@@ -315,7 +307,6 @@ class RunResult:
         corrupted_messages: int = 0,
         transport: Any = None,
         fast_path: bool = False,
-        shards: int = 1,
     ):
         self.rounds = rounds
         self.outputs = outputs
@@ -329,7 +320,6 @@ class RunResult:
         self.crashed = crashed
         self.transport = transport
         self.fast_path = fast_path
-        self.shards = shards
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -369,14 +359,11 @@ class _RunObserver:
         nodes: List[Node],
         trace: Optional[RoundTrace] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        run_id: Optional[int] = None,
     ):
         self.nodes = nodes
         self.trace = trace
         self.metrics = metrics
-        if run_id is None:
-            run_id = trace.begin_run() if trace is not None else 0
-        self.run_id = run_id
+        self.run_id = trace.begin_run() if trace is not None else 0
         #: whether the dispatch loop must cost words per round
         self.counting = trace is not None or metrics is not None
         self._warned_drop = False
@@ -490,23 +477,18 @@ class _RunObserver:
 
 
 class _RoundState:
-    """The mutable state of one run over the node indices ``local``, and
-    the steps of one synchronous round.
+    """The mutable state of one run of :meth:`Network.run`, and the steps
+    of one synchronous round.
 
-    It owns the :class:`NodeContext` objects (``None`` outside ``local``),
-    the pooled inboxes, the crash schedule, the fault hooks, the stutter
-    duplicates in flight, the active set and the transport session, if
-    any.  A round is: :meth:`crash`, :meth:`dispatch`, one or more
-    :meth:`deliver` calls, :meth:`end_round`.
-    :meth:`Network.run` holds one over every node; each shard of the
-    sharded engine holds one over its own nodes and delivers its local and
-    its cross-shard sends through the same :meth:`deliver`.
+    It owns the :class:`NodeContext` objects, the pooled inboxes, the
+    crash schedule, the fault hooks, the stutter duplicates in flight,
+    the active set and the transport session, if any.  A round is:
+    :meth:`crash`, :meth:`dispatch`, :meth:`deliver`, :meth:`end_round`.
     """
 
     def __init__(
         self,
         net: "Network",
-        local,
         init: Callable[[NodeContext], None],
         on_round: Callable,
         faults: Optional["FaultPlan"],
@@ -530,22 +512,19 @@ class _RoundState:
         )
         self.on_round = on_round
         starts, flat = net.csr_starts, net.csr_targets
-        contexts: List[Optional[NodeContext]] = [None] * n
-        for i in local:
-            contexts[i] = NodeContext(
+        contexts = [
+            NodeContext(
                 nodes[i], tuple(nodes[j] for j in flat[starts[i]: starts[i + 1]])
             )
-        for i in local:
-            init(contexts[i])
+            for i in range(n)
+        ]
+        for ctx in contexts:
+            init(ctx)
         self.contexts = contexts
-        self.halted_count = sum(1 for i in local if contexts[i].halted)
-        # Crash rounds are global (delivery checks the receiver's
-        # schedule); only local crashes are applied here.
-        self.crash_round_ix, by_round = _crash_schedule(faults, net.index)
-        self.crash_by_round = {
-            rnd: [i for i in due if contexts[i] is not None]
-            for rnd, due in by_round.items()
-        }
+        self.halted_count = sum(1 for ctx in contexts if ctx.halted)
+        self.crash_round_ix, self.crash_by_round = _crash_schedule(
+            faults, net.index
+        )
         # The delivery hooks stay None when the plan cannot affect them.
         self.fault_delivery = None
         self.fault_mangle = None
@@ -569,7 +548,7 @@ class _RoundState:
         # O(n) rebuild per round.
         self.inboxes: List[Dict[Node, Any]] = [{} for _ in range(n)]
         # Round 1 dispatches every live node (the synchronous start).
-        self.active: List[int] = [i for i in local if not contexts[i].halted]
+        self.active: List[int] = [i for i in range(n) if not contexts[i].halted]
         self._next_active: List[int] = []
         self._scheduled = bytearray(n)
         self.messages = 0
@@ -762,8 +741,6 @@ class _RoundState:
     def outputs(self, finalize: Optional[Callable[[NodeContext], Any]]) -> Dict[Node, Any]:
         outputs: Dict[Node, Any] = {}
         for i, ctx in enumerate(self.contexts):
-            if ctx is None:
-                continue
             # A crashed node is silent forever: no output, even if finalize
             # could read its stale pre-crash state.
             outputs[ctx.node] = (
@@ -836,9 +813,6 @@ class Network:
         faults: Optional["FaultPlan"] = None,
         metrics: Optional["MetricsRegistry"] = None,
         transport: Any = None,
-        shards: int = 1,
-        shard_partition: Optional[List[List[Node]]] = None,
-        shard_mode: str = "auto",
     ) -> RunResult:
         """Execute a node program on every node synchronously.
 
@@ -882,38 +856,9 @@ class Network:
         budget is raised by the session's frame overhead, and the
         session's :class:`~repro.congest.transport.TransportStats` is
         attached as ``RunResult.transport``.
-
-        ``shards=k`` (k > 1) executes the run partitioned by its own
-        recursive cycle-separator decomposition, one worker process per
-        shard, rounds advanced by barrier (:mod:`repro.congest.sharded`).
-        ``run_fingerprint`` is bit-identical to the single-process
-        schedulers.  ``shard_partition`` overrides the automatic
-        partition; ``shard_mode`` picks ``"process"`` / ``"inline"`` /
-        ``"auto"``.  A sharded run always uses the active-set dispatch
-        inside each shard (a ``scheduler="vectorized"`` request with
-        ``shards=k`` shards the message-level engine; the request is
-        still validated here).
         """
         if scheduler not in ("active", "dense", "vectorized"):
             raise ValueError(f"unknown scheduler {scheduler!r}")
-        if shards != 1 or shard_partition is not None:
-            from .sharded import run_sharded
-
-            return run_sharded(
-                self,
-                init,
-                on_round,
-                max_rounds,
-                finalize=finalize,
-                stop_when_quiet=stop_when_quiet,
-                trace=trace,
-                faults=faults,
-                metrics=metrics,
-                transport=transport,
-                shards=shards,
-                partition=shard_partition,
-                shard_mode=shard_mode,
-            )
         if scheduler == "vectorized":
             # Bulk-synchronous fast path: engages only for *regular*
             # programs — a VectorKernel factory attached to the handler,
@@ -957,9 +902,7 @@ class Network:
         dense = scheduler == "dense"
         nodes = self.nodes
         n = len(nodes)
-        state = _RoundState(
-            self, range(n), init, on_round, faults, transport, metrics
-        )
+        state = _RoundState(self, init, on_round, faults, transport, metrics)
         obs = _RunObserver(nodes, trace, metrics)
         contexts = state.contexts
         crashed = state.crashed

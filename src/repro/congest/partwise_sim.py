@@ -78,8 +78,6 @@ def partwise_aggregation_run(
     faults=None,
     metrics=None,
     transport=None,
-    shards=1,
-    shard_mode="auto",
 ) -> PartwiseRun:
     """Aggregate every part's values at the BFS root, at message level."""
     if tree is None:
@@ -165,8 +163,6 @@ def partwise_aggregation_run(
             faults=faults,
             metrics=metrics,
             transport=transport,
-            shards=shards,
-            shard_mode=shard_mode,
         )
     root_out = result.outputs.get(root)
     if root_out is None:  # pragma: no cover - root halted without output
@@ -190,8 +186,6 @@ def partwise_broadcast_run(
     faults=None,
     metrics=None,
     transport=None,
-    shards=1,
-    shard_mode="auto",
 ) -> PartwiseRun:
     """The downcast half of Prop. 4: deliver each part's value to all its
     members over the shortcut edges, pipelined one (part, value) pair per
@@ -271,8 +265,6 @@ def partwise_broadcast_run(
             faults=faults,
             metrics=metrics,
             transport=transport,
-            shards=shards,
-            shard_mode=shard_mode,
         )
     received: Dict[int, int] = {}
     for i, part in enumerate(parts):

@@ -154,47 +154,9 @@ class TransportStats:
     def delivery_log(self):
         """``((src, dst), (count, digest_hex))`` per directed edge."""
         return [
-            ((src, dst), (count, h if isinstance(h, str) else h.hexdigest()))
+            ((src, dst), (count, h.hexdigest()))
             for (src, dst), (count, h) in self._delivered.items()
         ]
-
-    # -- pickling / sharded merge ---------------------------------------
-    # A live blake2b object is not picklable, so stats crossing a process
-    # boundary (shard workers shipping their session stats back to the
-    # coordinator) finalize each rolling digest to its hex string — which
-    # is all :meth:`delivery_log` exposes anyway.
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_delivered"] = {
-            edge: [count, h if isinstance(h, str) else h.hexdigest()]
-            for edge, (count, h) in self._delivered.items()
-        }
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-    def merge_from(self, other: "TransportStats") -> None:
-        """Fold another session's stats in (shard-local -> run-global).
-
-        Counters add; ``unrecovered`` concatenates; the delivery log
-        unions — its directed-edge keys are disjoint across shards
-        because each delivery is logged by exactly one receiving
-        session.
-        """
-        for slot in self.__slots__:
-            if slot in ("unrecovered", "_delivered"):
-                continue
-            setattr(self, slot, getattr(self, slot) + getattr(other, slot))
-        self.unrecovered.extend(other.unrecovered)
-        for edge, entry in other._delivered.items():
-            if edge in self._delivered:
-                raise ValueError(
-                    f"delivery log for edge {edge!r} present in both stats"
-                )
-            self._delivered[edge] = entry
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -77,8 +77,6 @@ def _size_convergecast(
     faults=None,
     metrics=None,
     transport=None,
-    shards=1,
-    shard_mode="auto",
 ) -> Tuple[Dict[Node, Dict[Node, int]], int]:
     """Pass 1: child subtree sizes, learned at each parent by messages."""
     tree = cfg.tree
@@ -102,7 +100,7 @@ def _size_convergecast(
     result = Network(cfg.graph).run(
         init, on_round, max_rounds=scale_rounds(transport, 2 * cfg.n + 8),
         trace=trace, scheduler=scheduler, faults=faults, metrics=metrics,
-        transport=transport, shards=shards, shard_mode=shard_mode,
+        transport=transport,
     )
     return dict(result.outputs), result.rounds
 
@@ -115,8 +113,6 @@ def _order_downcast(
     faults=None,
     metrics=None,
     transport=None,
-    shards=1,
-    shard_mode="auto",
 ) -> Tuple[Dict[Node, Tuple[int, int, int]], int]:
     """Pass 2: assign (pi_l, pi_r, depth) top-down."""
     tree = cfg.tree
@@ -161,7 +157,7 @@ def _order_downcast(
         stop_when_quiet=True,
         finalize=lambda ctx: ctx.state["me"],
         trace=trace, scheduler=scheduler, faults=faults, metrics=metrics,
-        transport=transport, shards=shards, shard_mode=shard_mode,
+        transport=transport,
     )
     return dict(result.outputs), result.rounds
 
@@ -173,8 +169,6 @@ def weights_problem_run(
     faults=None,
     metrics=None,
     transport=None,
-    shards=1,
-    shard_mode="auto",
 ) -> WeightsRun:
     """Run the full message-level WEIGHTS-PROBLEM on one configuration."""
     tree = cfg.tree
@@ -182,14 +176,12 @@ def weights_problem_run(
         with trace_span(trace, "size-convergecast"):
             child_sizes, rounds1 = _size_convergecast(
                 cfg, trace=trace, scheduler=scheduler, faults=faults,
-                metrics=metrics, transport=transport, shards=shards,
-                shard_mode=shard_mode,
+                metrics=metrics, transport=transport,
             )
         with trace_span(trace, "order-downcast"):
             orders, rounds2 = _order_downcast(
                 cfg, child_sizes, trace=trace, scheduler=scheduler,
                 faults=faults, metrics=metrics, transport=transport,
-                shards=shards, shard_mode=shard_mode,
             )
     pi_l = {v: orders[v][0] for v in cfg.graph.nodes}
     pi_r = {v: orders[v][1] for v in cfg.graph.nodes}

@@ -22,8 +22,8 @@ with and without them):
   serve-events logs) and offline analysis of round-trace dumps, behind
   the ``repro trace summarize|phases|edges|diff`` CLI.
 * :mod:`.events` — request-scoped tracing for the serve stack: a
-  picklable :class:`TraceContext` carried through pool workers and shard
-  engines, :class:`RequestTrace` (the :class:`Tracer` of one served
+  picklable :class:`TraceContext` carried through pool workers,
+  :class:`RequestTrace` (the :class:`Tracer` of one served
   request), an :class:`EventLog` ring buffer of structured service
   events, and the causally-ordered ``serve-events`` JSONL behind
   ``repro trace serve timeline|critical-path|slow|summarize``.

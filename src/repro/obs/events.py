@@ -16,8 +16,8 @@ schema), and :func:`load_events` reads it back through the shared
 :func:`repro.obs.analyze.read_jsonl`.
 
 :class:`TraceContext` is a frozen, picklable dataclass so the request's
-lineage can cross the process boundary into pool workers and shard
-engines; request records and events are dicts of JSON primitives.
+lineage can cross the process boundary into pool workers; request
+records and events are dicts of JSON primitives.
 Nothing in this module imports from ``repro.serve`` or
 ``repro.congest`` — the dependency points one way, exactly like
 :mod:`repro.obs.tracing`.

@@ -293,56 +293,6 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[_Metric]:
         return self._metrics.get(name)
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's samples into this one.
-
-        The merge path for shard-local registries (one per worker process
-        in a sharded run) and any other fan-out that meters in isolation:
-        counters add, gauges keep the maximum (high-water semantics — the
-        only gauges the simulator writes are depth/peak style), histograms
-        add bucket counts, sums and counts.  Metrics unknown here are
-        adopted with ``other``'s declaration; a name registered with a
-        different type or label set raises, same as
-        :meth:`_get_or_create`.
-        """
-        for theirs in other:
-            if isinstance(theirs, Histogram):
-                mine = self._get_or_create(
-                    Histogram, theirs.name, theirs.help, theirs.labels,
-                    buckets=theirs.buckets,
-                )
-                if mine.buckets != theirs.buckets:
-                    raise ValueError(
-                        f"metric {theirs.name!r} already registered with "
-                        f"different buckets"
-                    )
-                for key, state in theirs._values.items():
-                    dst = mine._values.get(key)
-                    if dst is None:
-                        mine._values[key] = {
-                            "buckets": list(state["buckets"]),
-                            "sum": state["sum"],
-                            "count": state["count"],
-                        }
-                    else:
-                        for i, n in enumerate(state["buckets"]):
-                            dst["buckets"][i] += n
-                        dst["sum"] += state["sum"]
-                        dst["count"] += state["count"]
-            elif isinstance(theirs, Counter):
-                mine = self._get_or_create(
-                    Counter, theirs.name, theirs.help, theirs.labels
-                )
-                for key, value in theirs._values.items():
-                    mine._values[key] = mine._values.get(key, 0) + value
-            else:
-                mine = self._get_or_create(
-                    Gauge, theirs.name, theirs.help, theirs.labels
-                )
-                for key, value in theirs._values.items():
-                    if value > mine._values.get(key, float("-inf")):
-                        mine._values[key] = value
-
     def __iter__(self):
         return iter(sorted(self._metrics.values(), key=lambda m: m.name))
 

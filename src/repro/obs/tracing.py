@@ -166,7 +166,7 @@ class Span:
         }
         if self._tracer.context is not None:
             # request lineage: every span event names the request that
-            # caused it, so merged sharded dumps keep their ancestry
+            # caused it
             event["trace"] = self._tracer.context.trace_id
         return event
 
@@ -229,11 +229,9 @@ class Tracer:
 
         ``context`` is duck-typed (anything with a ``trace_id``
         attribute — in practice a :class:`repro.obs.events.TraceContext`;
-        this module deliberately does not import it).  Sharded runs read
-        the bound context off ``trace.tracer`` and propagate it to every
-        shard worker, so merged ``RoundTrace`` spans keep their lineage.
-        Binding is observational only: it never changes which rounds run
-        or how they are attributed.
+        this module deliberately does not import it).  Binding is
+        observational only: it never changes which rounds run or how they
+        are attributed.
         """
         self.context = context
 

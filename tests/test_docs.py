@@ -68,8 +68,8 @@ def test_architecture_mentions_every_package():
 def test_architecture_mentions_sharded_engine():
     """The ``repro.congest`` module table must name every module of the
     package, so a removed or added module shows up on the map.  The name is
-    kept from the earlier check, which asserted only the sharded engine's
-    entries; removing that engine now means removing its table row."""
+    kept from an earlier check that asserted only the entries of the
+    separator-sharded engine, which has since been removed."""
     text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
     modules = sorted(
         p.name for p in (SRC / "congest").glob("*.py") if p.name != "__init__.py"

@@ -313,7 +313,7 @@ class TestTracingNeutrality:
 
 
 # ---------------------------------------------------------------------------
-# lineage without sharding
+# lineage
 # ---------------------------------------------------------------------------
 
 
@@ -351,59 +351,19 @@ class TestLineage:
         assert all(s["status"] == "ok" for s in grafted)
         _assert_complete([rec])
 
-
-# ---------------------------------------------------------------------------
-# sharded lineage
-# ---------------------------------------------------------------------------
-
-
-class TestShardedLineage:
-    def _traced_run(self, context):
-        g = gen.grid(6, 6)
-        root = sorted(g.nodes)[0]
-        trace = RoundTrace()
-        tracer = Tracer()
-        tracer.attach(trace)
-        if context is not None:
-            tracer.bind_context(context)
-        with tracer.span("workload"):
-            result = bfs_run(g, root, trace=trace, shards=2,
-                             shard_mode="inline")
-        return result, trace, tracer
-
-    def test_span_events_carry_the_trace_id(self, tmp_path):
-        ctx = TraceContext("req-shard-1")
-        _, trace, tracer = self._traced_run(ctx)
-        assert tracer.context is ctx
-        open_events = [s.open_event() for s in tracer.spans]
-        assert open_events and all(
-            e["trace"] == "req-shard-1" for e in open_events)
-        dump = tmp_path / "dump.jsonl"
-        trace.dump_jsonl(dump)
-        stamped = [json.loads(line) for line in dump.read_text().splitlines()
-                   if json.loads(line).get("kind") == "span-open"]
-        assert stamped and all(e["trace"] == "req-shard-1" for e in stamped)
-
     def test_lineage_is_fingerprint_neutral(self):
-        bound, trace_a, _ = self._traced_run(TraceContext("req-shard-2"))
-        unbound, trace_b, _ = self._traced_run(None)
-        assert run_fingerprint(bound, trace_a) == run_fingerprint(
-            unbound, trace_b)
+        def traced_run(context):
+            g = gen.grid(6, 6)
+            trace = RoundTrace()
+            tracer = Tracer()
+            tracer.attach(trace)
+            if context is not None:
+                tracer.bind_context(context)
+            with tracer.span("workload"):
+                result = bfs_run(g, sorted(g.nodes)[0], trace=trace)
+            return run_fingerprint(result, trace)
 
-    @pytest.mark.skipif(
-        __import__("repro.congest.sharded", fromlist=["_fork_context"])
-        ._fork_context() is None,
-        reason="fork start method unavailable",
-    )
-    def test_context_crosses_the_fork(self):
-        g = gen.grid(5, 5)
-        root = sorted(g.nodes)[0]
-        trace = RoundTrace()
-        tracer = Tracer()
-        tracer.attach(trace)
-        tracer.bind_context(TraceContext("req-fork"))
-        result = bfs_run(g, root, trace=trace, shards=2, shard_mode="process")
-        assert result.rounds > 0  # start barrier validated lineage equality
+        assert traced_run(TraceContext("req-neutral")) == traced_run(None)
 
 
 # ---------------------------------------------------------------------------
