@@ -201,6 +201,12 @@ def _cmd_experiment(args) -> int:
 
     if args.compare is not None:
         baseline = runner.load_summary(args.compare)
+        if name != "all":
+            # One experiment is gated against its own rows of the baseline.
+            baseline["experiments"] = {
+                key: exp for key, exp in baseline.get("experiments", {}).items()
+                if key in keys
+            }
         problems = runner.compare_summaries(summary, baseline, tolerance=args.tolerance)
         if problems:
             print(f"REGRESSION vs {args.compare} ({len(problems)} problem(s)):")

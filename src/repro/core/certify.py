@@ -11,7 +11,8 @@ certificate a first-class artifact a downstream user can inspect:
 * ``"virtual-edge"`` — the endpoints share a face of the rotation system,
   so the closing edge can be drawn inside that face without crossing:
   some corner of ``b`` lies on a face through a corner of ``a``
-  (:meth:`~repro.planar.rotation.RotationSystem.corner_faces`).  This is
+  (:meth:`~repro.planar.rotation.RotationSystem.shared_face_slots`, the
+  question a churn insert asks to place its chord).  This is
   exactly "a planar slot pair exists"
   (:func:`repro.core.augment.planar_slot_pairs`), since the slot pairs
   enumerate every corner of both endpoints.  Nothing is copied or built;
@@ -64,8 +65,7 @@ def certify_cycle(
     a, b = path[0], path[-1]
     if graph.has_edge(a, b):
         return "real-edge"
-    faces = rotation.corner_faces(a)
-    if any((b, x) in faces for x in rotation.neighbors_cw(b)):
+    if rotation.shared_face_slots(a, b) is not None:
         return "virtual-edge"
     if root in (a, b):
         return "root-slit"

@@ -104,7 +104,9 @@ def dfs_tree(
     per-phase statistics the experiment harness reports.  A supplied
     ``rotation`` is certified in O(n + m) by
     :func:`repro.planar.checks.require_planar_rotation` instead of
-    running a planarity test.
+    running a planarity test.  A caller that already holds a certified
+    embedding (the churn engine, :mod:`repro.dynamic.repair`) calls
+    :func:`certified_dfs_tree` instead, which checks nothing again.
     """
     require_connected(graph)
     embedded = rotation is None
@@ -116,6 +118,21 @@ def dfs_tree(
         raise ValueError(f"root {root!r} is not a graph node")
     if embedded and ledger is not None:
         ledger.charge_subroutine("planar-embedding")
+    return certified_dfs_tree(graph, root, rotation, ledger)
+
+
+def certified_dfs_tree(
+    graph: nx.Graph, root: Node, rotation: RotationSystem, ledger=None
+) -> DFSResult:
+    """:func:`dfs_tree` on an embedding the caller has already certified.
+
+    Internal entry point: ``graph`` must be connected and hold ``root``,
+    and ``rotation`` must be a planar embedding of ``graph`` or of a graph
+    ``graph`` is induced in (each component's configuration restricts it,
+    so a connected induced region can be handed the whole graph's
+    rotation).  Nothing is checked or charged for the embedding; the
+    public :func:`dfs_tree` makes those checks and then calls this.
+    """
     result = DFSResult(root)
     in_tree: Set[Node] = {root}
     n = len(graph)

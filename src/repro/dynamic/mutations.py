@@ -5,8 +5,12 @@ a time while keeping both standing hypotheses of Theorems 1 and 2 intact:
 
 * **insert** — the edge must keep the graph planar.  The embedding is
   repaired locally when the two endpoints share a face of the current
-  rotation system (the new edge becomes a chord of that face); otherwise
-  the candidate graph is re-embedded from scratch by one planarity run
+  rotation system: the new edge becomes a chord of that face, found by
+  walking only the faces at ``u``
+  (:meth:`~repro.planar.rotation.RotationSystem.shared_face_slots`), so
+  the placement costs the length of those faces, not of the embedding,
+  and does not depend on hash order.  Otherwise the candidate graph is
+  re-embedded from scratch by one planarity run
   (:func:`repro.planar.construct.embed`).  A planarity-breaking insert is
   rejected with :class:`MutationError` *before* any state changes.
 * **delete** — always planar, but a bridge delete would disconnect the
@@ -55,33 +59,6 @@ class MutationError(ValueError):
     missing edge, self-loop)."""
 
 
-def _face_chord_positions(
-    rotation: RotationSystem, u: Node, v: Node
-) -> Optional[Tuple[Node, Node]]:
-    """``(after_u, after_v)`` placing ``uv`` as a chord of a shared face.
-
-    Walks every face of the embedding; when one walk visits both ``u``
-    and ``v`` the edge can be drawn inside that face.  With clockwise
-    rotations a face walk ``..., w, u, x, ...`` means the walk continues
-    from half-edge ``(w, u)`` with ``(u, successor_cw(u, w))`` — so
-    placing ``v`` immediately clockwise-after ``w`` in ``t_u`` (and
-    symmetrically after ``v``'s predecessor in ``t_v``) splits exactly
-    that face.  Returns ``None`` when no shared face exists (the current
-    embedding does not admit the edge, though another embedding might).
-    """
-    for walk in rotation.faces():
-        if u in walk and v in walk:
-            k = len(walk)
-            after_u = after_v = None
-            for i, node in enumerate(walk):
-                if node == u and after_u is None:
-                    after_u = walk[i - 1] if k > 1 else None
-                if node == v and after_v is None:
-                    after_v = walk[i - 1] if k > 1 else None
-            return (after_u, after_v)
-    return None
-
-
 class DynamicPlanarGraph:
     """A connected planar graph under edge churn, with its embedding.
 
@@ -116,7 +93,7 @@ class DynamicPlanarGraph:
             raise MutationError(f"insert {u!r}-{v!r}: unknown endpoint")
         if self.graph.has_edge(u, v):
             raise MutationError(f"edge {u!r}-{v!r} already present")
-        positions = _face_chord_positions(self.rotation, u, v)
+        positions = self.rotation.shared_face_slots(u, v)
         if positions is not None:
             self.rotation.insert_edge(u, v, after_u=positions[0], after_v=positions[1])
             self.graph.add_edge(u, v)

@@ -29,7 +29,9 @@ scratch:
   bound is *certified* in the sense that crossing it provably makes a
   full recompute no more expensive than the local patch — at that size
   the "local" region is the graph — so the engine falls back to a clean
-  full recompute, and ``stats["fallbacks"]`` records that it did.
+  full recompute, and ``stats["fallbacks"]`` records that it did.  The
+  DFS side is repaired first, so an update that falls back does not
+  also pay for a separator recompute the fallback would redo.
 
 After **every** batch the engine re-runs the definitional oracles —
 ``check_separator``, ``check_dfs_tree`` and ``certify_cycle`` — on the
@@ -39,11 +41,18 @@ an unsound repair can never be observed silently.  A batch pays only for
 what it changed: the kept separator is re-certified on the live graph
 and rotation (do its endpoints still share a face?) with no
 configuration built and no re-embedding, and ``check_separator`` walks
-the live adjacency; only a separator recompute builds a configuration,
-one, from the live rotation.  ``repair_bugs`` is the
-chaos hook: a frozenset of named, deliberately-broken repair rules
-(``"keep-cross-edges"``, ``"ignore-separator-merge"``) the churn campaign
-injects to prove the oracles catch exactly this class of bug.
+the live adjacency.  No incremental recompute re-embeds either: every
+accepted mutation keeps the live rotation planar and connected, so a
+separator or full recompute certifies it once
+(:func:`~repro.planar.checks.require_planar_rotation`) and builds its
+configuration and its DFS (:func:`~repro.core.dfs.certified_dfs_tree`)
+on it, and a region repair runs the DFS on the live rotation restricted
+to the region.  Only ``"recompute"`` mode embeds from scratch.
+
+``repair_bugs`` is the chaos hook: a frozenset of named,
+deliberately-broken repair rules (``"keep-cross-edges"``,
+``"ignore-separator-merge"``) the churn campaign injects to prove the
+oracles catch exactly this class of bug.
 """
 
 from __future__ import annotations
@@ -57,11 +66,13 @@ import networkx as nx
 from ..congest.ledger import CostModel, RoundLedger
 from ..core.certify import certify_cycle
 from ..core.config import ConfigurationError, PlanarConfiguration
-from ..core.dfs import dfs_tree
+from ..core.dfs import certified_dfs_tree, dfs_tree
 from ..core.separator import cycle_separator
 from ..core.verify import VerificationError, check_dfs_tree, check_separator
+from ..planar.checks import require_planar_rotation
 from ..planar.construct import induced_copy
 from ..trees.rooted import RootedTree
+from ..trees.spanning import bfs_tree
 from .mutations import DynamicPlanarGraph, MutationError, Update
 
 Node = Hashable
@@ -99,9 +110,9 @@ class DynamicPipeline:
         DFS root (defaults to the repr-least node, like the CLI).
     mode:
         ``"incremental"`` patches locally with certified fallback;
-        ``"recompute"`` rebuilds everything from scratch after each batch
-        — the baseline the E15 benchmark and the fingerprint-parity tests
-        compare against.
+        ``"recompute"`` rebuilds everything from scratch after each batch,
+        its DFS on a fresh embedding — the baseline the E15 benchmark and
+        the fingerprint-parity tests compare against.
     fallback_fraction:
         The certified region bound as a fraction of ``n``: a repair
         region of more than ``floor(fallback_fraction * n)`` nodes
@@ -270,7 +281,11 @@ class DynamicPipeline:
         graph = self.dyn.graph
         ledger = self._ledger(graph, self.root)
         self._recompute_separator(ledger=ledger, count=False)
-        dfs = dfs_tree(graph, self.root, ledger=ledger)
+        if self.mode == "recompute":
+            # E15's baseline rebuilds from scratch: a fresh, charged embedding.
+            dfs = dfs_tree(graph, self.root, ledger=ledger)
+        else:
+            dfs = certified_dfs_tree(graph, self.root, self.dyn.rotation, ledger)
         self.parent: Dict[Node, Optional[Node]] = dict(dfs.parent)
         self.tree = RootedTree(self.parent, self.root)
         self._charge(ledger)
@@ -284,7 +299,11 @@ class DynamicPipeline:
         own_ledger = ledger is None
         if own_ledger:
             ledger = self._ledger(graph, self.root)
-        cfg = PlanarConfiguration.build(graph, root=self.root, rotation=self.dyn.rotation)
+        # The one certification of this recompute (accepted mutations keep
+        # the graph connected); an incremental full recompute's DFS reuses it.
+        rotation = self.dyn.rotation
+        require_planar_rotation(graph, rotation)
+        cfg = PlanarConfiguration(graph, rotation, bfs_tree(graph, self.root))
         sep = cycle_separator(cfg, ledger=ledger)
         self.separator_path: Tuple[Node, ...] = tuple(sep.path)
         self.separator_phase = sep.phase
@@ -299,13 +318,20 @@ class DynamicPipeline:
     # incremental repair
     # ------------------------------------------------------------------
     def _repair_one(self, update: Update) -> None:
+        # The two sides read disjoint state.  The DFS side goes first: when
+        # it falls back, the full recompute rebuilds the separator as well.
         op, u, v = update
+        fallbacks = self.stats["fallbacks"]
         if op == "insert":
-            self._separator_after_insert(u, v)
             self._dfs_after_insert(u, v)
         else:
-            self._separator_after_delete(u, v)
             self._dfs_after_delete(u, v)
+        if self.stats["fallbacks"] != fallbacks:
+            return
+        if op == "insert":
+            self._separator_after_insert(u, v)
+        else:
+            self._separator_after_delete(u, v)
 
     # -- separator side ------------------------------------------------
     def _separator_after_insert(self, u: Node, v: Node) -> None:
@@ -443,10 +469,11 @@ class DynamicPipeline:
             self.stats["fallbacks"] += 1
             self._recompute_all()
             return
-        graph = self.dyn.graph
-        sub = induced_copy(graph, region)
+        # A DFS subtree is connected, and the live rotation restricted to
+        # it (each component's configuration does so) is an embedding of it.
+        sub = induced_copy(self.dyn.graph, region)
         ledger = self._ledger(sub, w)
-        repaired = dfs_tree(sub, w, ledger=ledger)
+        repaired = certified_dfs_tree(sub, w, self.dyn.rotation, ledger)
         for node in region:
             if node != w:
                 self.parent[node] = repaired.parent[node]

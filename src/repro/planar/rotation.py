@@ -15,7 +15,7 @@ the test oracle only.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -263,6 +263,27 @@ class RotationSystem:
                 nbrs = order[b]
                 a, b = b, nbrs[(pos[b][a] + 1) % len(nbrs)]
         return index
+
+    def shared_face_slots(self, u: Node, v: Node) -> Optional[Tuple[Node, Node]]:
+        """``(after_u, after_v)`` placing ``uv`` as a chord of a face that
+        ``u`` and ``v`` share, or ``None`` when they share none.
+
+        Walks only the faces at ``u`` (:meth:`corner_faces`) and takes the
+        first corner of ``v``, in ``t_v`` order, that lies on one of them,
+        with the first corner of ``u`` on that face; ``insert_edge(u, v,
+        after_u=..., after_v=...)`` with these slots keeps the embedding
+        planar.  A node without neighbors shares no face.
+        """
+        order = self._order
+        if not order[u] or not order[v]:
+            return None
+        index = self.corner_faces(u)
+        for x in order[v]:
+            face = index.get((v, x))
+            if face is not None:
+                y = next(y for y in order[u] if index[u, y] == face)
+                return self.predecessor_cw(u, y), self.predecessor_cw(v, x)
+        return None
 
     # ------------------------------------------------------------------
     # mutation

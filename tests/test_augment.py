@@ -18,6 +18,7 @@ from repro.core.config import PlanarConfiguration
 from repro.core.faces import face_view
 from repro.core.verify import check_dfs_tree, separator_report
 from repro.dynamic import DynamicPipeline
+from repro.dynamic import repair as repair_module
 from repro.planar import EmbeddingError, NotPlanarError, RotationSystem, checks, construct, embed
 from repro.planar import generators as gen
 
@@ -91,7 +92,7 @@ def _count_lr_and_certificates(monkeypatch):
         return real_certify(*args, **kwargs)
 
     monkeypatch.setattr(construct, "lr_rotation", counted_lr)
-    for module in (checks, dfs_module, config_module):
+    for module in (checks, dfs_module, config_module, repair_module):
         monkeypatch.setattr(module, "require_planar_rotation", counted_certify)
     return lr_runs, certificates
 

@@ -2,6 +2,7 @@
 fallback (docs/MODEL.md, "Dynamic graphs")."""
 
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -88,6 +89,97 @@ class TestMutations:
         assert set(map(frozenset, out.edges())) == set(map(frozenset, g.edges()))
 
 
+def _global_scan_face(rotation, u, v):
+    """The chord placement's old oracle: the first face walk of
+    :meth:`RotationSystem.faces` visiting both ``u`` and ``v``, as the
+    set of its half-edges (``None`` when there is none)."""
+    for walk in rotation.faces():
+        if u in walk and v in walk:
+            return _face_of(rotation, (walk[0], walk[1 % len(walk)]))
+    return None
+
+
+def _face_of(rotation, half_edge):
+    face, (a, b) = set(), half_edge
+    while (a, b) not in face:
+        face.add((a, b))
+        a, b = rotation.next_face_half_edge(a, b)
+    return frozenset(face)
+
+
+def _thinned(graph, seed, share=0.3):
+    """``graph`` after non-bridge deletes of about ``share`` of its edges,
+    with its embedding kept by the mutation layer."""
+    rng = random.Random(seed)
+    dyn = DynamicPlanarGraph(graph)
+    edges = sorted(graph.edges())
+    rng.shuffle(edges)
+    for u, v in edges[: int(share * len(edges))]:
+        dyn.apply(("delete", u, v), strict=False)
+    return dyn
+
+
+class TestChordPlacement:
+    @pytest.mark.parametrize("family", ["grid", "delaunay", "outerplanar"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_local_placement_matches_the_global_scan(self, family, seed):
+        # Property: for every non-adjacent pair, the corner walk at u finds
+        # a face holding both endpoints exactly when one exists; it is the
+        # global scan's face when the pair shares one face; and the
+        # insertion it places keeps the embedding planar.
+        graph = {
+            "grid": gen.grid(5, 5),
+            "delaunay": gen.delaunay(30, seed=seed),
+            "outerplanar": gen.outerplanar(20, chords=8, seed=seed),
+        }[family]
+        dyn = _thinned(graph, seed)
+        rotation, g = dyn.rotation, dyn.graph
+        cut_vertices = set(nx.articulation_points(g))
+        seen = {"unique": 0, "several": 0, "cut": 0}
+        for u in sorted(g):
+            for v in sorted(g):
+                if u == v or g.has_edge(u, v):
+                    continue
+                shared = {
+                    _face_of(rotation, (u, x)) for x in rotation.neighbors_cw(u)
+                } & {_face_of(rotation, (v, x)) for x in rotation.neighbors_cw(v)}
+                slots = rotation.shared_face_slots(u, v)
+                assert (slots is None) == (not shared), (u, v)
+                if slots is None:
+                    continue
+                face = _face_of(rotation, rotation.corner(u, slots[0]))
+                assert face == _face_of(rotation, rotation.corner(v, slots[1]))
+                assert face in shared
+                if len(shared) == 1:
+                    seen["unique"] += 1
+                    assert face == _global_scan_face(rotation, u, v), (u, v)
+                else:
+                    seen["several"] += 1
+                seen["cut"] += u in cut_vertices
+                placed = rotation.copy()
+                placed.insert_edge(u, v, after_u=slots[0], after_v=slots[1])
+                placed.validate()
+        assert seen["unique"], seen
+        assert seen["cut" if family == "outerplanar" else "several"], seen
+
+    def test_insert_uses_the_local_placement(self):
+        dyn = _thinned(gen.delaunay(30, seed=1), seed=1)
+        u, v = next(
+            (u, v) for u in sorted(dyn.graph) for v in sorted(dyn.graph)
+            if u != v and not dyn.graph.has_edge(u, v)
+            and dyn.rotation.shared_face_slots(u, v) is not None
+        )
+        expected = dyn.rotation.copy()
+        after_u, after_v = expected.shared_face_slots(u, v)
+        expected.insert_edge(u, v, after_u=after_u, after_v=after_v)
+        dyn.insert_edge(u, v)
+        assert dyn.reembeds == 0
+        assert {x: dyn.rotation.neighbors_cw(x) for x in dyn.graph} == {
+            x: expected.neighbors_cw(x) for x in dyn.graph
+        }
+        dyn.validate()
+
+
 class TestFlapUpdates:
     def test_deterministic_and_net_neutral(self):
         g = gen.delaunay(30, seed=2)
@@ -142,6 +234,39 @@ class TestEdgeFlapFaultPlan:
             FaultPlan(seed=0, edge_flap_rate=1.5)
 
 
+def _count_embedding_work(monkeypatch):
+    """Count configuration builds, LR planarity runs and rotation
+    certificates from here on."""
+    import repro.core.config as config_module
+    import repro.core.dfs as dfs_module
+    import repro.dynamic.repair as repair_module
+    import repro.planar.checks as checks_module
+    import repro.planar.construct as construct_module
+
+    counts = {"configurations": 0, "lr_rotation": 0, "certificates": 0}
+    init = config_module.PlanarConfiguration.__init__
+    lr = construct_module.lr_rotation
+    certify = checks_module.require_planar_rotation
+
+    def counting_init(self, *args, **kwargs):
+        counts["configurations"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_lr(graph):
+        counts["lr_rotation"] += 1
+        return lr(graph)
+
+    def counting_certify(*args, **kwargs):
+        counts["certificates"] += 1
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(config_module.PlanarConfiguration, "__init__", counting_init)
+    monkeypatch.setattr(construct_module, "lr_rotation", counting_lr)
+    for module in (checks_module, config_module, dfs_module, repair_module):
+        monkeypatch.setattr(module, "require_planar_rotation", counting_certify)
+    return counts
+
+
 class TestDynamicPipeline:
     def test_every_batch_is_oracle_checked(self):
         g = gen.delaunay(40, seed=3)
@@ -190,9 +315,6 @@ class TestDynamicPipeline:
         # The hot path of churn: a delete that touches neither the DFS
         # tree nor the separator's path or tree is a no-op repair, and
         # re-certifying it builds no configuration and embeds nothing.
-        import repro.core.config as config_module
-        import repro.planar.construct as construct_module
-
         g = gen.delaunay(60, seed=2)
         pipeline = DynamicPipeline(g)
         path = set(pipeline.separator_path)
@@ -204,24 +326,47 @@ class TestDynamicPipeline:
             and pipeline.parent[u] != v and pipeline.parent[v] != u
             and sep_parent[u] != v and sep_parent[v] != u
         )
-        counts = {"configurations": 0, "lr_rotation": 0}
-        init = config_module.PlanarConfiguration.__init__
-        lr = construct_module.lr_rotation
-
-        def counting_init(self, *args, **kwargs):
-            counts["configurations"] += 1
-            init(self, *args, **kwargs)
-
-        def counting_lr(graph):
-            counts["lr_rotation"] += 1
-            return lr(graph)
-
-        monkeypatch.setattr(config_module.PlanarConfiguration, "__init__", counting_init)
-        monkeypatch.setattr(construct_module, "lr_rotation", counting_lr)
+        counts = _count_embedding_work(monkeypatch)
         delta = pipeline.apply([("delete",) + edge])
         assert delta["noop_repairs"] == 1
         assert delta["separator_recomputes"] == delta["full_recomputes"] == 0
-        assert counts == {"configurations": 0, "lr_rotation": 0}
+        assert counts == {"configurations": 0, "lr_rotation": 0, "certificates": 0}
+
+    @pytest.mark.parametrize("mode", ["incremental", "recompute"])
+    @pytest.mark.parametrize("repair", ["fallback", "region"])
+    def test_incremental_recomputes_reuse_the_live_rotation(
+        self, monkeypatch, mode, repair
+    ):
+        # Deleting an edge of both the DFS tree and the separator's tree
+        # damages both sides.  The DFS side either falls back to a full
+        # recompute (a region bound of 0 nodes), which rebuilds the
+        # separator too, or repairs its region (a bound of n) next to one
+        # separator recompute.  Incremental mode runs the DFS on the live
+        # rotation and certifies it once; "recompute" mode still re-embeds.
+        g = gen.delaunay(60, seed=2)
+        fraction = 0.01 if repair == "fallback" else 1.0
+        pipeline = DynamicPipeline(g, mode=mode, fallback_fraction=fraction)
+        sep_parent = pipeline._sep_tree.parent
+        edge = next(
+            (v, p) for v, p in pipeline.parent.items()
+            if p is not None and sep_parent[v] == p
+            and nx.has_path(nx.restricted_view(g, [], [(v, p)]), v, p)
+        )
+        counts = _count_embedding_work(monkeypatch)
+        delta = pipeline.apply([("delete",) + edge])
+        check_dfs_tree(pipeline.graph, pipeline.parent, pipeline.root)
+        if mode == "recompute":
+            assert delta["full_recomputes"] == 1
+            assert counts["lr_rotation"] == 1
+            return
+        if repair == "fallback":
+            assert delta["fallbacks"] == delta["full_recomputes"] == 1
+        else:
+            assert delta["region_repairs"] == 1
+            assert delta["full_recomputes"] == 0
+        assert counts["lr_rotation"] == 0
+        assert counts["certificates"] == 1
+        assert delta["separator_recomputes"] + delta["full_recomputes"] == 1
 
     @pytest.mark.parametrize("damage", ["row", "missing-row", "tree-edge", "spanning"])
     def test_recertification_checks_match_a_configuration_build(self, damage):

@@ -76,12 +76,33 @@ print(sorted(dfs_tree(g, "n0").parent.items(), key=repr))
 """
 
 
+#: String-labelled churn through the mutation layer: each insert's chord
+#: placement must not depend on set order.
+_CHURN_ROWS_SCRIPT = """
+import hashlib
+import networkx as nx
+from repro.dynamic import DynamicPlanarGraph, flap_updates
+from repro.planar import generators as gen
+g = nx.relabel_nodes(gen.delaunay(80, seed=3), lambda v: f"n{v}")
+dyn = DynamicPlanarGraph(g)
+for batch in flap_updates(g, seed=5, rate=0.05, rounds=10):
+    for update in batch:
+        dyn.apply(update)
+rows = sorted((v, dyn.rotation.neighbors_cw(v)) for v in dyn.graph)
+print(hashlib.sha256(repr(rows).encode()).hexdigest(), dyn.reembeds)
+"""
+
+
 def _parent_map_under_hash_seed(seed: int) -> str:
+    return _run_under_hash_seed(_PARENT_MAP_SCRIPT, seed)
+
+
+def _run_under_hash_seed(script: str, seed: int) -> str:
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=str(seed))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _PARENT_MAP_SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=120,
@@ -100,3 +121,7 @@ class TestHashSeedIndependence:
     )
     def test_dfs_tree_is_independent_of_hash_seed(self):
         assert _parent_map_under_hash_seed(1) == _parent_map_under_hash_seed(2)
+
+    def test_churn_inserts_are_independent_of_hash_seed(self):
+        outputs = {_run_under_hash_seed(_CHURN_ROWS_SCRIPT, seed) for seed in (0, 1, 2)}
+        assert len(outputs) == 1, outputs

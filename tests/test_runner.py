@@ -374,3 +374,17 @@ class TestExperimentCli:
         out = capsys.readouterr().out
         assert "REGRESSION" in out
         assert main(args + ["--compare", str(bad), "--tolerance", "1"]) == 0
+        capsys.readouterr()
+
+        # A single experiment is gated against its own baseline rows only:
+        # other experiments in the baseline are not "missing".
+        wider = json.loads(summary_path.read_text())
+        wider["experiments"]["e1"] = {"rows": [{"rounds": 1}]}
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(wider))
+        assert main(args + ["--compare", str(wide)]) == 0
+        wider["experiments"]["e13"]["rows"][0]["measured_rounds"] += 1
+        wide.write_text(json.dumps(wider))
+        assert main(args + ["--compare", str(wide)]) == 1
+        out = capsys.readouterr().out
+        assert "e13 row 0" in out and "e1:" not in out
