@@ -38,7 +38,7 @@ import networkx as nx
 
 from _common import emit
 from repro.applications import biconnectivity
-from repro.congest import Network, RoundTrace
+from repro.congest import Network, RoundTrace, bfs_run, run_fingerprint
 from repro.obs import Tracer
 from repro.core.augment import balanced_insertion, insertion_variants, planar_slot_pairs
 from repro.core.certify import certify_cycle
@@ -84,11 +84,13 @@ def _alternating(configs):
     return results, {name: statistics.quantiles(t, n=4) for name, t in times.items()}
 
 
-def _timing(stats, base):
-    """The median/q1/q3 columns of one row, plus its speedup over ``base``."""
-    q1, median, q3 = stats
-    return {"repeats": REPEATS, "seconds": round(median, 4), "q1": round(q1, 4),
-            "q3": round(q3, 4), "speedup": round(base / median, 2)}
+def _timing(stats, base, unit="seconds"):
+    """The median/q1/q3 columns of one row in ``unit`` (``"seconds"`` or
+    ``"ms"``), plus its speedup over ``base`` seconds."""
+    scale = 1e3 if unit == "ms" else 1
+    q1, median, q3 = (t * scale for t in stats)
+    return {"repeats": REPEATS, unit: round(median, 4), "q1": round(q1, 4),
+            "q3": round(q3, 4), "speedup": round(base * scale / median, 2)}
 
 
 # -- embedding: in-repo LR port vs networkx ----------------------------------
@@ -675,7 +677,7 @@ def scheduler_speedup_rows(n: int = WAVE_N):
         {"scheduler": scheduler, "workload": f"path-{n}", "n": n,
          "rounds": results[scheduler].rounds,
          "messages": results[scheduler].messages_sent,
-         **_timing(stats[scheduler], stats["dense"][1])}
+         **_timing(stats[scheduler], stats["dense"][1], unit="ms")}
         for scheduler in ("dense", "active")
     ]
 
@@ -722,15 +724,52 @@ def vectorized_speedup_rows(side: int = VEC_SIDE):
         {"scheduler": scheduler, "workload": f"grid-{side}x{side}", "n": n,
          "rounds": results[scheduler].rounds,
          "messages": results[scheduler].messages_sent,
-         **_timing(stats[scheduler], stats["active"][1])}
+         **_timing(stats[scheduler], stats["active"][1], unit="ms")}
         for scheduler in ("active", "vectorized")
     ]
 
 
+# Narrow frontiers and small inputs: the columnar dispatch pays a fixed
+# numpy cost per round, which a one-node frontier (path), a three-node
+# one (3x300 grid) or a short run (10x10 grid) never amortizes.  These
+# rows time ``bfs_run`` as a caller does, network and kernel setup
+# included; they are why ``scheduler=`` stays the caller's choice
+# (docs/MODEL.md, "When to ask for vectorized").
+NARROW_WORKLOADS = (
+    ("path-2000", lambda: gen.path_graph(2000)),
+    ("grid-3x300", lambda: gen.grid(3, 300)),
+    ("grid-10x10", lambda: gen.grid(10, 10)),
+    ("delaunay-1600", lambda: gen.delaunay(1600, seed=0)),
+)
+
+
+def narrow_frontier_rows():
+    """Active-set vs vectorized ``bfs_run`` from node 0 on each of
+    :data:`NARROW_WORKLOADS`; both runs must fingerprint alike."""
+    rows = []
+    for workload, make in NARROW_WORKLOADS:
+        graph = make()
+        results, stats = _alternating(
+            [(scheduler, lambda graph=graph, scheduler=scheduler:
+              bfs_run(graph, 0, scheduler=scheduler))
+             for scheduler in ("active", "vectorized")])
+        assert run_fingerprint(results["active"]) == run_fingerprint(results["vectorized"])
+        assert results["vectorized"].fast_path
+        rows += [
+            {"scheduler": scheduler, "workload": workload, "n": len(graph),
+             "rounds": results[scheduler].rounds,
+             "messages": results[scheduler].messages_sent,
+             **_timing(stats[scheduler], stats["active"][1], unit="ms")}
+            for scheduler in ("active", "vectorized")
+        ]
+    return rows
+
+
 _SPEEDUP_TITLE = (
     f"Scheduler A/B - BFS wavefront: dense vs active on a {WAVE_N}-node "
-    f"path; active vs vectorized on a {VEC_SIDE}x{VEC_SIDE} grid "
-    f"(median, q1, q3 of {REPEATS} alternating repeats)"
+    f"path; active vs vectorized on a {VEC_SIDE}x{VEC_SIDE} grid and, "
+    f"through bfs_run, on narrow or small inputs "
+    f"(median, q1, q3 of {REPEATS} alternating repeats, milliseconds per run)"
 )
 _speedup_rows_cache = None
 
@@ -740,7 +779,8 @@ def all_speedup_rows():
     ``__main__`` table share the same measurement)."""
     global _speedup_rows_cache
     if _speedup_rows_cache is None:
-        _speedup_rows_cache = scheduler_speedup_rows() + vectorized_speedup_rows()
+        _speedup_rows_cache = (scheduler_speedup_rows() + vectorized_speedup_rows()
+                               + narrow_frontier_rows())
     return _speedup_rows_cache
 
 
@@ -859,7 +899,8 @@ def test_micro_vectorized_speedup(benchmark):
     with identical round and message counts."""
     rows = all_speedup_rows()
     emit("scheduler_speedup.txt", rows, _SPEEDUP_TITLE)
-    vec = next(r for r in rows if r["scheduler"] == "vectorized")
+    vec = next(r for r in rows if r["scheduler"] == "vectorized"
+               and r["workload"] == f"grid-{VEC_SIDE}x{VEC_SIDE}")
     assert vec["speedup"] >= 5.0, rows
 
     from repro.congest.algorithms import _bfs_kernel_factory

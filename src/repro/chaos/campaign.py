@@ -62,12 +62,6 @@ class CampaignConfig:
     #: default budget deliberately leaves the harshest grid corner exposed
     #: — see docs/CHAOS.md on the bounded-retry envelope.
     transport_retries: Optional[int] = None
-    #: ``Network.run`` dispatcher for every unit.  Faulted/transported
-    #: units fall back to the message-level path regardless, but the
-    #: clean control points do run the columnar fast path under
-    #: ``"vectorized"`` — and must fingerprint identically (the CI
-    #: ``scheduler-parity`` job runs the smoke campaign both ways).
-    scheduler: str = "active"
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -81,7 +75,6 @@ class CampaignConfig:
             "corrupt_rates": list(self.corrupt_rates),
             "transport": self.transport,
             "transport_retries": self.transport_retries,
-            "scheduler": self.scheduler,
         }
 
 
@@ -136,8 +129,6 @@ def campaign_units(config: CampaignConfig) -> List[Dict[str, Any]]:
         }
         if config.transport_retries is not None:
             base["transport_retries"] = config.transport_retries
-        if config.scheduler != "active":
-            base["scheduler"] = config.scheduler
         units.append(
             {**base, "seed": 0, "drop_rate": 0.0,
              "duplicate_rate": 0.0, "corrupt_rate": 0.0}
@@ -191,7 +182,6 @@ def run_campaign_unit(unit: Dict[str, Any]) -> Dict[str, Any]:
         graph_seed=unit["graph_seed"],
         plan=unit_plan(unit),
         transport=transport,
-        scheduler=unit.get("scheduler", "active"),
     )
 
 

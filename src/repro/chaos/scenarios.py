@@ -11,7 +11,7 @@ quietly: it either returns a stats dict or raises
 :func:`run_scenario` is the harness the campaign runner and the shrinker
 share: it turns any outcome — success or violation — into one
 JSON-serializable dict with a deterministic fingerprint, so a violation
-can be compared across reruns, schedulers and processes.
+can be compared across reruns and processes.
 
 Two scenario groups differ in how they get their resilience:
 
@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 #: name -> scenario function ``fn(graph, root, *, faults, transport,
-#: metrics, scheduler) -> stats dict`` (raises on violation).
+#: metrics) -> stats dict`` (raises on violation).
 SCENARIOS: Dict[str, Callable] = {}
 
 _ALL_FAULT_KINDS = frozenset({"drop", "duplicate", "corrupt"})
@@ -117,11 +117,10 @@ def _bfs_parent(graph, root):
 
 
 @scenario("broadcast")
-def _broadcast(graph, root, *, faults=None, transport=None, metrics=None,
-               scheduler="active"):
+def _broadcast(graph, root, *, faults=None, transport=None, metrics=None):
     """Resilient broadcast (its own ack layer; transport unused)."""
     result, report = resilient_broadcast_run(
-        graph, root, 42, faults=faults, metrics=metrics, scheduler=scheduler
+        graph, root, 42, faults=faults, metrics=metrics
     )
     if report is not None:
         raise VerificationError(f"broadcast failed: {report.reason}")
@@ -131,14 +130,12 @@ def _broadcast(graph, root, *, faults=None, transport=None, metrics=None,
 
 
 @scenario("convergecast")
-def _convergecast(graph, root, *, faults=None, transport=None, metrics=None,
-                  scheduler="active"):
+def _convergecast(graph, root, *, faults=None, transport=None, metrics=None):
     """Resilient convergecast; the root must see every surviving node."""
     parent = _bfs_parent(graph, root)
     values = {v: 1 for v in graph.nodes}
     result, report = resilient_convergecast_run(
         graph, root, values, parent, faults=faults, metrics=metrics,
-        scheduler=scheduler,
     )
     if report is not None:
         raise VerificationError(f"convergecast failed: {report.reason}")
@@ -152,12 +149,10 @@ def _convergecast(graph, root, *, faults=None, transport=None, metrics=None,
 
 
 @scenario("dfs")
-def _dfs(graph, root, *, faults=None, transport=None, metrics=None,
-         scheduler="active"):
+def _dfs(graph, root, *, faults=None, transport=None, metrics=None):
     """Awerbuch DFS; the parent map must be a DFS tree of the survivors."""
     result, report = resilient_dfs_run(
         graph, root, faults=faults, metrics=metrics, transport=transport,
-        scheduler=scheduler,
     )
     if report is not None:
         raise VerificationError(f"dfs failed: {report.reason}")
@@ -167,14 +162,12 @@ def _dfs(graph, root, *, faults=None, transport=None, metrics=None,
 
 
 @scenario("fragments")
-def _fragments(graph, root, *, faults=None, transport=None, metrics=None,
-               scheduler="active"):
+def _fragments(graph, root, *, faults=None, transport=None, metrics=None):
     """Fragment merge dynamic; must match the clean run's iteration count."""
     tree = bfs_tree(graph, root)
     clean = fragment_merge_run(graph, tree)
     run = fragment_merge_run(
         graph, tree, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler,
     )
     if run.iterations != clean.iterations:
         raise VerificationError(
@@ -192,90 +185,61 @@ def _partwise_setup(graph):
 
 
 @scenario("partwise")
-def _partwise(graph, root, *, faults=None, transport=None, metrics=None,
-              scheduler="active"):
+def _partwise(graph, root, *, faults=None, transport=None, metrics=None):
     """Part-wise aggregation; aggregates must equal the direct sums."""
     parts, values = _partwise_setup(graph)
     run = partwise_aggregation_run(
         graph, parts, values, faults=faults, transport=transport,
-        metrics=metrics, scheduler=scheduler,
+        metrics=metrics,
     )
     expected = {
         i: sum(values[v] for v in part) for i, part in enumerate(parts)
     }
     if run.aggregates != expected:
-        wrong = sorted(
-            i for i in expected if run.aggregates.get(i) != expected[i]
-        )
-        raise VerificationError(
-            f"partwise aggregates wrong for part(s) {wrong[:5]}"
-        )
+        wrong = sorted(i for i in expected if run.aggregates.get(i) != expected[i])
+        raise VerificationError(f"partwise aggregates wrong for part(s) {wrong[:5]}")
     return {"rounds": run.rounds}
 
 
 @scenario("weights")
-def _weights(graph, root, *, faults=None, transport=None, metrics=None,
-             scheduler="active"):
+def _weights(graph, root, *, faults=None, transport=None, metrics=None):
     """Weight computation; must equal the clean run bit for bit."""
     cfg = PlanarConfiguration.build(graph, root=root)
     clean = weights_problem_run(cfg)
-    run = weights_problem_run(
-        cfg, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler,
-    )
+    run = weights_problem_run(cfg, faults=faults, transport=transport, metrics=metrics)
     if run.weights != clean.weights or run.orders != clean.orders:
         raise VerificationError("weights diverged from the clean run")
     return {"rounds": run.rounds, "baseline_rounds": clean.rounds}
 
 
 @scenario("mst")
-def _mst(graph, root, *, faults=None, transport=None, metrics=None,
-         scheduler="active"):
+def _mst(graph, root, *, faults=None, transport=None, metrics=None):
     """Message-level Borůvka; the result must be the (tie-broken) MST."""
-    run = boruvka_mst_run(
-        graph, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler,
-    )
+    run = boruvka_mst_run(graph, faults=faults, transport=transport, metrics=metrics)
     check_mst(graph, run.edges)
     return {"rounds": run.rounds, "phases": run.phases}
 
 
 @scenario("pipeline")
-def _pipeline(graph, root, *, faults=None, transport=None, metrics=None,
-              scheduler="active"):
+def _pipeline(graph, root, *, faults=None, transport=None, metrics=None):
     """The full Theorem 2 shape: fragments -> partwise -> weights (with a
     verified separator) -> MST -> DFS, every phase under the same plan."""
     rounds = 0
-    stats = _fragments(
-        graph, root, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler,
-    )
+    stats = _fragments(graph, root, faults=faults, transport=transport, metrics=metrics)
     rounds += stats["rounds"]
-    stats = _partwise(
-        graph, root, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler,
-    )
+    stats = _partwise(graph, root, faults=faults, transport=transport, metrics=metrics)
     rounds += stats["rounds"]
     cfg = PlanarConfiguration.build(graph, root=root)
     clean = weights_problem_run(cfg)
-    run = weights_problem_run(
-        cfg, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler,
-    )
+    run = weights_problem_run(cfg, faults=faults, transport=transport, metrics=metrics)
     if run.weights != clean.weights or run.orders != clean.orders:
         raise VerificationError("pipeline: weights diverged from the clean run")
     rounds += run.rounds
     sep = cycle_separator(cfg)
     check_separator(graph, sep.path)
-    stats = _mst(
-        graph, root, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler,
-    )
+    stats = _mst(graph, root, faults=faults, transport=transport, metrics=metrics)
     rounds += stats["rounds"]
-    stats = _dfs(
-        graph, root, faults=faults, transport=transport, metrics=metrics,
-        scheduler=scheduler,
-    )
+    stats = _dfs(graph, root, faults=faults, transport=transport, metrics=metrics)
     rounds += stats["rounds"]
     return {"rounds": rounds, "separator_size": len(sep.path)}
 
@@ -326,7 +290,6 @@ def run_scenario(
     graph_seed: int = 1,
     plan=None,
     transport=None,
-    scheduler: str = "active",
 ) -> Dict[str, Any]:
     """Run one scenario and normalize the outcome to a JSON-able dict.
 
@@ -334,12 +297,6 @@ def run_scenario(
     and round-budget exhaustion become ``ok=False`` with a deterministic
     ``violation`` string (the shrinker's comparison key).  Unknown
     scenario names still raise — that is a caller bug, not a finding.
-
-    ``scheduler`` selects the ``Network.run`` dispatcher for every run
-    the scenario makes.  It is recorded in the outcome but *excluded*
-    from the fingerprint: scheduler equivalence means the same campaign
-    under ``--scheduler vectorized`` must fingerprint identically to the
-    active-set baseline, and any divergence is itself a finding.
     """
     fn = SCENARIOS[name]
     graph, root = make_instance(n, graph_seed)
@@ -351,7 +308,6 @@ def run_scenario(
         "plan": plan.describe() if plan is not None else None,
         "transport": transport is not None
         and type(transport).__name__ != "NullTransport",
-        "scheduler": scheduler,
         "ok": True,
         "violation": None,
         "rounds": None,
@@ -359,7 +315,6 @@ def run_scenario(
     try:
         stats = fn(
             graph, root, faults=plan, transport=transport, metrics=metrics,
-            scheduler=scheduler,
         )
     except VerificationError as exc:
         outcome["ok"] = False

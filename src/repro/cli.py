@@ -358,8 +358,6 @@ def _cmd_chaos_run(args) -> int:
         config = dataclasses.replace(
             config, transport_retries=args.transport_retries
         )
-    if args.scheduler is not None:
-        config = dataclasses.replace(config, scheduler=args.scheduler)
     summary = chaos.run_campaign(
         config, cache=_campaign_cache(args), retries=args.retries
     )
@@ -813,12 +811,6 @@ def main(argv=None) -> int:
                        help="override the transport retransmission budget "
                        "(default: the transport's own default; raise to "
                        "push the bounded-retry envelope)")
-    c_run.add_argument("--scheduler", default=None,
-                       choices=("dense", "active", "vectorized"),
-                       help="Network.run dispatcher for every unit (default: "
-                       "the campaign's own, normally 'active'; 'vectorized' "
-                       "exercises the columnar fast path on clean units — "
-                       "outcome fingerprints must not change)")
     c_run.add_argument("--fail-on-violation", action="store_true",
                        dest="fail_on_violation",
                        help="non-zero exit on any oracle violation or unit "

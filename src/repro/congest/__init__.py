@@ -85,8 +85,9 @@ __all__ = [
     "min_flood_program",
 ]
 
-# The vectorized scheduler needs numpy; resolve its names lazily so the
-# scalar simulator keeps working on a numpy-less interpreter.
+# The vectorized scheduler imports numpy; resolve its names lazily so that
+# importing the package leaves numpy's import time out of every fresh
+# interpreter's set-up (tests/test_vectorized.py pins it).
 _VECTORIZED_NAMES = frozenset(
     {
         "VectorKernel",

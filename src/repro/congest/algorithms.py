@@ -6,14 +6,14 @@ downcast/broadcast in :math:`O(D)`, convergecast aggregation in
 :math:`O(D)`.  The test suite checks both the results (against direct
 computation) and the round counts (against the analytic bounds).
 
-All runs accept ``faults=`` (a :class:`repro.congest.faults.FaultPlan`)
-and ``scheduler=``; the plain primitives assume a fault-free network and
-simply stall or lose data under injected faults.  The ``resilient_*``
-variants layer the classic end-to-end defences on top — per-link ack /
-bounded retransmit, idempotent duplicate handling, timeout-based crash
-suspicion — and return ``(RunResult, FailureReport | None)`` so a faulted
-run is always an explicit outcome, never a hang (docs/MODEL.md, "The
-fault model").
+All runs accept ``faults=`` (a :class:`repro.congest.faults.FaultPlan`);
+the plain primitives, the only programs with a columnar kernel, also take
+``scheduler=``.  They assume a fault-free network and simply stall or lose
+data under injected faults.  The ``resilient_*`` variants layer the
+classic end-to-end defences on top — per-link ack / bounded retransmit,
+idempotent duplicate handling, timeout-based crash suspicion — and
+return ``(RunResult, FailureReport | None)`` so a faulted run is always
+an explicit outcome, never a hang (docs/MODEL.md, "The fault model").
 """
 
 from __future__ import annotations
@@ -54,8 +54,10 @@ def _sum_combine(a: int, b: int) -> int:
 # Each primitive attaches a ``vector_kernel`` factory to its round handler;
 # ``Network.run(..., scheduler="vectorized")`` calls it to build the
 # columnar twin of the closures, and ignores it under the other
-# schedulers.  The factories import repro.congest.vectorized lazily so the
-# scalar path never requires numpy.
+# schedulers.  The factories import repro.congest.vectorized, and with it
+# numpy, only when a vectorized run asks for them, so importing the
+# package (and every scalar run) leaves numpy's import time out of a
+# fresh interpreter's set-up.
 
 def _bfs_kernel_factory(root: Node, slack: int):
     def factory(net):
@@ -273,7 +275,6 @@ def resilient_broadcast_run(
     retry_every: int = 2,
     give_up: Optional[int] = None,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Tuple[RunResult, Optional[FailureReport]]:
@@ -366,7 +367,6 @@ def resilient_broadcast_run(
             max_rounds=give_up + linger + retry_every * (retries + 2) + 16,
             finalize=lambda ctx: ctx.output if ctx.output_set else (None, ()),
             trace=trace,
-            scheduler=scheduler,
             faults=faults,
             metrics=metrics,
         )
@@ -437,7 +437,6 @@ def resilient_convergecast_run(
     retry_every: int = 2,
     child_timeout: Optional[int] = None,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Tuple[RunResult, Optional[FailureReport]]:
@@ -555,7 +554,6 @@ def resilient_convergecast_run(
             + 16,
             finalize=lambda ctx: ctx.output if ctx.output_set else None,
             trace=trace,
-            scheduler=scheduler,
             faults=faults,
             metrics=metrics,
         )

@@ -37,7 +37,6 @@ def awerbuch_dfs_run(
     graph: nx.Graph,
     root: Node,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport=None,
@@ -129,7 +128,7 @@ def awerbuch_dfs_run(
         result = network.run(
             init, on_round,
             max_rounds=scale_rounds(transport, 6 * len(graph) + 16),
-            finalize=_finalize, trace=trace, scheduler=scheduler,
+            finalize=_finalize, trace=trace,
             faults=faults, metrics=metrics, transport=transport,
         )
     return result
@@ -152,7 +151,6 @@ def resilient_dfs_run(
     graph: nx.Graph,
     root: Node,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport=None,
@@ -180,7 +178,7 @@ def resilient_dfs_run(
     """
     with trace_span(trace, "resilient-dfs", root=repr(root)):
         result = awerbuch_dfs_run(
-            graph, root, trace=trace, scheduler=scheduler, faults=faults,
+            graph, root, trace=trace, faults=faults,
             metrics=metrics, transport=transport,
         )
     report = diagnose_run(result, kind="dfs", require_outputs=False)

@@ -77,7 +77,6 @@ def _flood_fragment_ids(
     fragment: Dict[Node, Node],
     updates: Dict[Node, Node],
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults=None,
     metrics=None,
     transport=None,
@@ -122,7 +121,6 @@ def _flood_fragment_ids(
         finalize=lambda ctx: ctx.state["frag"],
         stop_when_quiet=True,
         trace=trace,
-        scheduler=scheduler,
         faults=faults,
         metrics=metrics,
         transport=transport,
@@ -137,7 +135,6 @@ def fragment_merge_run(
     tree: RootedTree,
     stop: Optional[Tuple[Node, Node]] = None,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults=None,
     metrics=None,
     transport=None,
@@ -183,8 +180,7 @@ def fragment_merge_run(
             with trace_span(trace, "merge-iteration", iteration=iterations):
                 rounds += _flood_fragment_ids(
                     graph, tree, fragment, updates, trace=trace,
-                    scheduler=scheduler, faults=faults, metrics=metrics,
-                    transport=transport,
+                    faults=faults, metrics=metrics, transport=transport,
                 )
             if stop is not None and fragment[stop[0]] == fragment[stop[1]]:
                 # The merge edge: the first path edge whose endpoints were in
@@ -208,14 +204,13 @@ def mark_path_merge_run(
     u: Node,
     v: Node,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults=None,
     metrics=None,
     transport=None,
 ) -> MarkPathMergeRun:
     """Lemma 13's first phase: merge until ``u`` and ``v`` coalesce."""
     run = fragment_merge_run(
-        graph, tree, stop=(u, v), trace=trace, scheduler=scheduler,
+        graph, tree, stop=(u, v), trace=trace,
         faults=faults, metrics=metrics, transport=transport,
     )
     assert isinstance(run, MarkPathMergeRun)

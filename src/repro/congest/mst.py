@@ -71,7 +71,6 @@ def _flood_leaders(
     graph: nx.Graph,
     fragment_edges: Set[FrozenSet[Node]],
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults=None,
     metrics=None,
     transport=None,
@@ -104,7 +103,6 @@ def _flood_leaders(
         finalize=lambda ctx: ctx.state["leader"],
         stop_when_quiet=True,
         trace=trace,
-        scheduler=scheduler,
         faults=faults,
         metrics=metrics,
         transport=transport,
@@ -117,7 +115,6 @@ def _exchange_and_moe(
     leader: Dict[Node, Node],
     fragment_edges: Set[FrozenSet[Node]],
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults=None,
     metrics=None,
     transport=None,
@@ -182,8 +179,7 @@ def _exchange_and_moe(
 
     result = Network(graph, max_words=8).run(
         init, on_round, max_rounds=scale_rounds(transport, 2 * len(graph) + 8),
-        trace=trace, scheduler=scheduler, faults=faults, metrics=metrics,
-        transport=transport,
+        trace=trace, faults=faults, metrics=metrics, transport=transport,
     )
     moes = {
         v: result.outputs[v] for v in graph.nodes if leader[v] == v
@@ -194,7 +190,6 @@ def _exchange_and_moe(
 def boruvka_mst_run(
     graph: nx.Graph,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults=None,
     metrics=None,
     transport=None,
@@ -215,7 +210,7 @@ def boruvka_mst_run(
         while True:
             with trace_span(trace, "leader-flood", phase=phases + 1):
                 leader, flood_rounds = _flood_leaders(
-                    graph, fragment_edges, trace=trace, scheduler=scheduler,
+                    graph, fragment_edges, trace=trace,
                     faults=faults, metrics=metrics, transport=transport,
                 )
             rounds += flood_rounds
@@ -224,8 +219,7 @@ def boruvka_mst_run(
             with trace_span(trace, "moe-convergecast", phase=phases + 1):
                 moes, moe_rounds = _exchange_and_moe(
                     graph, leader, fragment_edges, trace=trace,
-                    scheduler=scheduler, faults=faults, metrics=metrics,
-                    transport=transport,
+                    faults=faults, metrics=metrics, transport=transport,
                 )
             rounds += moe_rounds
             phases += 1

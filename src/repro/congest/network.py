@@ -272,8 +272,11 @@ class RunResult:
         transport session, or ``None`` when no transport was used.
     fast_path:
         True when the vectorized bulk-synchronous scheduler executed the
-        run; False for the message-level dispatcher (including a
-        ``scheduler="vectorized"`` request that fell back).  Purely
+        run: a ``scheduler="vectorized"`` request for a program with a
+        columnar kernel (``bfs_run``, ``broadcast_run``,
+        ``convergecast_run``, ``min_flood_program``), no transport and no
+        non-empty fault plan.  False for every message-level dispatch,
+        including a vectorized request that fell back.  Purely
         informational — deliberately excluded from ``run_fingerprint``,
         which hashes what the network *did*, not how it was dispatched.
     """
@@ -876,11 +879,8 @@ class Network:
             elif faults is not None and not faults.is_empty:
                 fallback_reason = "faults"
             if fallback_reason is None:
-                try:
-                    from .vectorized import run_vectorized
-                except ImportError:  # numpy unavailable: degrade, don't die
-                    fallback_reason = "no-numpy"
-            if fallback_reason is None:
+                from .vectorized import run_vectorized
+
                 return run_vectorized(
                     self,
                     kernel_factory(self),

@@ -74,7 +74,6 @@ def partwise_aggregation_run(
     tree: Optional[RootedTree] = None,
     shortcuts: Optional[ShortcutStructure] = None,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults=None,
     metrics=None,
     transport=None,
@@ -159,7 +158,6 @@ def partwise_aggregation_run(
             max_rounds=scale_rounds(transport, 8 * len(graph) + len(parts) + 32),
             stop_when_quiet=True,
             trace=trace,
-            scheduler=scheduler,
             faults=faults,
             metrics=metrics,
             transport=transport,
@@ -182,7 +180,6 @@ def partwise_broadcast_run(
     tree: Optional[RootedTree] = None,
     shortcuts: Optional[ShortcutStructure] = None,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults=None,
     metrics=None,
     transport=None,
@@ -261,7 +258,6 @@ def partwise_broadcast_run(
             finalize=lambda ctx: dict(ctx.state["received"]),
             stop_when_quiet=True,
             trace=trace,
-            scheduler=scheduler,
             faults=faults,
             metrics=metrics,
             transport=transport,

@@ -73,7 +73,6 @@ class WeightsRun:
 def _size_convergecast(
     cfg: PlanarConfiguration,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults=None,
     metrics=None,
     transport=None,
@@ -99,8 +98,7 @@ def _size_convergecast(
 
     result = Network(cfg.graph).run(
         init, on_round, max_rounds=scale_rounds(transport, 2 * cfg.n + 8),
-        trace=trace, scheduler=scheduler, faults=faults, metrics=metrics,
-        transport=transport,
+        trace=trace, faults=faults, metrics=metrics, transport=transport,
     )
     return dict(result.outputs), result.rounds
 
@@ -109,7 +107,6 @@ def _order_downcast(
     cfg: PlanarConfiguration,
     child_sizes: Dict[Node, Dict[Node, int]],
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults=None,
     metrics=None,
     transport=None,
@@ -156,8 +153,7 @@ def _order_downcast(
         init, on_round, max_rounds=scale_rounds(transport, 2 * cfg.n + 8),
         stop_when_quiet=True,
         finalize=lambda ctx: ctx.state["me"],
-        trace=trace, scheduler=scheduler, faults=faults, metrics=metrics,
-        transport=transport,
+        trace=trace, faults=faults, metrics=metrics, transport=transport,
     )
     return dict(result.outputs), result.rounds
 
@@ -165,7 +161,6 @@ def _order_downcast(
 def weights_problem_run(
     cfg: PlanarConfiguration,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults=None,
     metrics=None,
     transport=None,
@@ -175,12 +170,12 @@ def weights_problem_run(
     with trace_span(trace, "weights-problem"):
         with trace_span(trace, "size-convergecast"):
             child_sizes, rounds1 = _size_convergecast(
-                cfg, trace=trace, scheduler=scheduler, faults=faults,
+                cfg, trace=trace, faults=faults,
                 metrics=metrics, transport=transport,
             )
         with trace_span(trace, "order-downcast"):
             orders, rounds2 = _order_downcast(
-                cfg, child_sizes, trace=trace, scheduler=scheduler,
+                cfg, child_sizes, trace=trace,
                 faults=faults, metrics=metrics, transport=transport,
             )
     pi_l = {v: orders[v][0] for v in cfg.graph.nodes}

@@ -127,7 +127,7 @@ class EventLog:
     the retained window with the request records at flush time.  Event
     types in use: ``pool-restart``, ``worker-kill``, ``worker-died``,
     ``breaker-open``, ``breaker-close``, ``wedge-kill``, ``shed``,
-    ``drain``, ``scheduler-fallback``.
+    ``drain``.
     """
 
     def __init__(self, capacity: int = 256, *, clock: Callable[[], float] = time.time):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import networkx as nx
 import pytest
 
+from repro.congest import Network
 from repro.core.config import PlanarConfiguration
 from repro.planar import generators as gen
 from repro.trees import bfs_tree, dfs_spanning_tree, random_spanning_tree
@@ -30,6 +33,29 @@ def configs_for(graph: nx.Graph, root=0, seed: int = 0):
     """The three spanning-tree flavors for one graph."""
     for kind in ("bfs", "dfs", "rand"):
         yield kind, make_config(graph, root=root, kind=kind, seed=seed)
+
+
+@contextlib.contextmanager
+def forced_scheduler(scheduler: str = "dense"):
+    """Run every ``Network.run`` inside the block under ``scheduler``.
+
+    Only the kernel primitives (``bfs_run``, ``broadcast_run``,
+    ``convergecast_run``) take ``scheduler=``; every other sim and the
+    chaos scenarios dispatch active-set.  Tests reach the dense reference
+    for them through this wrapper, which overrides whatever dispatcher a
+    call asks for.
+    """
+    run = Network.run
+
+    def forced(self, *args, **kwargs):
+        kwargs["scheduler"] = scheduler
+        return run(self, *args, **kwargs)
+
+    Network.run = forced
+    try:
+        yield
+    finally:
+        Network.run = run
 
 
 @pytest.fixture

@@ -43,6 +43,8 @@ from repro.chaos.shrink import (
 )
 from repro.congest import FaultPlan, ReliableTransport
 
+from conftest import forced_scheduler
+
 #: A failing unit used throughout the shrink tests: corruption defeats
 #: the PR 3 broadcast wrapper (its ack layer has no checksums), so this
 #: point fails deterministically and shrinks fast.
@@ -82,6 +84,19 @@ class TestScenarios:
             name, n=18, plan=plan, transport=ReliableTransport()
         )
         assert outcome["ok"], outcome["violation"]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_dense_dispatch_matches_active(self, name):
+        # Scenarios dispatch active-set; the dense every-node reference
+        # must give the same outcome, clean and under a smoke-grid plan.
+        for plan in (None, FaultPlan(seed=3, drop_rate=0.12, duplicate_rate=0.1)):
+            active = run_scenario(name, n=18, plan=plan, transport=ReliableTransport())
+            with forced_scheduler("dense"):
+                dense = run_scenario(
+                    name, n=18, plan=plan, transport=ReliableTransport()
+                )
+            assert active["ok"], active["violation"]
+            assert dense["fingerprint"] == active["fingerprint"], (plan, dense, active)
 
     def test_outcome_fingerprint_is_reproducible(self):
         plan = FaultPlan(seed=3, drop_rate=0.1)

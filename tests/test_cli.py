@@ -99,6 +99,13 @@ class TestChaosCommands:
         with pytest.raises(SystemExit):
             main(["chaos", "run", "--campaign", "hurricane"])
 
+    def test_chaos_run_offers_no_scheduler(self):
+        # Scenarios have no columnar kernel, so there is no dispatcher
+        # to choose: the flag is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "run", "--scheduler", "active"])
+        assert exc.value.code == 2
+
 
 class TestSubprocess:
     def test_module_entrypoint(self):

@@ -33,6 +33,8 @@ from repro.core.verify import check_dfs_tree, check_separator
 from repro.planar import generators as gen
 from repro.trees import bfs_tree
 
+from conftest import forced_scheduler
+
 
 def small_planar_graphs(max_nodes=6):
     from networkx.generators.atlas import graph_atlas_g
@@ -211,7 +213,8 @@ class TestSchedulerEquivalence:
         obs = {}
         for sched in SCHEDULERS:
             trace = RoundTrace()
-            res = awerbuch_dfs_run(g, root, trace=trace, scheduler=sched)
+            with forced_scheduler(sched):
+                res = awerbuch_dfs_run(g, root, trace=trace)
             obs[sched] = (
                 run_fingerprint(res, trace),
                 res.rounds,
@@ -226,7 +229,8 @@ class TestSchedulerEquivalence:
         obs = {}
         for sched in SCHEDULERS:
             trace = RoundTrace()
-            run = fragment_merge_run(g, tree, trace=trace, scheduler=sched)
+            with forced_scheduler(sched):
+                run = fragment_merge_run(g, tree, trace=trace)
             obs[sched] = (run.iterations, run.rounds, _trace_digest(trace))
         _assert_all_equal(obs, f"fragments/{name}")
 
@@ -240,9 +244,8 @@ class TestSchedulerEquivalence:
         obs = {}
         for sched in SCHEDULERS:
             trace = RoundTrace()
-            run = partwise_aggregation_run(
-                g, parts, values, trace=trace, scheduler=sched
-            )
+            with forced_scheduler(sched):
+                run = partwise_aggregation_run(g, parts, values, trace=trace)
             obs[sched] = (
                 run.aggregates,
                 run.rounds,
@@ -258,7 +261,8 @@ class TestSchedulerEquivalence:
         obs = {}
         for sched in SCHEDULERS:
             trace = RoundTrace()
-            run = weights_problem_run(cfg, trace=trace, scheduler=sched)
+            with forced_scheduler(sched):
+                run = weights_problem_run(cfg, trace=trace)
             obs[sched] = (
                 run.weights,
                 run.rounds,
@@ -273,7 +277,8 @@ class TestSchedulerEquivalence:
         obs = {}
         for sched in SCHEDULERS:
             trace = RoundTrace()
-            run = boruvka_mst_run(g, trace=trace, scheduler=sched)
+            with forced_scheduler(sched):
+                run = boruvka_mst_run(g, trace=trace)
             obs[sched] = (
                 run.edges,
                 run.phases,

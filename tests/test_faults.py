@@ -46,6 +46,8 @@ from repro.core.config import PlanarConfiguration
 from repro.planar import generators as gen
 from repro.trees import bfs_tree
 
+from conftest import forced_scheduler
+
 
 # -- plan semantics ----------------------------------------------------------
 
@@ -283,18 +285,20 @@ class TestEmptyPlanIdentity:
             lambda f: bfs_run(g, 0, scheduler=scheduler, faults=f),
             lambda f: broadcast_run(g, 0, 42, parent, scheduler=scheduler, faults=f),
             lambda f: convergecast_run(g, 0, values, parent, scheduler=scheduler, faults=f),
-            lambda f: awerbuch_dfs_run(g, 0, scheduler=scheduler, faults=f),
+            lambda f: awerbuch_dfs_run(g, 0, faults=f),
         ]
         for make in runs:
-            base, empty = make(None), make(FaultPlan())
+            with forced_scheduler(scheduler):
+                base, empty = make(None), make(FaultPlan())
             assert run_fingerprint(base) == run_fingerprint(empty)
             assert empty.lost_messages == 0 and empty.duplicated_messages == 0
 
     @pytest.mark.parametrize("scheduler", ["active", "dense"])
     def test_mst(self, scheduler):
         g = gen.delaunay(30, seed=2)
-        base = boruvka_mst_run(g, scheduler=scheduler)
-        empty = boruvka_mst_run(g, scheduler=scheduler, faults=FaultPlan())
+        with forced_scheduler(scheduler):
+            base = boruvka_mst_run(g)
+            empty = boruvka_mst_run(g, faults=FaultPlan())
         assert (base.edges, base.phases, base.rounds) == (
             empty.edges, empty.phases, empty.rounds
         )
@@ -303,13 +307,13 @@ class TestEmptyPlanIdentity:
     def test_fragments(self, scheduler):
         g = gen.grid(6, 6)
         tree = bfs_tree(g, 0)
-        base = fragment_merge_run(g, tree, scheduler=scheduler)
-        empty = fragment_merge_run(g, tree, scheduler=scheduler, faults=FaultPlan())
+        with forced_scheduler(scheduler):
+            base = fragment_merge_run(g, tree)
+            empty = fragment_merge_run(g, tree, faults=FaultPlan())
         assert (base.iterations, base.rounds) == (empty.iterations, empty.rounds)
-        mbase = mark_path_merge_run(g, tree, 0, 35, scheduler=scheduler)
-        mempty = mark_path_merge_run(
-            g, tree, 0, 35, scheduler=scheduler, faults=FaultPlan()
-        )
+        with forced_scheduler(scheduler):
+            mbase = mark_path_merge_run(g, tree, 0, 35)
+            mempty = mark_path_merge_run(g, tree, 0, 35, faults=FaultPlan())
         assert (mbase.iterations, mbase.rounds, mbase.merge_edge) == (
             mempty.iterations, mempty.rounds, mempty.merge_edge
         )
@@ -320,25 +324,24 @@ class TestEmptyPlanIdentity:
         nodes = sorted(g.nodes)
         parts = [nodes[i: i + 8] for i in range(0, len(nodes), 8)]
         values = {v: (v * 7) % 13 for v in g.nodes}
-        base = partwise_aggregation_run(g, parts, values, scheduler=scheduler)
-        empty = partwise_aggregation_run(
-            g, parts, values, scheduler=scheduler, faults=FaultPlan()
-        )
+        with forced_scheduler(scheduler):
+            base = partwise_aggregation_run(g, parts, values)
+            empty = partwise_aggregation_run(g, parts, values, faults=FaultPlan())
         assert (base.aggregates, base.rounds, base.charge) == (
             empty.aggregates, empty.rounds, empty.charge
         )
         part_values = {i: i + 1 for i in range(len(parts))}
-        bbase = partwise_broadcast_run(g, parts, part_values, scheduler=scheduler)
-        bempty = partwise_broadcast_run(
-            g, parts, part_values, scheduler=scheduler, faults=FaultPlan()
-        )
+        with forced_scheduler(scheduler):
+            bbase = partwise_broadcast_run(g, parts, part_values)
+            bempty = partwise_broadcast_run(g, parts, part_values, faults=FaultPlan())
         assert (bbase.aggregates, bbase.rounds) == (bempty.aggregates, bempty.rounds)
 
     @pytest.mark.parametrize("scheduler", ["active", "dense"])
     def test_weights(self, scheduler):
         cfg = PlanarConfiguration.build(gen.grid(5, 5), root=0)
-        base = weights_problem_run(cfg, scheduler=scheduler)
-        empty = weights_problem_run(cfg, scheduler=scheduler, faults=FaultPlan())
+        with forced_scheduler(scheduler):
+            base = weights_problem_run(cfg)
+            empty = weights_problem_run(cfg, faults=FaultPlan())
         assert (base.weights, base.rounds, base.orders) == (
             empty.weights, empty.rounds, empty.orders
         )

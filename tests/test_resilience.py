@@ -42,6 +42,8 @@ from repro.core.verify import (
 )
 from repro.planar import generators as gen
 
+from conftest import forced_scheduler
+
 
 def _chain_parent(n):
     return {v: (v - 1 if v else None) for v in range(n)}
@@ -159,9 +161,10 @@ class TestResilientBroadcast:
         plan = FaultPlan(5, drop_rate=0.2, crashes=[(6, 4)])
         prints = []
         for scheduler in ("active", "dense"):
-            result, report = resilient_broadcast_run(
-                gen.grid(3, 4), 0, 17, scheduler=scheduler, faults=plan
-            )
+            with forced_scheduler(scheduler):
+                result, report = resilient_broadcast_run(
+                    gen.grid(3, 4), 0, 17, faults=plan
+                )
             assert report is None
             prints.append(run_fingerprint(result))
         assert prints[0] == prints[1]
@@ -243,10 +246,11 @@ class TestResilientConvergecast:
         plan = FaultPlan(3, drop_rate=0.15, crashes=[(n - 1, 2)])
         prints = []
         for scheduler in ("active", "dense"):
-            result, _ = resilient_convergecast_run(
-                g, 0, values, _chain_parent(n),
-                child_timeout=20, scheduler=scheduler, faults=plan,
-            )
+            with forced_scheduler(scheduler):
+                result, _ = resilient_convergecast_run(
+                    g, 0, values, _chain_parent(n),
+                    child_timeout=20, faults=plan,
+                )
             prints.append(run_fingerprint(result))
         assert prints[0] == prints[1]
 

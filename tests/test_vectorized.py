@@ -12,9 +12,13 @@ histograms, outputs), so fingerprint equality across schedulers is the
 whole equivalence claim in one assert.  This module also pins the
 fallback contract (transport frames or a non-empty fault plan silently
 degrade to the active-set dispatcher), the wake-aware quiet rules on the
-fast path, and the cache-fingerprint completeness guard.
+fast path, the cache-fingerprint completeness guard, and that only the
+kernel programs take ``scheduler=`` while numpy stays lazily imported.
 """
 
+import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -367,3 +371,50 @@ class TestCacheFingerprintCompleteness:
         # recomputing without edits is stable.
         analysis_cache._computed_version = None
         assert analysis_cache.code_version() == before
+
+
+class TestDispatchChoice:
+    """A dispatcher is offered only where a columnar kernel exists, and
+    the columnar engine's numpy stays out of interpreters that never ask
+    for it."""
+
+    def test_scheduler_parameter_only_on_kernel_programs(self):
+        src = Path(analysis_cache.__file__).resolve().parents[1]
+        found = set()
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                    if "scheduler" in names:
+                        found.add((path.relative_to(src).as_posix(), node.name))
+        assert found == {
+            ("congest/network.py", "run"),
+            ("congest/algorithms.py", "bfs_run"),
+            ("congest/algorithms.py", "broadcast_run"),
+            ("congest/algorithms.py", "convergecast_run"),
+        }
+
+    def test_numpy_stays_unloaded_until_a_vectorized_run(self):
+        script = (
+            "import sys\n"
+            "import repro.core, repro.dynamic, repro.serve, repro.chaos\n"
+            "from repro.congest import bfs_run\n"
+            "from repro.planar import generators as gen\n"
+            "bfs_run(gen.grid(3, 3), 0)\n"
+            "print('numpy' in sys.modules)\n"
+            "bfs_run(gen.grid(3, 3), 0, scheduler='vectorized')\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = str(Path(analysis_cache.__file__).resolve().parents[2])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr[-1000:]
+        assert proc.stdout.split() == ["False", "True"]
