@@ -5,16 +5,14 @@ user cares about: how long the embedding, configuration, weight sweep,
 separator and DFS take at a representative size.  Regressions here flag
 accidental quadratic behaviour in the face machinery.
 
-Also home of the CONGEST scheduler A/B, in two tiers: the active-set
-dispatch vs the legacy dense (every node, every round) dispatch on a
-sparse-activity workload — a single-source BFS wavefront on a long path,
-where at any moment only the frontier plus a small quiet-countdown window
-has work — and, at the 10^5-node tier, the columnar vectorized dispatch
-vs the active-set scheduler on a square-grid wavefront (see
-docs/BENCHMARKS.md for the tier's runtime budget), and of the embedding
-A/B: the in-repo LR-planarity port against networkx's ``check_planarity``,
-and of the component-pass A/B: ``induced_components`` against networkx's
-``connected_components`` over subgraph views, which checks the two agree.
+Also home of the CONGEST scheduler A/B: the active-set dispatch vs the
+legacy dense (every node, every round) dispatch on a sparse-activity
+workload — a single-source BFS wavefront on a long path, where at any
+moment only the frontier plus a small quiet-countdown window has work —
+and of the embedding A/B: the in-repo LR-planarity port against
+networkx's ``check_planarity``, and of the component-pass A/B:
+``induced_components`` against networkx's ``connected_components`` over
+subgraph views, which checks the two agree.
 Every A/B table reports the median and quartiles of alternating repeats.
 The weight-sweep table checks that a face weight's cost does not grow with
 the face's border (Lemma 12).  The insertion-sizing A/B replays every
@@ -38,7 +36,7 @@ import networkx as nx
 
 from _common import emit
 from repro.applications import biconnectivity
-from repro.congest import Network, RoundTrace, bfs_run, run_fingerprint
+from repro.congest import Network, RoundTrace
 from repro.obs import Tracer
 from repro.core.augment import balanced_insertion, insertion_variants, planar_slot_pairs
 from repro.core.certify import certify_cycle
@@ -115,13 +113,15 @@ def embed_speedup_rows():
         base = stats[configs[0][0]][1]
         for name, _ in configs:
             rows.append({"embedder": name, "workload": workload, "n": len(graph),
-                         "m": graph.number_of_edges(), **_timing(stats[name], base)})
+                         "m": graph.number_of_edges(),
+                         **_timing(stats[name], base, unit="ms")})
     return rows
 
 
 _EMBED_TITLE = (
     "Embedding - the in-repo LR-planarity port vs networkx check_planarity "
-    f"+ from_networkx_embedding (median, q1, q3 of {REPEATS} alternating repeats)"
+    f"+ from_networkx_embedding (median, q1, q3 of {REPEATS} alternating repeats, "
+    f"milliseconds per run)"
 )
 
 
@@ -682,106 +682,10 @@ def scheduler_speedup_rows(n: int = WAVE_N):
     ]
 
 
-# The 10^5-node tier.  A *square* grid, not a path: the vectorized
-# dispatch amortizes numpy's per-operation overhead over the wavefront
-# width, and a path's frontier is a single node — the worst case for the
-# columnar path and not the regime the tier is meant to measure.  On the
-# 316x316 grid the BFS frontier is an ~300-node anti-diagonal band.
-VEC_SIDE = 316  # 316 * 316 = 99 856 nodes
-
-
-def vectorized_speedup_rows(side: int = VEC_SIDE):
-    """Active-set vs columnar vectorized dispatch on the ~10^5-node grid.
-
-    Both runs execute to completion (every node halts) on a prebuilt
-    :class:`Network`; the vectorized warm-up run builds the cached CSR
-    columns so the timed runs compare dispatch strategies, not setup.
-    The dense dispatch is excluded at this tier — it is ~n/frontier
-    slower and would dominate the bench budget for no information.
-    """
-    from repro.congest.algorithms import _bfs_kernel_factory
-
-    graph = gen.grid(side, side)
-    net = Network(graph)
-    n = len(graph)
-    max_rounds = 4 * side + 16
-
-    def run(scheduler):
-        init, on_round = _wavefront_program()
-        on_round.vector_kernel = _bfs_kernel_factory(0, 4)
-        return net.run(init, on_round, max_rounds=max_rounds, scheduler=scheduler)
-
-    run("vectorized")  # warm-up: builds the columnar adjacency cache
-    results, stats = _alternating(
-        [(scheduler, lambda scheduler=scheduler: run(scheduler))
-         for scheduler in ("active", "vectorized")])
-    assert results["active"].rounds == results["vectorized"].rounds
-    assert results["active"].messages_sent == results["vectorized"].messages_sent
-    assert results["active"].stop_reason == "halted"
-    assert results["vectorized"].stop_reason == "halted"
-    assert results["vectorized"].fast_path
-    return [
-        {"scheduler": scheduler, "workload": f"grid-{side}x{side}", "n": n,
-         "rounds": results[scheduler].rounds,
-         "messages": results[scheduler].messages_sent,
-         **_timing(stats[scheduler], stats["active"][1], unit="ms")}
-        for scheduler in ("active", "vectorized")
-    ]
-
-
-# Narrow frontiers and small inputs: the columnar dispatch pays a fixed
-# numpy cost per round, which a one-node frontier (path), a three-node
-# one (3x300 grid) or a short run (10x10 grid) never amortizes.  These
-# rows time ``bfs_run`` as a caller does, network and kernel setup
-# included; they are why ``scheduler=`` stays the caller's choice
-# (docs/MODEL.md, "When to ask for vectorized").
-NARROW_WORKLOADS = (
-    ("path-2000", lambda: gen.path_graph(2000)),
-    ("grid-3x300", lambda: gen.grid(3, 300)),
-    ("grid-10x10", lambda: gen.grid(10, 10)),
-    ("delaunay-1600", lambda: gen.delaunay(1600, seed=0)),
-)
-
-
-def narrow_frontier_rows():
-    """Active-set vs vectorized ``bfs_run`` from node 0 on each of
-    :data:`NARROW_WORKLOADS`; both runs must fingerprint alike."""
-    rows = []
-    for workload, make in NARROW_WORKLOADS:
-        graph = make()
-        results, stats = _alternating(
-            [(scheduler, lambda graph=graph, scheduler=scheduler:
-              bfs_run(graph, 0, scheduler=scheduler))
-             for scheduler in ("active", "vectorized")])
-        assert run_fingerprint(results["active"]) == run_fingerprint(results["vectorized"])
-        assert results["vectorized"].fast_path
-        rows += [
-            {"scheduler": scheduler, "workload": workload, "n": len(graph),
-             "rounds": results[scheduler].rounds,
-             "messages": results[scheduler].messages_sent,
-             **_timing(stats[scheduler], stats["active"][1], unit="ms")}
-            for scheduler in ("active", "vectorized")
-        ]
-    return rows
-
-
 _SPEEDUP_TITLE = (
-    f"Scheduler A/B - BFS wavefront: dense vs active on a {WAVE_N}-node "
-    f"path; active vs vectorized on a {VEC_SIDE}x{VEC_SIDE} grid and, "
-    f"through bfs_run, on narrow or small inputs "
+    f"Scheduler A/B - BFS wavefront: dense vs active on a {WAVE_N}-node path "
     f"(median, q1, q3 of {REPEATS} alternating repeats, milliseconds per run)"
 )
-_speedup_rows_cache = None
-
-
-def all_speedup_rows():
-    """All A/B tiers, measured once per process (the tests and the
-    ``__main__`` table share the same measurement)."""
-    global _speedup_rows_cache
-    if _speedup_rows_cache is None:
-        _speedup_rows_cache = (scheduler_speedup_rows() + vectorized_speedup_rows()
-                               + narrow_frontier_rows())
-    return _speedup_rows_cache
 
 
 def test_micro_embedding(benchmark):
@@ -883,37 +787,13 @@ def test_micro_scheduler_speedup(benchmark):
     """Acceptance gate: the active-set scheduler must beat the dense
     dispatch by >= 2x on the sparse-activity wavefront; the measured ratio
     is recorded in benchmarks/results/scheduler_speedup.txt."""
-    rows = all_speedup_rows()
+    rows = scheduler_speedup_rows()
     emit("scheduler_speedup.txt", rows, _SPEEDUP_TITLE)
-    active = next(r for r in rows if r["scheduler"] == "active"
-                  and r["workload"].startswith("path"))
+    active = next(r for r in rows if r["scheduler"] == "active")
     assert active["speedup"] >= 2.0, rows
 
     net = Network(gen.path_graph(5000))
     benchmark(lambda: _run_wavefront(net, "active"))
-
-
-def test_micro_vectorized_speedup(benchmark):
-    """Acceptance gate (PR 6): the columnar vectorized dispatch must beat
-    the active-set scheduler by >= 5x on the 10^5-node grid BFS wavefront,
-    with identical round and message counts."""
-    rows = all_speedup_rows()
-    emit("scheduler_speedup.txt", rows, _SPEEDUP_TITLE)
-    vec = next(r for r in rows if r["scheduler"] == "vectorized"
-               and r["workload"] == f"grid-{VEC_SIDE}x{VEC_SIDE}")
-    assert vec["speedup"] >= 5.0, rows
-
-    from repro.congest.algorithms import _bfs_kernel_factory
-
-    net = Network(gen.grid(72, 72))
-
-    def vec_run():
-        init, on_round = _wavefront_program()
-        on_round.vector_kernel = _bfs_kernel_factory(0, 4)
-        return net.run(init, on_round, max_rounds=400, scheduler="vectorized")
-
-    vec_run()  # warm the columnar cache before timing
-    benchmark(vec_run)
 
 
 def tracing_overhead_rows(n: int = WAVE_N):
@@ -1014,6 +894,6 @@ if __name__ == "__main__":
     emit("oracle_speedup.txt", oracle_speedup_rows(), _ORACLE_TITLE)
     emit("components_speedup.txt", components_speedup_rows(), _COMPONENTS_TITLE)
     emit("component_setup.txt", component_setup_rows(), _COMPONENT_SETUP_TITLE)
-    emit("scheduler_speedup.txt", all_speedup_rows(), _SPEEDUP_TITLE)
+    emit("scheduler_speedup.txt", scheduler_speedup_rows(), _SPEEDUP_TITLE)
     emit("tracing_overhead.txt", tracing_overhead_rows(),
          f"Tracing overhead - BFS wavefront on a {WAVE_N}-node path")

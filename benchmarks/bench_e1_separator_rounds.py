@@ -21,23 +21,17 @@ def bfs_trace_rows(sizes=(100, 400, 1600, 100_000)):
     """The message-level anchor of the charged layer under RoundTrace: the
     BFS-tree construction every separator instance starts from.  Active-set
     dispatch keeps the per-round work at the frontier, and the word
-    histogram confirms single-word frontier messages.
-
-    The 10^5 tier runs on the columnar vectorized scheduler (PR 6) — the
-    message-level grid's reach past n ~ 10^3 is exactly what the fast path
-    buys; the traced counts are scheduler-invariant (the A/B harness in
-    ``tests/test_exhaustive_small.py`` locks fingerprint equality)."""
+    histogram confirms single-word frontier messages.  Every tier, 10^5
+    included, runs on that default dispatcher."""
     rows = []
     for n in sizes:
-        scheduler = "vectorized" if n >= 10_000 else "active"
         g = gen.delaunay(n, seed=0)
         trace = RoundTrace()
-        res = bfs_run(g, 0, trace=trace, scheduler=scheduler)
+        res = bfs_run(g, 0, trace=trace)
         s = trace.summary()
         rows.append(
             {
                 "n": n,
-                "scheduler": scheduler,
                 "rounds": res.rounds,
                 "messages": res.messages_sent,
                 "peak_active": s["peak_active"],

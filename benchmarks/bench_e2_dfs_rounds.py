@@ -37,11 +37,9 @@ def awerbuch_trace_rows(sizes=(64, 256, 100_000)):
     active set tiny, which is what makes the measured runs cheap to simulate
     — and the per-message word histogram proves the O(log n) budget holds.
 
-    The 10^5 tier stays on the active-set scheduler deliberately: token
-    passing is inherently sequential (one active node per round), which is
-    the active scheduler's best case and the vectorized dispatch's worst —
-    ~3·10^5 rounds still simulate in seconds because per-round work is the
-    token, not n.  See docs/BENCHMARKS.md for the tier's runtime budget."""
+    At the 10^5 tier token passing is inherently sequential (one active
+    node per round), the active-set scheduler's best case: ~3·10^5 rounds
+    still simulate in seconds because per-round work is the token, not n.  See docs/BENCHMARKS.md for the tier's runtime budget."""
     rows = []
     for n in sizes:
         side = int(n ** 0.5)

@@ -16,16 +16,16 @@ seeded generator — which is what makes the runner subsystem work:
   same instance (the Apollonian family maps several requested ``n`` to one
   ``levels`` value — E2 relies on this).
 
-Which experiment uses which suite: ``scaling_series`` feeds the Õ(D)
-scaling experiments E1/E2/E5/E10/E12; ``separator_suite`` feeds the
-balance/phase/exactness/ablation experiments E3/E4/E7/E11;
-``partitioned_instances`` feeds the shortcut-quality experiment E6;
-``dfs_suite`` backs the end-to-end DFS tests.
+Which experiment uses which builder: :func:`scaled_instance` serves the
+Õ(D) scaling experiments E1/E2/E5/E10/E12; :func:`suite_instance` serves
+the balance/phase/exactness/ablation experiments E3/E4/E7/E11 over
+:data:`SEPARATOR_SUITE`; :func:`partitioned_instance` serves the
+shortcut-quality experiment E6 over :data:`PARTITIONED_INSTANCES`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import networkx as nx
 
@@ -35,17 +35,11 @@ from . import cache
 __all__ = [
     "SEPARATOR_SUITE",
     "PARTITIONED_INSTANCES",
-    "separator_suite",
     "suite_instance",
-    "dfs_suite",
     "scaling_key",
     "scaled_instance",
-    "scaling_series",
     "partitioned_instance",
-    "partitioned_instances",
 ]
-
-GraphMaker = Callable[[], nx.Graph]
 
 
 # -- the mixed-family separator suite (E3/E4/E7/E11) ------------------------
@@ -77,23 +71,6 @@ def suite_instance(name: str, seed: int = 0) -> nx.Graph:
     except KeyError:
         raise ValueError(f"unknown suite instance {name!r}; choose from {SEPARATOR_SUITE}") from None
     return maker(seed)
-
-
-def separator_suite(seed: int = 0) -> List[Tuple[str, nx.Graph]]:
-    """Mixed families at comparable sizes, for balance/phase experiments."""
-    return [(name, suite_instance(name, seed)) for name in SEPARATOR_SUITE]
-
-
-def dfs_suite(seed: int = 0) -> List[Tuple[str, nx.Graph]]:
-    """Families for end-to-end DFS runs (moderate sizes)."""
-    return [
-        ("grid", gen.grid(8, 8)),
-        ("tri-grid", gen.triangulated_grid(7, 8)),
-        ("cylinder", gen.cylinder(4, 14)),
-        ("delaunay", gen.delaunay(70, seed=seed)),
-        ("random-planar", gen.random_planar(60, density=0.5, seed=seed)),
-        ("apollonian", gen.apollonian(5, seed=seed)),
-    ]
 
 
 # -- scaling series (E1/E2/E5/E10/E12) --------------------------------------
@@ -146,12 +123,6 @@ def scaled_instance(family: str, n: int, seed: int = 0) -> Tuple[int, nx.Graph]:
     return len(graph), graph
 
 
-def scaling_series(family: str, sizes: List[int], seed: int = 0) -> Iterator[Tuple[int, nx.Graph]]:
-    """Same family at growing sizes (for the Õ(D) scaling experiments)."""
-    for n in sizes:
-        yield scaled_instance(family, n, seed)
-
-
 # -- partitioned instances (E6) ---------------------------------------------
 
 
@@ -191,8 +162,3 @@ def partitioned_instance(name: str, seed: int = 0) -> Tuple[nx.Graph, List[List[
             f"unknown partitioned instance {name!r}; choose from {PARTITIONED_INSTANCES}"
         ) from None
     return maker(seed)
-
-
-def partitioned_instances(seed: int = 0) -> List[Tuple[str, nx.Graph, List[List[int]]]]:
-    """Graphs with connected partitions, for Theorem 1's multi-part form."""
-    return [(name, *partitioned_instance(name, seed)) for name in PARTITIONED_INSTANCES]

@@ -490,7 +490,6 @@ def _serve_config(args) -> "ServeConfig":
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         cache_dir=cache_dir,
-        cache_enabled=cache_dir is not None,
         trace_requests=getattr(args, "trace_requests", False),
     )
 

@@ -80,30 +80,4 @@ __all__ = [
     "weights_problem_run",
     "broadcast_run",
     "convergecast_run",
-    "VectorKernel",
-    "run_vectorized",
-    "min_flood_program",
 ]
-
-# The vectorized scheduler imports numpy; resolve its names lazily so that
-# importing the package leaves numpy's import time out of every fresh
-# interpreter's set-up (tests/test_vectorized.py pins it).
-_VECTORIZED_NAMES = frozenset(
-    {
-        "VectorKernel",
-        "run_vectorized",
-        "min_flood_program",
-        "BfsKernel",
-        "BroadcastKernel",
-        "ConvergecastKernel",
-        "MinFloodKernel",
-    }
-)
-
-
-def __getattr__(name):
-    if name in _VECTORIZED_NAMES:
-        from . import vectorized
-
-        return getattr(vectorized, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,9 +6,8 @@ downcast/broadcast in :math:`O(D)`, convergecast aggregation in
 :math:`O(D)`.  The test suite checks both the results (against direct
 computation) and the round counts (against the analytic bounds).
 
-All runs accept ``faults=`` (a :class:`repro.congest.faults.FaultPlan`);
-the plain primitives, the only programs with a columnar kernel, also take
-``scheduler=``.  They assume a fault-free network and simply stall or lose
+All runs accept ``faults=`` (a :class:`repro.congest.faults.FaultPlan`).
+The plain primitives assume a fault-free network and simply stall or lose
 data under injected faults.  The ``resilient_*`` variants layer the
 classic end-to-end defences on top — per-link ack / bounded retransmit,
 idempotent duplicate handling, timeout-based crash suspicion — and
@@ -39,59 +38,11 @@ __all__ = [
 ]
 
 
-def _sum_combine(a: int, b: int) -> int:
-    """Default convergecast combiner.
-
-    Module-level (not a per-call lambda) so the vectorized scheduler can
-    recognise the default and substitute its columnar sum kernel; a
-    caller-supplied combiner keeps the message-level dispatcher.
-    """
-    return a + b
-
-
-# -- vector kernel factories -------------------------------------------------
-#
-# Each primitive attaches a ``vector_kernel`` factory to its round handler;
-# ``Network.run(..., scheduler="vectorized")`` calls it to build the
-# columnar twin of the closures, and ignores it under the other
-# schedulers.  The factories import repro.congest.vectorized, and with it
-# numpy, only when a vectorized run asks for them, so importing the
-# package (and every scalar run) leaves numpy's import time out of a
-# fresh interpreter's set-up.
-
-def _bfs_kernel_factory(root: Node, slack: int):
-    def factory(net):
-        from .vectorized import BfsKernel
-
-        return BfsKernel(net, root, slack)
-
-    return factory
-
-
-def _broadcast_kernel_factory(root: Node, value: int, parent):
-    def factory(net):
-        from .vectorized import BroadcastKernel
-
-        return BroadcastKernel(net, root, value, parent)
-
-    return factory
-
-
-def _convergecast_kernel_factory(values, parent):
-    def factory(net):
-        from .vectorized import ConvergecastKernel
-
-        return ConvergecastKernel(net, values, parent)
-
-    return factory
-
-
 def bfs_run(
     graph: nx.Graph,
     root: Node,
     slack: int = 4,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport=None,
@@ -129,13 +80,11 @@ def bfs_run(
                 ctx.wake()
         return None
 
-    on_round.vector_kernel = _bfs_kernel_factory(root, slack)
-
     with trace_span(trace, "bfs", root=repr(root)):
         return Network(graph).run(
             init, on_round,
             max_rounds=scale_rounds(transport, 4 * len(graph) + 16),
-            trace=trace, scheduler=scheduler, faults=faults,
+            trace=trace, faults=faults,
             metrics=metrics, transport=transport,
         )
 
@@ -146,7 +95,6 @@ def broadcast_run(
     value: int,
     parent: Dict[Node, Optional[Node]],
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport=None,
@@ -184,16 +132,11 @@ def broadcast_run(
             ctx.halt(ctx.state["value"])
         return None
 
-    # int64-safe plain ints only (a bool value would change its output
-    # repr under the columnar kernel; huge ints would overflow it).
-    if type(value) is int and abs(value) < (1 << 62):
-        on_round.vector_kernel = _broadcast_kernel_factory(root, value, parent)
-
     with trace_span(trace, "broadcast", root=repr(root)):
         return Network(graph).run(
             init, on_round,
             max_rounds=scale_rounds(transport, 2 * len(graph) + 8),
-            trace=trace, scheduler=scheduler, faults=faults,
+            trace=trace, faults=faults,
             metrics=metrics, transport=transport,
         )
 
@@ -203,9 +146,8 @@ def convergecast_run(
     root: Node,
     values: Dict[Node, int],
     parent: Dict[Node, Optional[Node]],
-    combine: Callable[[int, int], int] = _sum_combine,
+    combine: Callable[[int, int], int] = lambda a, b: a + b,
     trace: Optional[RoundTrace] = None,
-    scheduler: str = "active",
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport=None,
@@ -237,22 +179,11 @@ def convergecast_run(
             return {p: (ctx.state["acc"],)}
         return None
 
-    # The columnar kernel hard-codes the sum combiner and int64
-    # accumulators; custom combiners and non-int (or overflow-risk)
-    # values keep the message-level dispatcher.
-    if combine is _sum_combine and all(
-        type(x) is int for x in values.values()
-    ) and (
-        not values
-        or max(abs(x) for x in values.values()) < (1 << 62) // (len(parent) + 1)
-    ):
-        on_round.vector_kernel = _convergecast_kernel_factory(values, parent)
-
     with trace_span(trace, "convergecast", root=repr(root)):
         return Network(graph).run(
             init, on_round,
             max_rounds=scale_rounds(transport, 2 * len(graph) + 8),
-            trace=trace, scheduler=scheduler, faults=faults,
+            trace=trace, faults=faults,
             metrics=metrics, transport=transport,
         )
 

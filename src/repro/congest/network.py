@@ -24,28 +24,17 @@ woken via :meth:`NodeContext.wake`.  A node with timer-like behaviour
 — message- and halt-driven protocols need no change.  On sparse-activity
 workloads this turns O(n · rounds) dispatch into O(messages + active).
 The legacy every-node-every-round dispatch is kept as
-``scheduler="dense"`` for A/B measurement; both schedulers produce
-identical results and round counts for programs honouring the wake
-contract (asserted by the regression suite).
+``scheduler="dense"``, the reference the tests compare against; both
+schedulers are ``run_fingerprint``-identical for programs honouring the
+wake contract (docs/MODEL.md, "Scheduler equivalence").
 
-A third scheduler, ``"vectorized"``, runs *regular* programs (those whose
-handlers carry a :class:`repro.congest.vectorized.VectorKernel` factory)
-as bulk-synchronous numpy operations over the CSR arrays — one columnar
-update per round instead of one handler call per node — and falls back to
-the active-set dispatcher whenever the run is irregular (transport frames
-in flight, non-empty fault plan, or no kernel).  All three schedulers are
-``run_fingerprint``-identical on every program; see docs/MODEL.md,
-"Scheduler equivalence".
-
-One round implementation serves every dispatch strategy.
+One round implementation serves both dispatch strategies.
 :class:`_RoundState` holds a run's contexts, inboxes, crash schedule and
 fault hooks, and carries out the steps of a round: apply the crashes due,
 dispatch a schedule and validate its sends, deliver them in the one
 documented order, fold in the wakes.  :class:`_RunObserver` owns what a
 run reports: the ``congest_*`` metrics and the trace's round records and
-warnings.  :meth:`Network.run` (active and dense) loops over both;
-:func:`repro.congest.vectorized.run_vectorized` keeps its numpy dispatch
-and reports through an observer.
+warnings.  :meth:`Network.run` loops over both.
 """
 
 from __future__ import annotations
@@ -270,15 +259,6 @@ class RunResult:
     transport:
         The :class:`repro.congest.transport.TransportStats` of the run's
         transport session, or ``None`` when no transport was used.
-    fast_path:
-        True when the vectorized bulk-synchronous scheduler executed the
-        run: a ``scheduler="vectorized"`` request for a program with a
-        columnar kernel (``bfs_run``, ``broadcast_run``,
-        ``convergecast_run``, ``min_flood_program``), no transport and no
-        non-empty fault plan.  False for every message-level dispatch,
-        including a vectorized request that fell back.  Purely
-        informational — deliberately excluded from ``run_fingerprint``,
-        which hashes what the network *did*, not how it was dispatched.
     """
 
     __slots__ = (
@@ -293,7 +273,6 @@ class RunResult:
         "corrupted_messages",
         "crashed",
         "transport",
-        "fast_path",
     )
 
     def __init__(
@@ -309,7 +288,6 @@ class RunResult:
         crashed: Tuple[Node, ...] = (),
         corrupted_messages: int = 0,
         transport: Any = None,
-        fast_path: bool = False,
     ):
         self.rounds = rounds
         self.outputs = outputs
@@ -322,7 +300,6 @@ class RunResult:
         self.corrupted_messages = corrupted_messages
         self.crashed = crashed
         self.transport = transport
-        self.fast_path = fast_path
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -352,9 +329,9 @@ class _RunObserver:
     """What one run reports: the ``congest_*`` metric family and the
     trace's round records and warnings.
 
-    Every engine reports through this class, so the metric names, help
-    texts and warning texts live here only.  It only reads engine state:
-    an observed run is bit-identical to an unobserved one.
+    The metric names, help texts and warning texts live here only.  It
+    only reads scheduler state: an observed run is bit-identical to an
+    unobserved one.
     """
 
     def __init__(
@@ -827,13 +804,9 @@ class Network:
 
         ``trace`` (a :class:`repro.congest.trace.RoundTrace`) opts into
         per-round observability; ``scheduler`` selects ``"active"`` (the
-        default active-set dispatch), ``"dense"`` (legacy every-node
-        dispatch, kept for A/B measurement) or ``"vectorized"`` (the
-        bulk-synchronous columnar fast path of
-        :mod:`repro.congest.vectorized` — engages when ``on_round``
-        carries a ``vector_kernel`` factory and neither a transport
-        session nor a non-empty fault plan is present, and falls back to
-        ``"active"`` otherwise; results are bit-identical either way).
+        default active-set dispatch) or ``"dense"`` (legacy every-node
+        dispatch, the reference the tests compare against; results are
+        bit-identical either way).
 
         ``faults`` (a :class:`repro.congest.faults.FaultPlan`) injects
         deterministic message drops, stutter duplications, link
@@ -860,45 +833,8 @@ class Network:
         session's :class:`~repro.congest.transport.TransportStats` is
         attached as ``RunResult.transport``.
         """
-        if scheduler not in ("active", "dense", "vectorized"):
+        if scheduler not in ("active", "dense"):
             raise ValueError(f"unknown scheduler {scheduler!r}")
-        if scheduler == "vectorized":
-            # Bulk-synchronous fast path: engages only for *regular*
-            # programs — a VectorKernel factory attached to the handler,
-            # no transport session (frames are irregular per-edge state)
-            # and an absent-or-empty fault plan.  Anything else falls
-            # back to the active-set dispatcher, which is fingerprint-
-            # identical by construction (docs/MODEL.md, "Scheduler
-            # equivalence").
-            kernel_factory = getattr(on_round, "vector_kernel", None)
-            fallback_reason = None
-            if kernel_factory is None:
-                fallback_reason = "no-kernel"
-            elif transport is not None:
-                fallback_reason = "transport"
-            elif faults is not None and not faults.is_empty:
-                fallback_reason = "faults"
-            if fallback_reason is None:
-                from .vectorized import run_vectorized
-
-                return run_vectorized(
-                    self,
-                    kernel_factory(self),
-                    max_rounds,
-                    stop_when_quiet=stop_when_quiet,
-                    trace=trace,
-                    metrics=metrics,
-                )
-            if metrics is not None:
-                # The downgrade also lands in RunResult.fast_path, but a
-                # field on a return value is silent in a fleet — the
-                # counter is what loadgen/chaos dashboards alert on.
-                metrics.counter(
-                    "congest_scheduler_fallbacks_total",
-                    "Vectorized-scheduler requests downgraded to active-set",
-                    labels=("reason",),
-                ).inc(reason=fallback_reason)
-            scheduler = "active"
         dense = scheduler == "dense"
         nodes = self.nodes
         n = len(nodes)

@@ -97,7 +97,6 @@ class ServeConfig:
     wedge_grace_s: float = 2.0
     #: Result cache location; ``None`` disables caching entirely.
     cache_dir: Optional[str] = "benchmarks/.cache"
-    cache_enabled: bool = True
     #: Request-scoped tracing (opt-in; a traced run is bit-identical to
     #: an untraced one — spans are observational only).
     trace_requests: bool = False
@@ -143,7 +142,7 @@ class ServeEngine:
         )
         self.cache = InstanceCache(
             self.config.cache_dir or ".",
-            enabled=self.config.cache_enabled and self.config.cache_dir is not None,
+            enabled=self.config.cache_dir is not None,
         )
         self.inflight = 0
         self.draining = False

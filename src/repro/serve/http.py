@@ -84,8 +84,7 @@ class ServeServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def run(self, install_signals: bool = True) -> None:
-        """Serve until SIGTERM/SIGINT (or :meth:`request_stop`), then
-        drain gracefully."""
+        """Serve until SIGTERM/SIGINT, then drain gracefully."""
         if self._server is None:
             await self.start()
         if install_signals:
@@ -97,9 +96,6 @@ class ServeServer:
                     pass  # non-POSIX loop: Ctrl-C still lands as KeyboardInterrupt
         await self._stop.wait()
         await self.shutdown()
-
-    def request_stop(self) -> None:
-        self._stop.set()
 
     async def shutdown(self) -> None:
         """The SIGTERM ladder: stop admitting, drain, flush, close."""

@@ -39,11 +39,10 @@ def configs_for(graph: nx.Graph, root=0, seed: int = 0):
 def forced_scheduler(scheduler: str = "dense"):
     """Run every ``Network.run`` inside the block under ``scheduler``.
 
-    Only the kernel primitives (``bfs_run``, ``broadcast_run``,
-    ``convergecast_run``) take ``scheduler=``; every other sim and the
-    chaos scenarios dispatch active-set.  Tests reach the dense reference
-    for them through this wrapper, which overrides whatever dispatcher a
-    call asks for.
+    Only ``Network.run`` takes ``scheduler=``; every sim and the chaos
+    scenarios dispatch active-set.  Tests reach the dense reference for
+    them through this wrapper, which overrides whatever dispatcher a call
+    asks for.
     """
     run = Network.run
 

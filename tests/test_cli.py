@@ -100,8 +100,8 @@ class TestChaosCommands:
             main(["chaos", "run", "--campaign", "hurricane"])
 
     def test_chaos_run_offers_no_scheduler(self):
-        # Scenarios have no columnar kernel, so there is no dispatcher
-        # to choose: the flag is a usage error.
+        # Scenarios always dispatch active-set, so there is no
+        # dispatcher to choose: the flag is a usage error.
         with pytest.raises(SystemExit) as exc:
             main(["chaos", "run", "--scheduler", "active"])
         assert exc.value.code == 2

@@ -103,10 +103,10 @@ def test_docs_index_lists_every_doc():
 
 def test_readme_documents_the_cli_surface():
     """The quickstart must exercise the current execution surface: the
-    vectorized scheduler and the three toolbox subcommands."""
+    service and the three toolbox subcommands."""
     text = (REPO / "README.md").read_text()
     for needle in (
-        'scheduler="vectorized"',
+        "repro serve",
         "repro trace",
         "repro chaos",
         "repro experiment",

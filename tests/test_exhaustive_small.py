@@ -122,19 +122,17 @@ class TestTreeChordCensus:
 
 
 # ---------------------------------------------------------------------------
-# PR 6: scheduler-equivalence A/B harness.
+# Scheduler-equivalence A/B harness.
 #
 # Every message-level simulation in the repo, on every small instance
-# below, under all three ``Network.run`` schedulers — asserting identical
+# below, under both ``Network.run`` schedulers — asserting identical
 # ``run_fingerprint`` (or, for composite sims that make many ``run``
 # calls, identical result fields plus an identical trace digest), round
-# counts, and charged-ledger totals.  ``fast_path`` is the only field
-# allowed to differ.  This is the harness CI's ``scheduler-parity`` job
-# executes; any divergence between the dense, active-set, and columnar
-# vectorized dispatchers fails here first.
+# counts, and charged-ledger totals.  Any divergence between the dense
+# reference and the active-set dispatcher fails here first.
 # ---------------------------------------------------------------------------
 
-SCHEDULERS = ("dense", "active", "vectorized")
+SCHEDULERS = ("dense", "active")
 
 HARNESS_GRAPHS = [
     ("grid_8x8", lambda: gen.grid(8, 8)),
@@ -182,11 +180,9 @@ def _ledger_totals(graph, result):
 
 
 def _assert_all_equal(per_scheduler, context):
-    baseline = per_scheduler["dense"]
-    for sched in ("active", "vectorized"):
-        assert per_scheduler[sched] == baseline, (
-            f"{context}: scheduler {sched!r} diverges from dense"
-        )
+    assert per_scheduler["active"] == per_scheduler["dense"], (
+        f"{context}: scheduler 'active' diverges from dense"
+    )
 
 
 class TestSchedulerEquivalence:
@@ -197,7 +193,8 @@ class TestSchedulerEquivalence:
         obs = {}
         for sched in SCHEDULERS:
             trace = RoundTrace()
-            res = bfs_run(g, root, trace=trace, scheduler=sched)
+            with forced_scheduler(sched):
+                res = bfs_run(g, root, trace=trace)
             obs[sched] = (
                 run_fingerprint(res, trace),
                 res.rounds,

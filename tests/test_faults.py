@@ -239,10 +239,10 @@ class TestDeterminism:
 
     def _fingerprint(self, scheduler):
         trace = RoundTrace()
-        res = bfs_run(
-            gen.grid(5, 5), 0, trace=trace,
-            scheduler=scheduler, faults=FaultPlan(11, **self.PLAN),
-        )
+        with forced_scheduler(scheduler):
+            res = bfs_run(
+                gen.grid(5, 5), 0, trace=trace, faults=FaultPlan(11, **self.PLAN),
+            )
         return run_fingerprint(res, trace)
 
     def test_same_seed_is_bit_identical_across_runs(self):
@@ -253,10 +253,7 @@ class TestDeterminism:
 
     def test_different_seed_changes_the_run(self):
         trace = RoundTrace()
-        res = bfs_run(
-            gen.grid(5, 5), 0, trace=trace,
-            scheduler="active", faults=FaultPlan(12, **self.PLAN),
-        )
+        res = bfs_run(gen.grid(5, 5), 0, trace=trace, faults=FaultPlan(12, **self.PLAN))
         assert run_fingerprint(res, trace) != self._fingerprint("active")
 
     def test_fingerprint_covers_loss_counters(self):
@@ -282,9 +279,9 @@ class TestEmptyPlanIdentity:
         parent = _tree_parent(g, 0)
         values = {v: 1 for v in g.nodes}
         runs = [
-            lambda f: bfs_run(g, 0, scheduler=scheduler, faults=f),
-            lambda f: broadcast_run(g, 0, 42, parent, scheduler=scheduler, faults=f),
-            lambda f: convergecast_run(g, 0, values, parent, scheduler=scheduler, faults=f),
+            lambda f: bfs_run(g, 0, faults=f),
+            lambda f: broadcast_run(g, 0, 42, parent, faults=f),
+            lambda f: convergecast_run(g, 0, values, parent, faults=f),
             lambda f: awerbuch_dfs_run(g, 0, faults=f),
         ]
         for make in runs:

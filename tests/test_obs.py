@@ -45,6 +45,8 @@ from repro.obs import (
 from repro.obs import analyze
 from repro.planar import generators as gen
 
+from conftest import forced_scheduler
+
 COUNTERS = ("rounds", "messages", "words", "dropped", "lost", "duplicated")
 
 FAULTS = dict(drop_rate=0.3, duplicate_rate=0.2)
@@ -162,10 +164,9 @@ class TestSpansWithFaults:
     @pytest.mark.parametrize("scheduler", ["active", "dense"])
     def test_fault_counters_attribute_to_spans(self, scheduler):
         trace, tracer = traced()
-        with tracer.span("faulty-bfs"):
+        with tracer.span("faulty-bfs"), forced_scheduler(scheduler):
             bfs_run(
-                gen.grid(5, 5), 0, trace=trace, scheduler=scheduler,
-                faults=FaultPlan(11, **FAULTS),
+                gen.grid(5, 5), 0, trace=trace, faults=FaultPlan(11, **FAULTS),
             )
         t = totals(trace)
         assert t["lost"] > 0 and t["duplicated"] > 0
@@ -181,10 +182,11 @@ class TestSpansWithFaults:
             trace = RoundTrace()
             if attach_tracer:
                 Tracer().attach(trace)
-            res = bfs_run(
-                gen.grid(5, 5), 0, trace=trace, scheduler=scheduler,
-                faults=FaultPlan(7, **FAULTS), metrics=metrics,
-            )
+            with forced_scheduler(scheduler):
+                res = bfs_run(
+                    gen.grid(5, 5), 0, trace=trace,
+                    faults=FaultPlan(7, **FAULTS), metrics=metrics,
+                )
             return run_fingerprint(res, trace)
 
         off = fingerprint(False)

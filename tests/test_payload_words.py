@@ -1,6 +1,7 @@
 """Unit tests for CONGEST payload word costing (every branch)."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.congest import CongestViolation, Network, payload_words
@@ -136,15 +137,14 @@ class TestNetworkWordSize:
 
 
 class TestNumpyScalarCosts:
-    """PR 6 regression: numpy scalars cost exactly their Python twins.
+    """Numpy scalars cost exactly their Python twins.
 
-    A vectorized handler that leaks an ``np.int64`` into a payload used
-    to crash the run with a type violation; the model cost of the value
-    does not depend on which scalar type carries it.
+    A handler that computes with numpy and sends an ``np.int64`` in a
+    payload used to crash the run with a type violation; the model cost
+    of the value does not depend on which scalar type carries it.
     """
 
     def test_numpy_int_matches_python_int(self):
-        np = pytest.importorskip("numpy")
         assert payload_words(np.int64(5)) == payload_words(5)
         assert payload_words(np.int32(0)) == payload_words(0)
         assert payload_words(np.uint64(1 << 40), word_bits=8) == payload_words(
@@ -153,36 +153,30 @@ class TestNumpyScalarCosts:
         assert payload_words(np.int64(-(1 << 63) + 1), word_bits=32) == 2
 
     def test_numpy_float_matches_python_float(self):
-        np = pytest.importorskip("numpy")
         assert payload_words(np.float64(3.25)) == payload_words(3.25) == 1
         assert payload_words(np.float32(0.0)) == 1
 
     def test_numpy_bool_matches_python_bool(self):
-        np = pytest.importorskip("numpy")
         assert payload_words(np.bool_(True)) == payload_words(True) == 1
         assert payload_words(np.bool_(False)) == 1
 
     def test_zero_d_array_matches_python_counterpart(self):
-        np = pytest.importorskip("numpy")
         assert payload_words(np.array(7)) == payload_words(7)
         assert payload_words(np.array(2.5)) == 1
         big = np.array(1 << 60, dtype=np.int64)
         assert payload_words(big, word_bits=8) == payload_words(1 << 60, word_bits=8)
 
     def test_numpy_scalars_inside_containers(self):
-        np = pytest.importorskip("numpy")
         assert payload_words((np.int64(1), np.int64(2))) == payload_words((1, 2))
         assert payload_words({np.int64(1): np.float64(2.0)}) == payload_words(
             {1: 2.0}
         )
 
     def test_one_d_array_still_raises(self):
-        np = pytest.importorskip("numpy")
         with pytest.raises(CongestViolation):
             payload_words(np.array([1, 2, 3]))
 
     def test_numpy_payload_rides_through_a_run(self):
-        np = pytest.importorskip("numpy")
         g = nx.path_graph(3)
 
         def on_round(ctx, inbox):

@@ -5,8 +5,8 @@ request reaches exactly one terminal response (200/400/429/503), worker
 deaths are survived (restart + bounded idempotent retry), repeated deaths
 trip the breaker, overload sheds deterministically, drain leaves no
 orphaned workers — plus the satellite guarantees: in-worker oracles on
-every 200, ``repro_serve_*`` extra metrics staying inert to the
-``--compare`` gate, and the vectorized-scheduler fallback counter.
+every 200, and ``repro_serve_*`` extra metrics staying inert to the
+``--compare`` gate.
 """
 
 import asyncio
@@ -16,10 +16,7 @@ import os
 import pytest
 
 from repro.chaos.serve_chaos import serve_campaign
-from repro.congest import FaultPlan, ReliableTransport, bfs_run
 from repro.core.verify import VerificationError
-from repro.obs import MetricsRegistry
-from repro.planar import generators as gen
 from repro.serve import (
     CircuitBreaker,
     EngineTarget,
@@ -511,36 +508,6 @@ class TestLoadgen:
         assert "repro_serve_throughput_rps" in with_metrics["metrics"]
         assert compare_summaries(with_metrics, without) == []
         assert compare_summaries(without, with_metrics) == []
-
-
-# -- scheduler fallback counter (satellite) ----------------------------------
-
-
-class TestFallbackCounter:
-    def test_transport_fallback_is_counted(self):
-        g = gen.grid(5, 5)
-        reg = MetricsRegistry()
-        res = bfs_run(g, 0, scheduler="vectorized",
-                      transport=ReliableTransport(), metrics=reg)
-        assert not res.fast_path
-        counter = reg.get("congest_scheduler_fallbacks_total")
-        assert counter is not None
-        assert counter.value(reason="transport") == 1
-
-    def test_faults_fallback_is_counted(self):
-        g = gen.grid(5, 5)
-        reg = MetricsRegistry()
-        res = bfs_run(g, 0, scheduler="vectorized",
-                      faults=FaultPlan(seed=3, drop_rate=0.05), metrics=reg)
-        assert not res.fast_path
-        assert reg.get("congest_scheduler_fallbacks_total").value(reason="faults") == 1
-
-    def test_fast_path_does_not_count(self):
-        g = gen.grid(5, 5)
-        reg = MetricsRegistry()
-        res = bfs_run(g, 0, scheduler="vectorized", metrics=reg)
-        assert res.fast_path
-        assert reg.get("congest_scheduler_fallbacks_total") is None
 
 
 # -- chaos campaign ----------------------------------------------------------

@@ -31,6 +31,8 @@ from repro.congest import (
 from repro.congest.awerbuch import resilient_dfs_run
 from repro.planar import generators as gen
 
+from conftest import forced_scheduler
+
 
 def _graph():
     return gen.delaunay(20, seed=1)
@@ -60,7 +62,8 @@ class TestIdentity:
         g = _graph()
         prints = []
         for transport in (NullTransport(), ReliableTransport()):
-            result = bfs_run(g, 0, scheduler=scheduler, transport=transport)
+            with forced_scheduler(scheduler):
+                result = bfs_run(g, 0, transport=transport)
             prints.append(run_fingerprint(result, transport=result.transport))
         assert prints[0] == prints[1]
 

@@ -1,19 +1,20 @@
-"""The vectorized bulk-synchronous scheduler: parity, fallback, quiet.
+"""Round semantics pinned as dense vs active-set dispatch.
 
-Three scheduler families must be observably interchangeable:
+``Network.run`` offers two dispatchers over one round implementation:
 
-* ``dense`` — every live node, every round (the legacy baseline);
-* ``active`` — the PR 1 active-set dispatcher;
-* ``vectorized`` — the PR 6 columnar fast path.
+* ``dense`` — every live node, every round (the reference);
+* ``active`` — the active-set dispatcher every program runs on.
 
 ``run_fingerprint`` hashes everything the network *did* (rounds, stop
 reason, message/word counters, per-round trace records, per-edge word
-histograms, outputs), so fingerprint equality across schedulers is the
-whole equivalence claim in one assert.  This module also pins the
-fallback contract (transport frames or a non-empty fault plan silently
-degrade to the active-set dispatcher), the wake-aware quiet rules on the
-fast path, the cache-fingerprint completeness guard, and that only the
-kernel programs take ``scheduler=`` while numpy stays lazily imported.
+histograms, outputs), so fingerprint equality across dispatchers is the
+whole equivalence claim in one assert.  This module pins the primitives'
+parity, the wake-aware quiet and deadlock rules, a transport flood that
+must not strand mid-recovery, the budget error's context, metrics
+parity, the cache-fingerprint completeness guard, and that only
+``Network.run`` takes ``scheduler=`` while numpy stays out of a scalar
+interpreter.  The file and class names keep the test ids they had when
+a third, columnar dispatcher existed.
 """
 
 import ast
@@ -25,8 +26,6 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.analysis import cache as analysis_cache
 from repro.congest import (
     CongestViolation,
@@ -37,14 +36,14 @@ from repro.congest import (
     bfs_run,
     broadcast_run,
     convergecast_run,
-    min_flood_program,
     run_fingerprint,
 )
-from repro.congest.vectorized import vector_bit_lengths, vector_payload_words
 from repro.obs import MetricsRegistry
 from repro.planar import generators as gen
 
-SCHEDULERS = ("dense", "active", "vectorized")
+from conftest import forced_scheduler
+
+SCHEDULERS = ("dense", "active")
 
 GRAPHS = [
     ("grid_6x6", lambda: gen.grid(6, 6)),
@@ -62,64 +61,36 @@ def _values(graph):
     return {v: (i * 7) % 23 for i, v in enumerate(sorted(graph.nodes, key=repr))}
 
 
-class TestWordCostHelpers:
-    def test_bit_lengths_match_python_everywhere_interesting(self):
-        vals = [0, 1, 2, 3, 7, 8, 255, 256, (1 << 31) - 1, 1 << 31, 1 << 62]
-        got = vector_bit_lengths(np.array(vals, dtype=np.int64))
-        assert got.tolist() == [v.bit_length() for v in vals]
+def _min_flood_program(values):
+    """``(init, on_round, finalize)`` of a min-flood: a node re-sends its
+    best value whenever it improves, and never halts."""
 
-    def test_payload_words_match_scalar_tuple_costs(self):
-        from repro.congest import payload_words
+    def init(ctx):
+        ctx.state["best"] = values[ctx.node]
+        ctx.state["dirty"] = True
 
-        vals = [0, 1, 5, 1000, 1 << 20, 1 << 40]
-        for word_bits in (1, 2, 7, 32):
-            got = vector_payload_words(np.array(vals, dtype=np.int64), word_bits)
-            want = [payload_words((v,), word_bits) for v in vals]
-            assert got.tolist() == want
+    def on_round(ctx, inbox):
+        for payload in inbox.values():
+            if payload[0] < ctx.state["best"]:
+                ctx.state["best"] = payload[0]
+                ctx.state["dirty"] = True
+        if ctx.state["dirty"]:
+            ctx.state["dirty"] = False
+            return {u: (ctx.state["best"],) for u in ctx.neighbors}
+        return None
+
+    def finalize(ctx):
+        return ctx.state["best"]
+
+    return init, on_round, finalize
 
 
 class TestFastPathEngagement:
-    def test_bfs_engages(self):
-        g = gen.grid(5, 5)
-        assert bfs_run(g, 0, scheduler="vectorized").fast_path
-        assert not bfs_run(g, 0, scheduler="active").fast_path
-        assert not bfs_run(g, 0, scheduler="dense").fast_path
-
-    def test_broadcast_and_convergecast_engage(self):
-        g = gen.grid(5, 5)
-        root = 0
-        parent = _bfs_parent(g, root)
-        assert broadcast_run(g, root, 9, parent, scheduler="vectorized").fast_path
-        assert convergecast_run(
-            g, root, _values(g), parent, scheduler="vectorized"
-        ).fast_path
-
-    def test_custom_combiner_falls_back(self):
-        g = gen.grid(4, 4)
-        root = 0
-        parent = _bfs_parent(g, root)
-        res = convergecast_run(
-            g, root, _values(g), parent, combine=max, scheduler="vectorized"
-        )
-        assert not res.fast_path
-        direct = convergecast_run(g, root, _values(g), parent, combine=max)
-        assert res.outputs == direct.outputs
-
-    def test_kernelless_program_falls_back(self):
-        g = nx.path_graph(6)
-
-        def on_round(ctx, inbox):
-            ctx.halt(ctx.node)
-            return None
-
-        res = Network(g).run(lambda c: None, on_round, 5, scheduler="vectorized")
-        assert not res.fast_path
-        assert res.stop_reason == "halted"
-
     def test_unknown_scheduler_still_rejected(self):
         g = nx.path_graph(3)
-        with pytest.raises(ValueError):
-            Network(g).run(lambda c: None, lambda c, i: None, 5, scheduler="simd")
+        for name in ("simd", "vectorized"):
+            with pytest.raises(ValueError, match="unknown scheduler"):
+                Network(g).run(lambda c: None, lambda c, i: None, 5, scheduler=name)
 
 
 class TestPrimitiveParity:
@@ -130,9 +101,10 @@ class TestPrimitiveParity:
         fps = {}
         for sched in SCHEDULERS:
             trace = RoundTrace()
-            res = bfs_run(g, root, trace=trace, scheduler=sched)
+            with forced_scheduler(sched):
+                res = bfs_run(g, root, trace=trace)
             fps[sched] = (run_fingerprint(res, trace), res.rounds, res.messages_sent)
-        assert fps["dense"] == fps["active"] == fps["vectorized"]
+        assert fps["dense"] == fps["active"]
 
     @pytest.mark.parametrize("name,make", GRAPHS)
     def test_broadcast_fingerprint_identical(self, name, make):
@@ -142,9 +114,10 @@ class TestPrimitiveParity:
         fps = {}
         for sched in SCHEDULERS:
             trace = RoundTrace()
-            res = broadcast_run(g, root, 42, parent, trace=trace, scheduler=sched)
+            with forced_scheduler(sched):
+                res = broadcast_run(g, root, 42, parent, trace=trace)
             fps[sched] = run_fingerprint(res, trace)
-        assert fps["dense"] == fps["active"] == fps["vectorized"]
+        assert fps["dense"] == fps["active"]
 
     @pytest.mark.parametrize("name,make", GRAPHS)
     def test_convergecast_fingerprint_identical(self, name, make):
@@ -154,19 +127,17 @@ class TestPrimitiveParity:
         fps = {}
         for sched in SCHEDULERS:
             trace = RoundTrace()
-            res = convergecast_run(
-                g, root, _values(g), parent, trace=trace, scheduler=sched
-            )
+            with forced_scheduler(sched):
+                res = convergecast_run(g, root, _values(g), parent, trace=trace)
             fps[sched] = run_fingerprint(res, trace)
-        assert fps["dense"] == fps["active"] == fps["vectorized"]
-        # And the aggregate is right: the root sums every node's value.
-        res = convergecast_run(g, root, _values(g), parent, scheduler="vectorized")
-        assert res.outputs[root] == sum(_values(g).values())
+            # And the aggregate is right: the root sums every node's value.
+            assert res.outputs[root] == sum(_values(g).values())
+        assert fps["dense"] == fps["active"]
 
     @pytest.mark.parametrize("name,make", GRAPHS)
     def test_min_flood_quiet_stop_identical(self, name, make):
         g = make()
-        init, on_round, finalize = min_flood_program(_values(g))
+        init, on_round, finalize = _min_flood_program(_values(g))
         fps = {}
         for sched in SCHEDULERS:
             trace = RoundTrace()
@@ -175,111 +146,89 @@ class TestPrimitiveParity:
                 stop_when_quiet=True, trace=trace, scheduler=sched,
             )
             fps[sched] = (run_fingerprint(res, trace), res.stop_reason)
-        assert fps["dense"] == fps["active"] == fps["vectorized"]
-        assert fps["vectorized"][1] == "quiet"
+        assert fps["dense"] == fps["active"]
+        assert fps["active"][1] == "quiet"
 
 
 class TestQuietSemantics:
-    """Satellite 2: wake-aware quiet detection on the bulk path."""
+    """Wake-aware quiet detection and the deadlock fast-forward."""
 
     def test_zero_delta_round_counts_as_quiet(self):
-        # Identical values everywhere: round 1 floods, round 2 delivers a
-        # mat-vec whose delta is all-zero (nothing improves, nothing is
-        # sent), so the next silent round must end the run as "quiet" —
-        # on both schedulers, at the same round count.
+        # Identical values everywhere: round 1 floods, round 2 delivers
+        # mail that improves nothing (nothing is sent), so that silent
+        # round must end the run as "quiet" — on both dispatchers, at the
+        # same round count.
         g = gen.grid(5, 5)
         values = {v: 7 for v in g.nodes}
         outcomes = {}
-        for sched in ("active", "vectorized"):
-            init, on_round, finalize = min_flood_program(values)
+        for sched in SCHEDULERS:
+            init, on_round, finalize = _min_flood_program(values)
             res = Network(g).run(
                 init, on_round, max_rounds=50, finalize=finalize,
                 stop_when_quiet=True, scheduler=sched,
             )
             outcomes[sched] = (res.rounds, res.stop_reason, res.messages_sent)
-        assert outcomes["active"] == outcomes["vectorized"]
-        assert outcomes["vectorized"][1] == "quiet"
+        assert outcomes["active"] == outcomes["dense"]
+        assert outcomes["active"] == (2, "quiet", 2 * g.number_of_edges())
 
-    def test_pending_wake_does_not_count_as_quiet(self):
+    def test_pending_wake_does_not_count_as_quiet(self, monkeypatch):
         # BFS quiet-countdown: after the last announcement there are
         # silent rounds where every node holds an armed wake (the slack
         # countdown).  stop_when_quiet must NOT fire there — the run ends
-        # "halted" at the full round count, identically to active.
+        # "halted" at the full round count, identically on both.
+        run = Network.run
+
+        def quiet_run(self, *args, **kwargs):
+            return run(self, *args, **{**kwargs, "stop_when_quiet": True})
+
+        monkeypatch.setattr(Network, "run", quiet_run)
         g = gen.path_graph(20)
         outcomes = {}
-        for sched in ("active", "vectorized"):
+        for sched in SCHEDULERS:
             trace = RoundTrace()
-            res = bfs_run(g, 0, trace=trace, scheduler=sched)
-            base = (run_fingerprint(res, trace), res.rounds, res.stop_reason)
-            outcomes[sched] = base
-        assert outcomes["active"] == outcomes["vectorized"]
-        assert outcomes["vectorized"][2] == "halted"
+            with forced_scheduler(sched):
+                res = bfs_run(g, 0, trace=trace)
+            outcomes[sched] = (run_fingerprint(res, trace), res.rounds, res.stop_reason)
+        assert outcomes["active"] == outcomes["dense"]
+        assert outcomes["active"][2] == "halted"
 
     def test_deadlock_fast_forward_identical(self):
         # A min-flood without stop_when_quiet settles and then no node
-        # can ever run again: the scheduler fast-forwards to max_rounds
-        # with stop_reason "deadlock" and the same trace warning.
+        # can ever run again: the active dispatcher fast-forwards to
+        # max_rounds with stop_reason "deadlock" and a trace warning; the
+        # dense reference spins silently to the same round count.
         g = gen.grid(4, 4)
         outcomes = {}
-        for sched in ("active", "vectorized"):
-            init, on_round, finalize = min_flood_program(_values(g))
+        for sched in SCHEDULERS:
+            init, on_round, finalize = _min_flood_program(_values(g))
             trace = RoundTrace()
             res = Network(g).run(
                 init, on_round, max_rounds=99, finalize=finalize,
                 trace=trace, scheduler=sched,
             )
-            outcomes[sched] = (
-                run_fingerprint(res, trace), res.stop_reason, trace.warnings,
-            )
-        assert outcomes["active"] == outcomes["vectorized"]
-        assert outcomes["vectorized"][1] == "deadlock"
-        assert "deadlock" in outcomes["vectorized"][2][0]
+            outcomes[sched] = (res, trace)
+        (dense, dense_trace), (active, active_trace) = (
+            outcomes["dense"], outcomes["active"])
+        assert active.rounds == dense.rounds == 99
+        assert (active.messages_sent, active.outputs) == (dense.messages_sent, dense.outputs)
+        assert active.stop_reason == "deadlock"
+        assert dense.stop_reason == "max_rounds"
+        assert "deadlock" in active_trace.warnings[0]
+        assert not dense_trace.warnings
 
 
 class TestFallbackUnderIrregularity:
-    """Transport frames and fault plans force the message-level path."""
-
-    def test_empty_fault_plan_keeps_fast_path(self):
-        g = gen.grid(5, 5)
-        res = bfs_run(g, 0, faults=FaultPlan(), scheduler="vectorized")
-        assert res.fast_path
-
-    def test_nonempty_fault_plan_falls_back_with_parity(self):
-        g = gen.grid(5, 5)
-        fps = {}
-        for sched in ("active", "vectorized"):
-            plan = FaultPlan(drop_rate=0.1, seed=13)
-            trace = RoundTrace()
-            res = bfs_run(g, 0, faults=plan, trace=trace, scheduler=sched)
-            fps[sched] = (run_fingerprint(res, trace), res.fast_path)
-        assert fps["vectorized"][0] == fps["active"][0]
-        assert not fps["vectorized"][1]
-
-    def test_transport_falls_back_with_parity(self):
-        g = gen.grid(4, 4)
-        fps = {}
-        for sched in ("active", "vectorized"):
-            res = bfs_run(g, 0, transport=ReliableTransport(), scheduler=sched)
-            fps[sched] = (
-                run_fingerprint(res, transport=res.transport),
-                res.fast_path,
-                res.stop_reason,
-            )
-        assert fps["vectorized"] == fps["active"]
-        assert not fps["vectorized"][1]
-
     def test_flood_mid_recovery_not_stranded(self):
-        # Satellite 2's acceptance case: a flood under ReliableTransport
-        # with injected drops, requested on the fast path.  The frames in
-        # flight make the run irregular, so it must degrade to the
-        # message-level dispatcher and *complete* (retransmit timers keep
-        # firing through silence), never strand at max_rounds.
+        # A flood under ReliableTransport with injected drops: the
+        # retransmit timers keep firing through silent rounds, so the run
+        # must *complete* as "quiet", never strand at max_rounds, and
+        # identically on both dispatchers.
         g = gen.grid(4, 4)
         values = _values(g)
         floor = min(values.values())
         outcomes = {}
-        for sched in ("active", "vectorized"):
-            init, on_round, finalize = min_flood_program(values)
+        for sched in SCHEDULERS:
+            init, on_round, finalize = _min_flood_program(values)
             plan = FaultPlan(drop_rate=0.15, seed=7)
             res = Network(g).run(
                 init, on_round, max_rounds=40 * len(g), finalize=finalize,
@@ -288,23 +237,19 @@ class TestFallbackUnderIrregularity:
             )
             assert res.stop_reason == "quiet", res.stop_reason
             assert all(out == floor for out in res.outputs.values())
-            outcomes[sched] = (
-                run_fingerprint(res, transport=res.transport),
-                res.rounds,
-                res.fast_path,
-            )
-        assert outcomes["vectorized"] == outcomes["active"]
-        assert not outcomes["vectorized"][2]
+            assert res.lost_messages > 0
+            outcomes[sched] = (run_fingerprint(res, transport=res.transport), res.rounds)
+        assert outcomes["dense"] == outcomes["active"]
 
 
 class TestBudgetEnforcement:
     def test_oversized_kernel_payload_raises_with_context(self):
         # 25 nodes -> 5-bit words, budget 8 words = 40 bits; a 2^60
-        # value needs 12 words on both paths.
+        # value needs 12 words on both dispatchers.
         g = gen.grid(5, 5)
         values = {v: 1 << 60 for v in g.nodes}
-        for sched in ("active", "vectorized"):
-            init, on_round, finalize = min_flood_program(values)
+        for sched in SCHEDULERS:
+            init, on_round, finalize = _min_flood_program(values)
             with pytest.raises(CongestViolation) as err:
                 Network(g).run(
                     init, on_round, max_rounds=10, finalize=finalize,
@@ -320,9 +265,10 @@ class TestMetricsParity:
     def test_counters_identical_across_schedulers(self):
         g = gen.grid(5, 5)
         totals = {}
-        for sched in ("active", "vectorized"):
+        for sched in SCHEDULERS:
             metrics = MetricsRegistry()
-            res = bfs_run(g, 0, metrics=metrics, scheduler=sched)
+            with forced_scheduler(sched):
+                res = bfs_run(g, 0, metrics=metrics)
             totals[sched] = {
                 name: metrics.get(name).total
                 for name in (
@@ -330,24 +276,22 @@ class TestMetricsParity:
                     "congest_messages_total",
                     "congest_words_total",
                     "congest_dropped_messages_total",
-                    "congest_node_dispatch_total",
                 )
             }
             assert res.rounds == totals[sched]["congest_rounds_total"]
-        assert totals["active"] == totals["vectorized"]
+        assert totals["active"] == totals["dense"]
 
 
 class TestCacheFingerprintCompleteness:
-    """Satellite 3: the scheduler rewrite can never serve stale caches."""
-
-    def test_vectorized_module_is_fingerprinted(self):
-        assert "congest/vectorized.py" in analysis_cache._FINGERPRINTED_SOURCES
+    """A simulator change can never serve stale caches."""
 
     def test_every_congest_module_reachable_from_run_is_fingerprinted(self):
-        # Import everything Network.run can reach (the vectorized branch
-        # included), then demand each loaded repro.congest source appears
-        # in the cache fingerprint set.
-        bfs_run(gen.grid(3, 3), 0, scheduler="vectorized")
+        # Import everything Network.run can reach, then demand each
+        # loaded repro.congest source appears in the cache fingerprint set.
+        for sched in SCHEDULERS:
+            with forced_scheduler(sched):
+                bfs_run(gen.grid(3, 3), 0, transport=ReliableTransport(),
+                        faults=FaultPlan(drop_rate=0.1, seed=1))
         root = Path(analysis_cache.__file__).resolve().parents[1]
         missing = []
         for name, module in list(sys.modules.items()):
@@ -365,18 +309,26 @@ class TestCacheFingerprintCompleteness:
         )
 
     def test_fingerprint_changes_when_vectorized_source_changes(self, tmp_path, monkeypatch):
+        # The version is content-addressed over the enumerated sources:
+        # stable without edits, different after an edit to the scheduler.
         monkeypatch.delenv(analysis_cache.CODE_VERSION_ENV, raising=False)
+        source = tmp_path / "congest" / "network.py"
+        source.parent.mkdir()
+        source.write_text("SCHEDULERS = ('active', 'dense')\n")
+        monkeypatch.setattr(analysis_cache, "_PACKAGE_ROOT", tmp_path)
+        monkeypatch.setattr(analysis_cache, "_FINGERPRINTED_SOURCES", ("congest/network.py",))
+        monkeypatch.setattr(analysis_cache, "_computed_version", None)
         before = analysis_cache.code_version()
-        # The version is content-addressed over the enumerated sources;
-        # recomputing without edits is stable.
         analysis_cache._computed_version = None
         assert analysis_cache.code_version() == before
+        source.write_text("SCHEDULERS = ('active',)\n")
+        analysis_cache._computed_version = None
+        assert analysis_cache.code_version() != before
 
 
 class TestDispatchChoice:
-    """A dispatcher is offered only where a columnar kernel exists, and
-    the columnar engine's numpy stays out of interpreters that never ask
-    for it."""
+    """The dispatcher is chosen only on ``Network.run``, and numpy stays
+    out of interpreters that only run the scalar simulator."""
 
     def test_scheduler_parameter_only_on_kernel_programs(self):
         src = Path(analysis_cache.__file__).resolve().parents[1]
@@ -388,22 +340,17 @@ class TestDispatchChoice:
                     names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
                     if "scheduler" in names:
                         found.add((path.relative_to(src).as_posix(), node.name))
-        assert found == {
-            ("congest/network.py", "run"),
-            ("congest/algorithms.py", "bfs_run"),
-            ("congest/algorithms.py", "broadcast_run"),
-            ("congest/algorithms.py", "convergecast_run"),
-        }
+        assert found == {("congest/network.py", "run")}
 
     def test_numpy_stays_unloaded_until_a_vectorized_run(self):
         script = (
             "import sys\n"
             "import repro.core, repro.dynamic, repro.serve, repro.chaos\n"
-            "from repro.congest import bfs_run\n"
+            "from repro.congest import Network, bfs_run\n"
             "from repro.planar import generators as gen\n"
             "bfs_run(gen.grid(3, 3), 0)\n"
-            "print('numpy' in sys.modules)\n"
-            "bfs_run(gen.grid(3, 3), 0, scheduler='vectorized')\n"
+            "Network(gen.grid(3, 3)).run(lambda c: c.halt(), lambda c, i: None, 5,\n"
+            "                            scheduler='dense')\n"
             "print('numpy' in sys.modules)\n"
         )
         src = str(Path(analysis_cache.__file__).resolve().parents[2])
@@ -417,4 +364,4 @@ class TestDispatchChoice:
             env=env,
         )
         assert proc.returncode == 0, proc.stderr[-1000:]
-        assert proc.stdout.split() == ["False", "True"]
+        assert proc.stdout.split() == ["False"]
