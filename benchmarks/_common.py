@@ -2,8 +2,7 @@
 
 Every ``bench_e*.py`` regenerates one experiment of DESIGN.md §4 through
 the unified runner (:mod:`repro.analysis.runner`): :func:`run_and_emit`
-executes the experiment (serially, with the on-disk cache under
-``benchmarks/.cache/``), persists the provenance-stamped ``.txt`` table
+executes the experiment, persists the provenance-stamped ``.txt`` table
 *and* the versioned ``e<N>.json`` artifact under ``benchmarks/results/``,
 prints the table and returns the rows for the bench's shape assertions.
 Run with::
@@ -11,9 +10,9 @@ Run with::
     pytest benchmarks/ --benchmark-only
 
 or execute any module directly (``python benchmarks/bench_e1_separator_rounds.py``)
-to print its table without timing.  The artifact schema, cache semantics
-and regression contract are documented in ``docs/BENCHMARKS.md``; the
-parallel path is ``python -m repro experiment all --parallel N``.
+to print its table without timing.  The artifact schema and regression
+contract are documented in ``docs/BENCHMARKS.md``; every experiment at
+once is ``python -m repro experiment all``.
 """
 
 from __future__ import annotations
@@ -21,14 +20,12 @@ from __future__ import annotations
 import pathlib
 from typing import Dict, List
 
-from repro.analysis import render_table, runner
-from repro.analysis.cache import InstanceCache
+from repro.analysis import runner
 
 BENCH_ROOT = pathlib.Path(__file__).parent
 RESULTS_DIR = BENCH_ROOT / "results"
-CACHE_DIR = BENCH_ROOT / ".cache"
 
-__all__ = ["RESULTS_DIR", "CACHE_DIR", "emit", "run_and_emit"]
+__all__ = ["RESULTS_DIR", "emit", "run_and_emit"]
 
 
 def emit(name: str, rows: List[Dict], title: str) -> str:
@@ -46,9 +43,7 @@ def run_and_emit(key: str, name: str, title: str, **overrides) -> List[Dict]:
     artifact.  Parameter ``overrides`` go to the experiment's registered
     signature (e.g. ``sizes=...``).  Returns the rows."""
     runs = runner.run_experiments(
-        [key],
-        overrides={key: overrides} if overrides else None,
-        cache=InstanceCache(CACHE_DIR),
+        [key], overrides={key: overrides} if overrides else None
     )
     runner.write_artifacts(runs, RESULTS_DIR, json_only=True)
     run = runs[key]

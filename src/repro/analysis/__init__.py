@@ -1,15 +1,16 @@
-"""Experiment harness: workloads, registered runners E1–E14, the parallel
-runner with JSON artifacts and on-disk caching, and table rendering.
+"""Experiment harness: workloads, registered runners E1–E15, the serial
+runner with JSON artifacts, and table rendering.
 
 Module map (the benchmark contract is documented in ``docs/BENCHMARKS.md``):
 
 * :mod:`.workloads` — the instance suites every experiment draws from;
-* :mod:`.experiments` — the E1–E14 runners (DESIGN.md §4), registered via
+* :mod:`.experiments` — the E1–E15 runners (DESIGN.md §4), registered via
   :mod:`.registry`;
 * :mod:`.registry` — the ``@experiment`` decorator and unit plans;
-* :mod:`.runner` — parallel execution, ``e*.json`` artifacts,
+* :mod:`.runner` — timed execution, ``e*.json`` artifacts,
   ``BENCH_SUMMARY.json`` and the ``--compare`` regression gate;
-* :mod:`.cache` — the content-addressed on-disk artifact/unit cache;
+* :mod:`.cache` — the content-addressed on-disk store (the serve
+  engine's result cache);
 * :mod:`.provenance` — git-SHA/timestamp stamps shared by all writers;
 * :mod:`.tables` — plain-text table rendering;
 * :mod:`.report` — EXPERIMENTS.md generation.

@@ -5,14 +5,14 @@ and is registered via the :func:`repro.analysis.registry.experiment`
 decorator with the paper claim it regenerates (``claim_ref`` in the JSON
 artifacts), its unit decomposition, and its ``--grid small`` parameters.
 The functions stay directly callable — ``e1_separator_rounds()`` returns
-printable rows exactly as before — but every call now flows through the
-shared unit engine, so serial calls, ``python -m repro experiment`` and
-the parallel runner produce bit-identical rows (``tests/test_runner.py``).
+printable rows — and every call flows through the shared unit plan, so
+direct calls and ``python -m repro experiment`` produce identical rows
+(``tests/test_runner.py``).
 
 Layout per experiment: a ``_e<N>_units(**params)`` plan (small JSON
 dicts, one per independent work slice, seeds fixed deterministically at
-plan time), a ``_e<N>_unit(unit)`` worker (pure, picklable — this is what
-``ProcessPoolExecutor`` fans out), and the decorated public function.
+plan time), a pure ``_e<N>_unit(unit)`` worker, and the decorated public
+function.
 Histogram experiments (E4, E7) combine partial tallies with a custom
 ``combine``; everything else concatenates rows in unit order.
 
@@ -41,7 +41,7 @@ from ..core.weights import interior_by_orders, side_sets, weight
 from ..planar import generators as gen
 from ..shortcuts import build_shortcuts
 from ..trees import bfs_tree, dfs_spanning_tree
-from . import cache, workloads
+from . import workloads
 from .registry import experiment, run_registered
 
 __all__ = [
@@ -67,16 +67,12 @@ __all__ = [
 
 
 def _prepared_instance(family: str, n: int, seed: int):
-    """Scaling-series instance plus its two expensive derived artifacts —
+    """Scaling-series instance plus its two expensive derived artifacts:
     diameter (networkx's exact bounding-diameters algorithm) and
-    whole-graph shortcut quality — all three memoized in the
-    content-addressed artifact cache."""
+    whole-graph shortcut quality."""
     _, g = workloads.scaled_instance(family, n, seed)
-    key = [*workloads.scaling_key(family, n), seed]
-    diameter = cache.cached("diameter", key, lambda: nx.diameter(g, usebounds=True))
-    quality = cache.cached(
-        "shortcut-quality", key, lambda: build_shortcuts(g, [sorted(g.nodes)]).quality
-    )
+    diameter = nx.diameter(g, usebounds=True)
+    quality = build_shortcuts(g, [sorted(g.nodes)]).quality
     return g, diameter, quality
 
 

@@ -11,18 +11,18 @@ Every DESIGN.md §4 experiment (E1–E14) registers itself with the
   typically one ``(family, n, seed)`` instance) and ``run_unit(spec)``
   computes one unit's payload.  The plan is computed *before* any work
   starts, so per-row seeds are fixed deterministically up front and the
-  rows cannot depend on scheduling order — serial and parallel execution
-  are bit-identical by construction (locked by ``tests/test_runner.py``);
+  rows cannot depend on execution order;
 * an optional **combine** step that folds unit payloads (in unit order)
   into the final row list — the default flattens lists of row dicts,
   histogram experiments (E4, E7) sum partial tallies;
 * the **small** parameter overrides used by ``--grid small`` (the CI
   grid; see ``docs/BENCHMARKS.md``).
 
-Execution lives in :mod:`repro.analysis.runner` (parallel, cached,
-artifact-writing); :func:`run_registered` is the shared serial engine that
-the public ``e*`` functions delegate to, so direct calls, the benchmark
-harness and the CLI all produce rows through exactly one code path.
+Execution lives in :mod:`repro.analysis.runner` (timed, artifact-writing);
+:func:`run_registered` is the plain loop that the public ``e*`` functions
+delegate to.  Both run the same unit plan through the same ``run_unit``
+and ``combine``, so direct calls, the benchmark harness and the CLI
+produce identical rows.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from . import cache as cache_mod
-
 __all__ = [
     "ExperimentSpec",
     "all_keys",
@@ -41,16 +39,14 @@ __all__ = [
     "get",
     "jsonable",
     "plan_units",
-    "register_spec",
     "resolve_params",
     "run_registered",
-    "unregister",
 ]
 
 
 def jsonable(value: Any) -> Any:
-    """Canonicalize parameter/unit values for JSON artifacts and cache
-    keys: tuples/ranges/sets become sorted-or-ordered lists, dicts recurse."""
+    """Canonicalize parameter/unit values for JSON artifacts:
+    tuples/ranges/sets become sorted-or-ordered lists, dicts recurse."""
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, range)):
@@ -138,8 +134,8 @@ def _ensure_loaded() -> None:
 
 
 def _key_order(key: str):
-    # e1 … e14 sort numerically; anything else (e.g. a test-injected
-    # chaos experiment) sorts after them, lexicographically.
+    # e1 … e15 sort numerically; anything else sorts after them,
+    # lexicographically.
     if key.startswith("e") and key[1:].isdigit():
         return (0, int(key[1:]), key)
     return (1, 0, key)
@@ -149,24 +145,6 @@ def all_keys() -> List[str]:
     """Registered experiment keys in numeric order (e1 … e14)."""
     _ensure_loaded()
     return sorted(_REGISTRY, key=_key_order)
-
-
-def register_spec(spec: ExperimentSpec) -> ExperimentSpec:
-    """Register a fully-built spec directly (test harnesses, chaos units).
-
-    The decorator is the normal road; this is the side door that lets a
-    test inject a synthetic experiment and :func:`unregister` it again
-    without import-time side effects.
-    """
-    if spec.key in _REGISTRY:
-        raise ValueError(f"experiment {spec.key!r} registered twice")
-    _REGISTRY[spec.key] = spec
-    return spec
-
-
-def unregister(key: str) -> None:
-    """Remove a registration (no-op for unknown keys)."""
-    _REGISTRY.pop(key, None)
 
 
 def get(key: str) -> ExperimentSpec:
@@ -199,26 +177,16 @@ def plan_units(spec: ExperimentSpec, params: Dict[str, Any]) -> List[Dict]:
     """The deterministic unit plan for one parameterization."""
     units = spec.units_fn(**params)
     for unit in units:
-        # Units must round-trip through JSON: they are cache keys and
-        # cross-process messages.
+        # Units must round-trip through JSON: the artifacts record each
+        # one next to its timing.
         json.dumps(unit)
     return units
 
 
-def unit_cache_key(spec: ExperimentSpec, unit: Dict) -> List[Any]:
-    """Cache key of one unit result (content-addressed via the active
-    cache's code_version)."""
-    return [spec.key, jsonable(unit)]
-
-
 def run_registered(key: str, params: Optional[Dict[str, Any]] = None) -> List[Dict]:
-    """Serial engine behind the public ``e*`` functions: plan units, run
-    each (through the unit-result cache when one is active), combine."""
+    """Engine behind the public ``e*`` functions: plan units, run each,
+    combine."""
     spec = get(key)
     resolved = dict(spec.default_params())
     resolved.update(params or {})
-    payloads = [
-        cache_mod.cached("unit", unit_cache_key(spec, unit), lambda u=unit: spec.run_unit_fn(u))
-        for unit in plan_units(spec, resolved)
-    ]
-    return spec.combine(payloads)
+    return spec.combine([spec.run_unit_fn(unit) for unit in plan_units(spec, resolved)])

@@ -5,11 +5,11 @@ table (DESIGN.md §4) with its claim commentary and writes the document.
 The tables normally arrive pre-rendered from the experiment runner —
 regenerate with::
 
-    python -m repro experiment all --write       # add --parallel N to fan out
+    python -m repro experiment all --write
 
-which reuses the runner's cached rows; :func:`write_experiments_md` can
-also read persisted ``benchmarks/results`` snapshots or rerun everything
-serially when called without arguments.
+which renders the rows that run just produced; :func:`write_experiments_md`
+can also read persisted ``benchmarks/results`` snapshots or rerun
+everything when called without arguments.
 """
 
 from __future__ import annotations

@@ -4,24 +4,13 @@ This module executes registered experiments (:mod:`.registry`) and turns
 them into the machine-readable artifacts that ``docs/BENCHMARKS.md``
 documents:
 
-* **fan-out** — unit specs from all requested experiments are interleaved
-  onto one ``ProcessPoolExecutor`` (``parallel=N``); because unit plans
-  fix every seed before execution, parallel rows are bit-identical to
-  serial rows;
-* **fault tolerance** — a unit that raises is retried once with backoff
-  and then recorded as ``"failed"`` (with its traceback) instead of
-  aborting the run; a worker process that *dies* (``BrokenProcessPool``)
-  re-queues the in-flight units into one-at-a-time isolation so the
-  culprit can only take itself down; ``unit_timeout`` bounds each unit's
-  wall clock, abandoning the pool generation and recording ``"timeout"``.
-  The summary always lands, annotated so :func:`compare_summaries` can
-  tell "regressed" from "did not finish";
-* **caching** — unit results and instance artifacts go through the
-  content-addressed cache (:mod:`.cache`); cached units are satisfied in
-  the parent without touching the pool;
-* **measurement** — every unit records wall time and the executing
-  process's peak RSS (``ru_maxrss`` — a per-process high-water mark, so
-  an upper bound on the unit's own footprint);
+* **execution** — every unit of every requested experiment runs serially
+  in this process, in plan order.  The algorithms are deterministic, so a
+  unit that raises would raise again: the exception propagates with its
+  traceback and the run stops (``repro experiment`` exits non-zero);
+* **measurement** — every unit records wall time and the process's peak
+  RSS (``ru_maxrss``, a high-water mark, so an upper bound on the unit's
+  own footprint);
 * **artifacts** — per-experiment ``e<N>.json`` files plus the
   ``BENCH_SUMMARY.json`` rollup, all stamped with the producing commit via
   :mod:`.provenance` and versioned with :data:`SCHEMA_VERSION`;
@@ -33,19 +22,14 @@ documents:
 
 from __future__ import annotations
 
-import concurrent.futures
-from concurrent.futures.process import BrokenProcessPool
 import json
 import pathlib
 import re
 import resource
 import time
-import traceback
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
-from . import cache as cache_mod
 from . import registry
 from ..obs import MetricsRegistry
 from .provenance import provenance, stamp_header
@@ -68,7 +52,7 @@ __all__ = [
 
 #: Version of the JSON artifact schema (bump on breaking field changes and
 #: document the migration in docs/BENCHMARKS.md).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Integer row fields with these substrings in their name are "round
 #: counts" for the regression gate (rounds, phases, iterations).
@@ -77,12 +61,7 @@ ROUND_FIELD_RE = re.compile(r"(rounds|phases|iterations)")
 
 @dataclass
 class ExperimentRun:
-    """One executed experiment: rows plus execution metadata.
-
-    ``status`` is ``"ok"`` when every unit succeeded and ``"partial"``
-    when any unit was recorded ``"failed"`` or ``"timeout"`` (its rows
-    then cover only the units that did finish).
-    """
+    """One executed experiment: rows plus per-unit timings."""
 
     key: str
     claim: str
@@ -91,272 +70,16 @@ class ExperimentRun:
     rows: List[Dict]
     unit_timings: List[Dict[str, Any]]
     wall_s: float
-    mode: str
-    workers: int
-    cache_stats: Dict[str, Any] = field(default_factory=dict)
-    status: str = "ok"
-
-    def failed_units(self) -> List[Dict[str, Any]]:
-        """Timing records of units that did not produce a payload."""
-        return [t for t in self.unit_timings if t.get("status", "ok") != "ok"]
 
 
 # -- execution --------------------------------------------------------------
-
-#: Backoff before the retry of a failed unit, multiplied by the attempt
-#: number (kept short: the failures this retries are transient — a flaky
-#: resource, a killed worker — not algorithmic).
-RETRY_BACKOFF_S = 0.1
-
-_BROKEN_POOL = (BrokenProcessPool, concurrent.futures.BrokenExecutor)
-
-
-def _measure_unit(spec: registry.ExperimentSpec, unit: Dict) -> Tuple[Any, Dict[str, Any]]:
-    start = time.perf_counter()
-    payload = spec.run_unit_fn(unit)
-    timing = {
-        "unit": registry.jsonable(unit),
-        "wall_s": round(time.perf_counter() - start, 6),
-        "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "cached": False,
-        "status": "ok",
-        "attempts": 1,
-    }
-    return payload, timing
-
-
-def _failure_timing(unit: Dict, status: str, error: str, attempts: int, wall_s: float) -> Dict[str, Any]:
-    return {
-        "unit": registry.jsonable(unit),
-        "wall_s": round(wall_s, 6),
-        "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "cached": False,
-        "status": status,
-        "attempts": attempts,
-        "error": error,
-    }
-
-
-def _pool_init(cache_dir: Optional[str], enabled: bool, version: str) -> None:
-    # Workers mirror the parent's cache configuration so instance
-    # artifacts (graphs, diameters, shortcut qualities) are shared.
-    if cache_dir is not None:
-        cache_mod.set_cache(cache_mod.InstanceCache(cache_dir, enabled=enabled, version=version))
-
-
-def _pool_run(key: str, index: int, unit: Dict) -> Tuple[str, int, Any, Dict[str, Any]]:
-    payload, timing = _measure_unit(registry.get(key), unit)
-    return key, index, payload, timing
-
-
-class _Unit:
-    """One pending unit's execution state (attempt counter travels with it)."""
-
-    __slots__ = ("key", "index", "unit", "attempts", "last_error")
-
-    def __init__(self, key: str, index: int, unit: Dict):
-        self.key = key
-        self.index = index
-        self.unit = unit
-        self.attempts = 0
-        self.last_error = ""
-
-
-def _run_units_serial(
-    specs: Dict[str, registry.ExperimentSpec],
-    pending: List[_Unit],
-    retries: int,
-) -> List[Tuple[_Unit, Any, Dict[str, Any]]]:
-    """In-process execution with the same retry/failure contract as the pool.
-
-    A worker cannot *crash* here (it is this process) and timeouts are not
-    enforceable without one, so serial mode covers the raise/retry half
-    only; ``run_experiments`` routes timeout requests through a pool.
-    """
-    results = []
-    for entry in pending:
-        spec = specs[entry.key]
-        while True:
-            entry.attempts += 1
-            start = time.perf_counter()
-            try:
-                payload, timing = _measure_unit(spec, entry.unit)
-            except Exception:
-                entry.last_error = traceback.format_exc()
-                if entry.attempts <= retries:
-                    time.sleep(RETRY_BACKOFF_S * entry.attempts)
-                    continue
-                results.append(
-                    (
-                        entry,
-                        None,
-                        _failure_timing(
-                            entry.unit,
-                            "failed",
-                            entry.last_error,
-                            entry.attempts,
-                            time.perf_counter() - start,
-                        ),
-                    )
-                )
-                break
-            timing["attempts"] = entry.attempts
-            results.append((entry, payload, timing))
-            break
-    return results
-
-
-def _run_units_pool(
-    specs: Dict[str, registry.ExperimentSpec],
-    pending: List[_Unit],
-    workers: int,
-    retries: int,
-    unit_timeout: Optional[float],
-    pool_initargs: Tuple,
-) -> List[Tuple[_Unit, Any, Dict[str, Any]]]:
-    """Fault-tolerant pool execution.
-
-    The engine runs in *generations*: one ``ProcessPoolExecutor`` serves
-    until either all units finish or it has to be abandoned — a worker
-    died (``BrokenProcessPool`` poisons every in-flight future) or a unit
-    overran ``unit_timeout`` (a running task cannot be cancelled, only
-    orphaned).  In-flight innocents are re-queued without losing their
-    attempt budget; after a crash the next generations run **isolated**
-    (one unit in flight at a time) so a deterministically crashing unit
-    can only take itself down.  At most ``workers`` units are submitted
-    concurrently, so submission time approximates start time and the
-    timeout clock is honest.
-    """
-    results: List[Tuple[_Unit, Any, Dict[str, Any]]] = []
-    queue = deque(pending)
-    isolate = False
-    while queue:
-        width = 1 if isolate else workers
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=width, initializer=_pool_init, initargs=pool_initargs
-        )
-        inflight: Dict[concurrent.futures.Future, Tuple[_Unit, float]] = {}
-        abandon = False
-        broken = False
-        try:
-            while (queue or inflight) and not abandon:
-                while queue and len(inflight) < width:
-                    entry = queue.popleft()
-                    entry.attempts += 1
-                    try:
-                        fut = pool.submit(_pool_run, entry.key, entry.index, entry.unit)
-                    except Exception:
-                        queue.appendleft(entry)
-                        entry.attempts -= 1
-                        broken = abandon = True
-                        break
-                    inflight[fut] = (entry, time.monotonic())
-                if abandon or not inflight:
-                    continue
-                done, _ = concurrent.futures.wait(
-                    inflight,
-                    timeout=0.05 if unit_timeout is not None else None,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for fut in done:
-                    entry, submitted = inflight.pop(fut)
-                    elapsed = time.monotonic() - submitted
-                    try:
-                        _, _, payload, timing = fut.result()
-                    except _BROKEN_POOL:
-                        entry.last_error = (
-                            "worker process died while running this unit "
-                            "(BrokenProcessPool)"
-                        )
-                        queue.appendleft(entry)
-                        broken = abandon = True
-                        continue
-                    except Exception:
-                        entry.last_error = traceback.format_exc()
-                        if entry.attempts <= retries:
-                            time.sleep(RETRY_BACKOFF_S * entry.attempts)
-                            queue.append(entry)
-                        else:
-                            results.append(
-                                (
-                                    entry,
-                                    None,
-                                    _failure_timing(
-                                        entry.unit, "failed", entry.last_error,
-                                        entry.attempts, elapsed,
-                                    ),
-                                )
-                            )
-                        continue
-                    timing["attempts"] = entry.attempts
-                    results.append((entry, payload, timing))
-                if unit_timeout is not None and not abandon:
-                    now = time.monotonic()
-                    overdue = [
-                        fut
-                        for fut, (entry, submitted) in inflight.items()
-                        if now - submitted > unit_timeout
-                    ]
-                    if overdue:
-                        for fut in overdue:
-                            entry, submitted = inflight.pop(fut)
-                            results.append(
-                                (
-                                    entry,
-                                    None,
-                                    _failure_timing(
-                                        entry.unit,
-                                        "timeout",
-                                        f"unit exceeded unit_timeout={unit_timeout}s",
-                                        entry.attempts,
-                                        now - submitted,
-                                    ),
-                                )
-                            )
-                        abandon = True
-        finally:
-            if abandon:
-                # In-flight innocents go back to the queue with their
-                # attempt budget intact (the generation died around them,
-                # they did not fail).
-                for entry, _submitted in inflight.values():
-                    entry.attempts -= 1
-                    queue.append(entry)
-                pool.shutdown(wait=False, cancel_futures=True)
-            else:
-                pool.shutdown(wait=True)
-        if broken:
-            isolate = True
-            # Units whose retry budget the crash consumed are failures now.
-            still: deque = deque()
-            for entry in queue:
-                if entry.attempts > retries:
-                    results.append(
-                        (
-                            entry,
-                            None,
-                            _failure_timing(
-                                entry.unit, "failed",
-                                entry.last_error or "worker process died (BrokenProcessPool)",
-                                entry.attempts, 0.0,
-                            ),
-                        )
-                    )
-                else:
-                    still.append(entry)
-            queue = still
-    return results
 
 
 def run_experiments(
     keys: Sequence[str],
     *,
-    parallel: int = 0,
     grid: str = "default",
     overrides: Optional[Dict[str, Dict[str, Any]]] = None,
-    cache: Optional[cache_mod.InstanceCache] = None,
-    unit_timeout: Optional[float] = None,
-    retries: int = 1,
 ) -> Dict[str, ExperimentRun]:
     """Run experiments and return ``{key: ExperimentRun}`` in key order.
 
@@ -364,33 +87,16 @@ def run_experiments(
     ----------
     keys:
         Experiment keys (``"e1"`` …); see :func:`registry.all_keys`.
-    parallel:
-        Worker processes for unit fan-out; ``0``/``1`` runs serially in
-        this process.  Units of *all* requested experiments share the pool.
     grid:
         ``"default"`` or ``"small"`` (the CI grid) — selects the
         registered parameter set before ``overrides`` are applied.
     overrides:
         Optional per-experiment parameter overrides,
         ``{"e1": {"sizes": (100,)}}``.
-    cache:
-        Artifact/unit cache; installed as the process-wide active cache
-        for the duration of the call (and mirrored into pool workers).
-    unit_timeout:
-        Per-unit wall-clock budget in seconds.  An overrunning unit is
-        recorded as ``"timeout"`` and its pool generation abandoned.
-        Enforceable only with worker processes, so setting it forces pool
-        mode even when ``parallel`` asks for serial.
-    retries:
-        Extra attempts for a unit that raises or whose worker dies
-        (default 1 — one retry, with :data:`RETRY_BACKOFF_S` backoff).
-        Timeouts are never retried: a unit that overran its budget once
-        would just burn it twice.
 
-    A failing unit never aborts the run: it becomes a ``"failed"`` /
-    ``"timeout"`` entry in the experiment's ``unit_timings``, the
-    experiment's ``status`` turns ``"partial"``, and its rows cover the
-    units that finished.
+    Every experiment's parameters and unit plan are resolved before any
+    unit runs, so a misspelled override fails before the work starts.
+    A unit that raises propagates its exception.
     """
     specs = {key: registry.get(key) for key in keys}
     params = {
@@ -399,93 +105,27 @@ def run_experiments(
     }
     plans = {key: registry.plan_units(spec, params[key]) for key, spec in specs.items()}
 
-    previous = cache_mod.set_cache(cache)
-    started = {key: time.perf_counter() for key in keys}
-    payloads: Dict[str, List[Any]] = {key: [None] * len(plans[key]) for key in keys}
-    ok: Dict[str, List[bool]] = {key: [False] * len(plans[key]) for key in keys}
-    timings: Dict[str, List[Optional[Dict]]] = {key: [None] * len(plans[key]) for key in keys}
-    try:
-        pending: List[_Unit] = []
-        for key in keys:
-            spec = specs[key]
-            for index, unit in enumerate(plans[key]):
-                hit, value = (False, None)
-                if cache is not None:
-                    hit, value = cache.get("unit", registry.unit_cache_key(spec, unit))
-                if hit:
-                    payloads[key][index] = value
-                    ok[key][index] = True
-                    timings[key][index] = {
-                        "unit": registry.jsonable(unit),
-                        "wall_s": 0.0,
-                        "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-                        "cached": True,
-                        "status": "ok",
-                        "attempts": 0,
-                    }
-                else:
-                    pending.append(_Unit(key, index, unit))
-
-        use_pool = pending and (
-            (parallel and parallel > 1) or unit_timeout is not None
-        )
-        if use_pool:
-            workers = parallel if parallel and parallel > 1 else 1
-            outcomes = _run_units_pool(
-                specs,
-                pending,
-                workers,
-                retries,
-                unit_timeout,
-                (
-                    str(cache.root) if cache is not None else None,
-                    cache.enabled if cache is not None else False,
-                    cache.version if cache is not None else cache_mod.code_version(),
-                ),
-            )
-        else:
-            outcomes = _run_units_serial(specs, pending, retries)
-        for entry, payload, timing in outcomes:
-            payloads[entry.key][entry.index] = payload
-            timings[entry.key][entry.index] = timing
-            if timing.get("status", "ok") == "ok":
-                ok[entry.key][entry.index] = True
-                if cache is not None:
-                    cache.put(
-                        "unit",
-                        registry.unit_cache_key(specs[entry.key], entry.unit),
-                        payload,
-                    )
-    finally:
-        cache_mod.set_cache(previous)
-
-    mode = "parallel" if (parallel and parallel > 1) else (
-        "pool-serial" if unit_timeout is not None else "serial"
-    )
     runs: Dict[str, ExperimentRun] = {}
-    for key in keys:
-        spec = specs[key]
-        good = [payloads[key][i] for i in range(len(plans[key])) if ok[key][i]]
-        partial = len(good) < len(plans[key])
-        try:
-            rows = spec.combine(good)
-        except Exception:
-            # A combiner written for the complete payload list may choke on
-            # a partial one; salvaged artifacts beat a lost run.
-            rows = []
-            partial = True
+    for key, spec in specs.items():
+        started = time.perf_counter()
+        payloads: List[Any] = []
+        timings: List[Dict[str, Any]] = []
+        for unit in plans[key]:
+            unit_start = time.perf_counter()
+            payloads.append(spec.run_unit_fn(unit))
+            timings.append({
+                "unit": registry.jsonable(unit),
+                "wall_s": round(time.perf_counter() - unit_start, 6),
+                "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            })
         runs[key] = ExperimentRun(
             key=key,
             claim=spec.claim,
             title=spec.title,
             params=registry.jsonable(params[key]),
-            rows=rows,
-            unit_timings=[t for t in timings[key] if t is not None],
-            wall_s=round(time.perf_counter() - started[key], 6),
-            mode=mode,
-            workers=parallel if parallel and parallel > 1 else 1,
-            cache_stats=cache.stats() if cache is not None else {"enabled": False},
-            status="partial" if partial else "ok",
+            rows=spec.combine(payloads),
+            unit_timings=timings,
+            wall_s=round(time.perf_counter() - started, 6),
         )
     return runs
 
@@ -498,23 +138,16 @@ def metrics_registry(runs: Dict[str, ExperimentRun]) -> MetricsRegistry:
 
     Exposes the runner's execution health in the same exposition format
     as the simulator metrics (``repro_*`` vs ``congest_*`` namespaces):
-    unit counts by experiment and status, cache hits, the unit wall-clock
-    distribution, per-experiment wall-clock and the peak worker RSS.
+    unit counts by experiment, the unit wall-clock distribution,
+    per-experiment wall-clock and the peak RSS.
     """
     reg = MetricsRegistry()
     units = reg.counter(
         "repro_units_total",
-        "Experiment units by terminal status",
-        labels=("experiment", "status"),
-    )
-    cached = reg.counter(
-        "repro_units_cached_total",
-        "Units satisfied from the instance cache",
+        "Experiment units executed",
         labels=("experiment",),
     )
-    unit_wall = reg.histogram(
-        "repro_unit_wall_seconds", "Wall-clock per executed (non-cached) unit"
-    )
+    unit_wall = reg.histogram("repro_unit_wall_seconds", "Wall-clock per unit")
     exp_wall = reg.gauge(
         "repro_experiment_wall_seconds",
         "Total wall-clock per experiment",
@@ -527,12 +160,9 @@ def metrics_registry(runs: Dict[str, ExperimentRun]) -> MetricsRegistry:
     for key, run in runs.items():
         exp_wall.set(run.wall_s, experiment=key)
         for t in run.unit_timings:
-            units.inc(experiment=key, status=t.get("status", "ok"))
-            if t.get("cached"):
-                cached.inc(experiment=key)
-            else:
-                unit_wall.observe(t["wall_s"])
-            max_rss.set_max(t.get("max_rss_kb", 0))
+            units.inc(experiment=key)
+            unit_wall.observe(t["wall_s"])
+            max_rss.set_max(t["max_rss_kb"])
     return reg
 
 
@@ -550,20 +180,7 @@ def artifact_dict(run: ExperimentRun) -> Dict[str, Any]:
             "units_wall_s": round(sum(t["wall_s"] for t in run.unit_timings), 6),
             "units": run.unit_timings,
         },
-        "trace_stats": {
-            "units": len(run.unit_timings),
-            "units_cached": sum(1 for t in run.unit_timings if t["cached"]),
-            "units_failed": sum(
-                1 for t in run.unit_timings if t.get("status") == "failed"
-            ),
-            "units_timeout": sum(
-                1 for t in run.unit_timings if t.get("status") == "timeout"
-            ),
-            "mode": run.mode,
-            "workers": run.workers,
-            "cache": run.cache_stats,
-        },
-        "status": run.status,
+        "trace_stats": {"units": len(run.unit_timings)},
         **provenance(),
     }
 
@@ -635,14 +252,6 @@ def summary_dict(
                 "rows": run.rows,
                 "total_wall_s": run.wall_s,
                 "units": len(run.unit_timings),
-                "units_cached": sum(1 for t in run.unit_timings if t["cached"]),
-                "status": run.status,
-                "units_failed": sum(
-                    1 for t in run.unit_timings if t.get("status") == "failed"
-                ),
-                "units_timeout": sum(
-                    1 for t in run.unit_timings if t.get("status") == "timeout"
-                ),
             }
             for key, run in runs.items()
         },
@@ -699,11 +308,8 @@ def compare_summaries(
     within ``tolerance`` (absolute rounds; default 0 — the algorithms are
     deterministic, so any drift is a behavior change).  Non-round fields
     and extra experiments in the current summary are not regressions.
-
-    A current experiment whose ``status`` is not ``"ok"`` (failed or
-    timed-out units) is reported as **did not finish** — one problem line,
-    no row-by-row comparison — so an infrastructure casualty is never
-    mistaken for an algorithmic regression.
+    Only ``experiments[*].rows`` is read, so schema-1 and schema-2
+    summaries compare alike.
     """
     problems: List[str] = []
     base_experiments = baseline.get("experiments", {})
@@ -713,14 +319,6 @@ def compare_summaries(
         cur = cur_experiments.get(key)
         if cur is None:
             problems.append(f"{key}: missing from current results")
-            continue
-        if cur.get("status", "ok") != "ok":
-            failed = cur.get("units_failed", 0)
-            timed_out = cur.get("units_timeout", 0)
-            problems.append(
-                f"{key}: did not finish ({failed} failed, {timed_out} timed-out "
-                f"unit(s)) — not comparable, not a measured regression"
-            )
             continue
         base_rows, cur_rows = base.get("rows", []), cur.get("rows", [])
         if len(base_rows) != len(cur_rows):

@@ -4,17 +4,13 @@ Every instance an experiment runs on is produced here, by name, from a
 seeded generator — which is what makes the runner subsystem work:
 
 * the **unit plans** of :mod:`repro.analysis.registry` reference instances
-  as ``(family, n, seed)`` triples and rebuild them inside pool workers
+  as ``(family, n, seed)`` triples and each unit rebuilds its instance
   via :func:`scaled_instance` / :func:`suite_instance` /
   :func:`partitioned_instance`;
-* :func:`scaled_instance` memoizes the generated graph in the
-  content-addressed artifact cache (:mod:`repro.analysis.cache`), keyed by
-  the *realized* generator parameters (:func:`scaling_key`), so e.g. the
-  400-node grid built for E1 is the same on-disk artifact E5/E10/E12 load;
-* :func:`scaling_key` exposes those realized parameters without building
-  the graph, letting unit planning deduplicate sizes that collapse to the
-  same instance (the Apollonian family maps several requested ``n`` to one
-  ``levels`` value — E2 relies on this).
+* :func:`scaling_key` exposes the *realized* generator parameters without
+  building the graph, letting unit planning deduplicate sizes that
+  collapse to the same instance (the Apollonian family maps several
+  requested ``n`` to one ``levels`` value — E2 relies on this).
 
 Which experiment uses which builder: :func:`scaled_instance` serves the
 Õ(D) scaling experiments E1/E2/E5/E10/E12; :func:`suite_instance` serves
@@ -30,7 +26,6 @@ from typing import Callable, Dict, List, Tuple
 import networkx as nx
 
 from ..planar import generators as gen
-from . import cache
 
 __all__ = [
     "SEPARATOR_SUITE",
@@ -79,8 +74,7 @@ def suite_instance(name: str, seed: int = 0) -> nx.Graph:
 def scaling_key(family: str, n: int) -> Tuple:
     """The *realized* generator parameters for a requested size — computed
     without building the graph.  Two requested sizes with equal keys yield
-    the identical instance (unit planning dedups on this; the cache keys
-    graphs by it)."""
+    the identical instance (unit planning dedups on this)."""
     if family in ("grid", "tri-grid"):
         side = max(2, round(n**0.5))
         return (family, side)
@@ -113,13 +107,8 @@ def _build_scaled(family: str, n: int, seed: int) -> nx.Graph:
 
 
 def scaled_instance(family: str, n: int, seed: int = 0) -> Tuple[int, nx.Graph]:
-    """One scaling-series instance ``(realized_n, graph)``, memoized in
-    the artifact cache under ``("graph", scaling_key, seed)``."""
-    graph = cache.cached(
-        "graph",
-        [*scaling_key(family, n), seed],
-        lambda: _build_scaled(family, n, seed),
-    )
+    """One scaling-series instance ``(realized_n, graph)``."""
+    graph = _build_scaled(family, n, seed)
     return len(graph), graph
 
 

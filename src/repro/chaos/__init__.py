@@ -8,8 +8,7 @@ Three layers:
   :class:`~repro.congest.transport.ReliableTransport` and checked against
   the :mod:`repro.core.verify` oracles;
 * :mod:`.campaign` — sweeps a seeded fault-plan grid across scenarios
-  through the experiment runner (cacheable units, JSON artifacts,
-  ``repro_chaos_*`` metrics);
+  (JSON artifacts, ``repro_chaos_*`` metrics);
 * :mod:`.shrink` — reduces a failing fault plan to a minimal explicit
   reproducer (record fired faults, then ddmin) and emits it as a
   ready-to-paste regression test stanza;

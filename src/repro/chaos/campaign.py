@@ -1,13 +1,12 @@
-"""Chaos campaigns: seeded fault-plan grids swept through the runner.
+"""Chaos campaigns: seeded fault-plan grids.
 
 A campaign is a named grid — scenarios × fault seeds × (drop, duplicate,
 corrupt) rates — expanded into JSON-serializable *units*, each of which
 runs one scenario under one seeded :class:`~repro.congest.faults.FaultPlan`
-via :func:`repro.chaos.scenarios.run_scenario`.  Units execute through
-:func:`repro.analysis.runner.run_experiments` (registered as a synthetic
-experiment for the duration of the call), so they share the runner's
-retry/failure contract and the content-addressed unit cache — a re-run of
-an unchanged campaign is free.
+via :func:`repro.chaos.scenarios.run_scenario`.  :func:`run_campaign`
+runs the units in order in this process; a unit that raises (a harness
+bug, not a finding — scenarios report oracle violations as rows) stops
+the campaign with its traceback.
 
 The campaign summary records coverage, every violation with its
 deterministic fingerprint, and the worst observed round overhead of the
@@ -21,10 +20,10 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..analysis import registry, runner
 from ..congest.faults import FaultPlan
 from ..congest.transport import ReliableTransport
 from ..obs import MetricsRegistry
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 #: Campaign artifact schema (bump on breaking changes; see docs/CHAOS.md).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -185,49 +184,18 @@ def run_campaign_unit(unit: Dict[str, Any]) -> Dict[str, Any]:
     )
 
 
-def _campaign_spec(config: CampaignConfig) -> registry.ExperimentSpec:
-    units = campaign_units(config)
-    return registry.ExperimentSpec(
-        key=f"chaos-{config.name}",
-        claim="robustness (self-healing transport under seeded faults)",
-        title=f"Chaos campaign {config.name!r}",
-        fn=lambda: [],
-        units_fn=lambda: units,
-        run_unit_fn=run_campaign_unit,
-        # One outcome dict per unit (the default combiner flattens lists).
-        combine_fn=lambda payloads: [p for p in payloads if p is not None],
-    )
-
-
-def run_campaign(
-    config: CampaignConfig,
-    *,
-    cache=None,
-    retries: int = 1,
-) -> Dict[str, Any]:
-    """Run every unit through the experiment runner and summarize.
-
-    Units run serially in this process (the synthetic registration is not
-    visible to pool workers) but still go through the runner's unit cache
-    and retry/failure accounting, so a crash-prone unit degrades to a
-    recorded failure instead of killing the sweep.
-    """
-    spec = _campaign_spec(config)
-    registry.register_spec(spec)
-    try:
-        runs = runner.run_experiments(
-            [spec.key], parallel=0, cache=cache, retries=retries
-        )
-    finally:
-        registry.unregister(spec.key)
-    return summarize_campaign(config, runs[spec.key])
+def run_campaign(config: CampaignConfig) -> Dict[str, Any]:
+    """Run every unit in order and summarize."""
+    started = time.perf_counter()
+    rows = [run_campaign_unit(unit) for unit in campaign_units(config)]
+    return summarize_campaign(config, rows, time.perf_counter() - started)
 
 
 def summarize_campaign(
-    config: CampaignConfig, run: "runner.ExperimentRun"
+    config: CampaignConfig, rows: List[Dict[str, Any]], wall_s: float
 ) -> Dict[str, Any]:
-    """The campaign artifact: coverage, violations, worst overhead."""
-    rows = [row for row in run.rows if row is not None]
+    """The campaign artifact (one outcome row per unit): coverage,
+    violations, worst overhead."""
     violations = [row for row in rows if not row.get("ok")]
     by_scenario: Dict[str, Dict[str, int]] = {}
     for row in rows:
@@ -258,11 +226,8 @@ def summarize_campaign(
         "schema_version": SCHEMA_VERSION,
         "campaign": config.name,
         "config": config.describe(),
-        "status": run.status,
-        "wall_s": run.wall_s,
-        "units": len(run.unit_timings),
-        "units_cached": sum(1 for t in run.unit_timings if t.get("cached")),
-        "units_failed": len(run.failed_units()),
+        "wall_s": round(wall_s, 6),
+        "units": len(rows),
         "coverage": {
             "rows": len(rows),
             "violations": len(violations),

@@ -1,4 +1,4 @@
-"""Churn campaigns: seeded topology churn swept through the runner.
+"""Churn campaigns: seeded topology churn.
 
 The message-level campaigns (:mod:`repro.chaos.campaign`) perturb the
 *transport*; a churn campaign perturbs the *graph*.  Each unit derives a
@@ -15,9 +15,8 @@ and cross-checks the result two ways:
   must agree on :meth:`~repro.dynamic.repair.DynamicPipeline.
   state_fingerprint`, or the unit records a divergence violation.
 
-Units run through the experiment runner exactly like message-level
-campaign units (synthetic spec, unit cache, retry accounting) and the
-summary/artifact/metrics plumbing is shared:
+Units run in order in this process, exactly like message-level campaign
+units, and the summary/artifact/metrics plumbing is shared:
 :func:`~repro.chaos.campaign.summarize_campaign` and
 :func:`~repro.chaos.campaign.write_campaign` work unchanged because
 churn rows speak the same row dialect (``scenario`` carries the graph
@@ -33,12 +32,12 @@ regression.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from ..analysis import registry, runner
 from ..congest.faults import FaultPlan
 from ..dynamic.mutations import Update, flap_updates
 from ..dynamic.repair import KNOWN_REPAIR_BUGS, DynamicPipeline, UnsoundRepairError
@@ -256,40 +255,16 @@ def run_churn_unit(unit: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _churn_spec(config: ChurnCampaignConfig) -> registry.ExperimentSpec:
-    units = churn_campaign_units(config)
-    return registry.ExperimentSpec(
-        key=f"chaos-{config.name}",
-        claim="robustness (incremental repair under seeded churn)",
-        title=f"Churn campaign {config.name!r}",
-        fn=lambda: [],
-        units_fn=lambda: units,
-        run_unit_fn=run_churn_unit,
-        combine_fn=lambda payloads: [p for p in payloads if p is not None],
-    )
-
-
-def run_churn_campaign(
-    config: ChurnCampaignConfig,
-    *,
-    cache=None,
-    retries: int = 1,
-) -> Dict[str, Any]:
-    """Run every churn unit through the runner and summarize.
+def run_churn_campaign(config: ChurnCampaignConfig) -> Dict[str, Any]:
+    """Run every churn unit in order and summarize.
 
     Returns the shared campaign artifact shape
     (:func:`repro.chaos.campaign.summarize_campaign`), so
     ``write_campaign`` / ``campaign_metrics`` apply verbatim.
     """
-    spec = _churn_spec(config)
-    registry.register_spec(spec)
-    try:
-        runs = runner.run_experiments(
-            [spec.key], parallel=0, cache=cache, retries=retries
-        )
-    finally:
-        registry.unregister(spec.key)
-    return summarize_campaign(config, runs[spec.key])
+    started = time.perf_counter()
+    rows = [run_churn_unit(unit) for unit in churn_campaign_units(config)]
+    return summarize_campaign(config, rows, time.perf_counter() - started)
 
 
 # ----------------------------------------------------------------------

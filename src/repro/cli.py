@@ -8,14 +8,14 @@ Six commands, mirroring the library's public entry points:
   comparison;
 * ``hierarchy`` — the recursive separator decomposition;
 * ``experiment`` — run any of the DESIGN.md §4 experiments (``e1`` …
-  ``e14``, or ``all``) through the unified runner
-  (:mod:`repro.analysis.runner`): parallel unit fan-out (``--parallel N``),
-  on-disk instance/unit caching (``--no-cache`` to bypass), JSON artifacts
-  (``benchmarks/results/e*.json`` + ``BENCH_SUMMARY.json``; ``--json-only``
-  to skip tables), the quick CI grid (``--grid small``), the regression
-  gate (``--compare BASELINE.json``, non-zero exit on round-count drift)
-  and EXPERIMENTS.md regeneration (``all --write``).  The full contract is
-  documented in ``docs/BENCHMARKS.md``;
+  ``e15``, or ``all``) through the unified runner
+  (:mod:`repro.analysis.runner`, serial; a unit that raises stops the run
+  with a non-zero exit), JSON artifacts (``benchmarks/results/e*.json`` +
+  ``BENCH_SUMMARY.json``; ``--json-only`` to skip tables), the quick CI
+  grid (``--grid small``), the regression gate (``--compare
+  BASELINE.json``, non-zero exit on round-count drift) and EXPERIMENTS.md
+  regeneration (``all --write``).  The full contract is documented in
+  ``docs/BENCHMARKS.md``;
 * ``trace`` — the observability toolbox (``docs/OBSERVABILITY.md``):
   ``record`` runs a traced E2-style workload and writes a span-annotated
   JSONL dump (plus an optional Prometheus ``--metrics`` exposition);
@@ -133,7 +133,6 @@ def _cmd_hierarchy(args) -> int:
 
 def _cmd_experiment(args) -> int:
     from .analysis import registry, runner
-    from .analysis.cache import InstanceCache
 
     name = args.id.lower()
     known = registry.all_keys()
@@ -151,28 +150,7 @@ def _cmd_experiment(args) -> int:
         elif args.json_only:
             raise SystemExit("--json-only needs benchmarks/ in the cwd or --results-dir")
 
-    cache = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir
-        if cache_dir is None and pathlib.Path("benchmarks").is_dir():
-            cache_dir = "benchmarks/.cache"
-        if cache_dir is not None:
-            cache = InstanceCache(cache_dir)
-
-    runs = runner.run_experiments(
-        keys,
-        parallel=args.parallel,
-        grid=args.grid,
-        cache=cache,
-        unit_timeout=args.unit_timeout,
-        retries=args.retries,
-    )
-    partial = sorted(key for key, run in runs.items() if run.status != "ok")
-    if partial:
-        print(
-            f"WARNING: {len(partial)} experiment(s) did not finish cleanly "
-            f"({', '.join(partial)}); artifacts are annotated as partial"
-        )
+    runs = runner.run_experiments(keys, grid=args.grid)
 
     if not args.json_only:
         for key in keys:
@@ -297,24 +275,12 @@ def _cmd_trace_serve(args) -> int:
     return 0
 
 
-def _campaign_cache(args):
-    from .analysis.cache import InstanceCache
-
-    if args.no_cache:
-        return None
-    cache_dir = args.cache_dir
-    if cache_dir is None and pathlib.Path("benchmarks").is_dir():
-        cache_dir = "benchmarks/.cache"
-    return InstanceCache(cache_dir) if cache_dir is not None else None
-
-
 def _render_campaign(summary) -> str:
     cov = summary["coverage"]
     lines = [
         f"campaign {summary['campaign']!r}: {cov['rows']} row(s), "
         f"{cov['violations']} violation(s), "
-        f"{summary['units_cached']}/{summary['units']} cached, "
-        f"{summary['units_failed']} unit failure(s), "
+        f"{summary['units']} unit(s), "
         f"wall {summary['wall_s']:.1f}s",
     ]
     if summary.get("worst_overhead"):
@@ -343,6 +309,25 @@ def _render_campaign(summary) -> str:
     return "\n".join(lines)
 
 
+def _finish_campaign(summary, args) -> int:
+    """Print and write a campaign summary; the ``--fail-on-violation``
+    exit code."""
+    from .chaos.campaign import write_campaign
+
+    print(_render_campaign(summary))
+    results_dir = args.results_dir
+    if results_dir is None and pathlib.Path("benchmarks").is_dir():
+        results_dir = "benchmarks/results"
+    if results_dir is not None:
+        written = write_campaign(summary, results_dir)
+        print(f"wrote {len(written)} artifact(s) under {results_dir}")
+    bad = summary["coverage"]["violations"]
+    if args.fail_on_violation and bad:
+        print(f"FAIL: {bad} violation(s)", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_chaos_run(args) -> int:
     import dataclasses
 
@@ -358,21 +343,7 @@ def _cmd_chaos_run(args) -> int:
         config = dataclasses.replace(
             config, transport_retries=args.transport_retries
         )
-    summary = chaos.run_campaign(
-        config, cache=_campaign_cache(args), retries=args.retries
-    )
-    print(_render_campaign(summary))
-    results_dir = args.results_dir
-    if results_dir is None and pathlib.Path("benchmarks").is_dir():
-        results_dir = "benchmarks/results"
-    if results_dir is not None:
-        written = chaos.write_campaign(summary, results_dir)
-        print(f"wrote {len(written)} artifact(s) under {results_dir}")
-    bad = summary["coverage"]["violations"] + summary["units_failed"]
-    if args.fail_on_violation and bad:
-        print(f"FAIL: {bad} violation(s)/unit failure(s)", file=sys.stderr)
-        return 1
-    return 0
+    return _finish_campaign(chaos.run_campaign(config), args)
 
 
 def _cmd_chaos_churn(args) -> int:
@@ -384,23 +355,7 @@ def _cmd_chaos_churn(args) -> int:
             f"unknown churn campaign {args.campaign!r}; "
             f"choose from {sorted(churn.CHURN_CAMPAIGNS)}"
         )
-    summary = churn.run_churn_campaign(
-        config, cache=_campaign_cache(args), retries=args.retries
-    )
-    print(_render_campaign(summary))
-    results_dir = args.results_dir
-    if results_dir is None and pathlib.Path("benchmarks").is_dir():
-        results_dir = "benchmarks/results"
-    if results_dir is not None:
-        from .chaos.campaign import write_campaign
-
-        written = write_campaign(summary, results_dir)
-        print(f"wrote {len(written)} artifact(s) under {results_dir}")
-    bad = summary["coverage"]["violations"] + summary["units_failed"]
-    if args.fail_on_violation and bad:
-        print(f"FAIL: {bad} violation(s)/unit failure(s)", file=sys.stderr)
-        return 1
-    return 0
+    return _finish_campaign(churn.run_churn_campaign(config), args)
 
 
 def _cmd_chaos_shrink_churn(args) -> int:
@@ -681,26 +636,12 @@ def main(argv=None) -> int:
         "experiment",
         help="run experiments through the runner (tables + JSON artifacts)",
         description="Run DESIGN.md §4 experiments via repro.analysis.runner. "
-        "See docs/BENCHMARKS.md for the artifact schema, cache semantics and "
-        "the --compare regression contract.",
+        "See docs/BENCHMARKS.md for the artifact schema and the --compare "
+        "regression contract.",
     )
-    p_e.add_argument("id", help="e1 .. e14, or 'all'")
-    p_e.add_argument("--parallel", type=int, default=0, metavar="N",
-                     help="fan units out over N worker processes (0/1 = serial)")
+    p_e.add_argument("id", help="e1 .. e15, or 'all'")
     p_e.add_argument("--grid", choices=["default", "small"], default="default",
                      help="parameter grid; 'small' is the quick CI grid")
-    p_e.add_argument("--no-cache", action="store_true",
-                     help="bypass the on-disk instance/unit cache")
-    p_e.add_argument("--cache-dir", default=None, metavar="DIR",
-                     help="cache location (default benchmarks/.cache when present)")
-    p_e.add_argument("--unit-timeout", type=float, default=None, metavar="SECONDS",
-                     dest="unit_timeout",
-                     help="wall-clock budget per unit; overruns are recorded "
-                     "as 'timeout' instead of hanging the run (forces pool "
-                     "mode)")
-    p_e.add_argument("--retries", type=int, default=1, metavar="N",
-                     help="extra attempts for a unit that raises or whose "
-                     "worker dies (default 1)")
     p_e.add_argument("--json-only", action="store_true",
                      help="write only JSON artifacts; no tables on stdout or disk")
     p_e.add_argument("--results-dir", default=None, metavar="DIR",
@@ -799,12 +740,6 @@ def main(argv=None) -> int:
     c_run.add_argument("--results-dir", default=None, metavar="DIR",
                        help="artifact destination (default benchmarks/results "
                        "when present)")
-    c_run.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk unit cache")
-    c_run.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache location (default benchmarks/.cache when present)")
-    c_run.add_argument("--retries", type=int, default=1, metavar="N",
-                       help="runner retries for a unit that raises (default 1)")
     c_run.add_argument("--transport-retries", type=int, default=None,
                        dest="transport_retries", metavar="N",
                        help="override the transport retransmission budget "
@@ -812,8 +747,8 @@ def main(argv=None) -> int:
                        "push the bounded-retry envelope)")
     c_run.add_argument("--fail-on-violation", action="store_true",
                        dest="fail_on_violation",
-                       help="non-zero exit on any oracle violation or unit "
-                       "failure (the CI gate)")
+                       help="non-zero exit on any oracle violation (the CI "
+                       "gate; a unit that raises always exits non-zero)")
     c_run.set_defaults(func=_cmd_chaos_run)
 
     c_chn = c_sub.add_parser(
@@ -830,16 +765,10 @@ def main(argv=None) -> int:
     c_chn.add_argument("--results-dir", default=None, metavar="DIR",
                        help="artifact destination (default benchmarks/results "
                        "when present)")
-    c_chn.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk unit cache")
-    c_chn.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache location (default benchmarks/.cache when present)")
-    c_chn.add_argument("--retries", type=int, default=1, metavar="N",
-                       help="runner retries for a unit that raises (default 1)")
     c_chn.add_argument("--fail-on-violation", action="store_true",
                        dest="fail_on_violation",
-                       help="non-zero exit on any oracle violation or unit "
-                       "failure (the CI gate)")
+                       help="non-zero exit on any oracle violation (the CI "
+                       "gate; a unit that raises always exits non-zero)")
     c_chn.set_defaults(func=_cmd_chaos_churn)
 
     c_shc = c_sub.add_parser(

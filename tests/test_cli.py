@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +57,7 @@ class TestInProcess:
 class TestChaosCommands:
     def test_run_writes_artifacts_and_gates(self, capsys, tmp_path):
         code = main([
-            "chaos", "run", "--campaign", "smoke", "--no-cache",
+            "chaos", "run", "--campaign", "smoke",
             "--results-dir", str(tmp_path), "--fail-on-violation",
         ])
         out = capsys.readouterr().out
@@ -66,7 +68,7 @@ class TestChaosCommands:
 
     def test_report_round_trips(self, capsys, tmp_path):
         assert main([
-            "chaos", "run", "--campaign", "smoke", "--no-cache",
+            "chaos", "run", "--campaign", "smoke",
             "--results-dir", str(tmp_path),
         ]) == 0
         capsys.readouterr()
@@ -104,6 +106,34 @@ class TestChaosCommands:
         # dispatcher to choose: the flag is a usage error.
         with pytest.raises(SystemExit) as exc:
             main(["chaos", "run", "--scheduler", "active"])
+        assert exc.value.code == 2
+
+    def test_report_reads_schema_1_artifacts(self, capsys):
+        # Committed campaign artifacts predate schema 2 (which dropped
+        # status/units_cached/units_failed); the report still renders them.
+        path = Path(__file__).resolve().parents[1] / "benchmarks/results/chaos_smoke.json"
+        assert json.loads(path.read_text())["schema_version"] == 1
+        assert main(["chaos", "report", str(path)]) == 0
+        assert "campaign 'smoke'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "e13", "--parallel", "2"],
+        ["experiment", "e13", "--unit-timeout", "5"],
+        ["experiment", "e13", "--retries", "1"],
+        ["experiment", "e13", "--no-cache"],
+        ["experiment", "e13", "--cache-dir", "x"],
+        ["chaos", "run", "--retries", "1"],
+        ["chaos", "run", "--no-cache"],
+        ["chaos", "run", "--cache-dir", "x"],
+        ["chaos", "churn", "--retries", "1"],
+        ["chaos", "churn", "--no-cache"],
+        ["chaos", "churn", "--cache-dir", "x"],
+    ])
+    def test_runner_offers_no_pool_retry_or_cache_flags(self, argv):
+        # The runner is serial, fail-fast and uncached: these are usage
+        # errors, not inert knobs.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
 

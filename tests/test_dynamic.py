@@ -225,7 +225,6 @@ class TestEdgeFlapFaultPlan:
         assert not plan.link_is_down(0, 1, 1)
         assert plan.link_is_down(0, 1, 2)
         assert plan.link_is_down(1, 0, 2)
-        assert not plan.is_empty
         described = plan.describe()
         assert described["counts"]["edge_flaps"] == 1
 

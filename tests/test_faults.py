@@ -118,12 +118,17 @@ class TestFaultPlanSemantics:
             LinkDown(0, 1, 0, 4)  # rounds start at 1
 
     def test_is_empty(self):
-        assert FaultPlan().is_empty
-        assert FaultPlan(seed=99).is_empty  # a seed alone injects nothing
-        assert not FaultPlan(drop_rate=0.1).is_empty
-        assert not FaultPlan(drops=[(0, 1, 1)]).is_empty
-        assert not FaultPlan(crashes=[(0, 1)]).is_empty
-        assert not FaultPlan(link_downs=[(0, 1, 1, 1)]).is_empty
+        # An empty plan describes itself with zero counts; a seed alone
+        # injects nothing, and each explicit fault kind is counted.
+        assert set(FaultPlan().describe()["counts"].values()) == {0}
+        assert FaultPlan(seed=99).describe() == {**FaultPlan().describe(), "seed": 99}
+        for kwargs, kind in (
+            ({"drops": [(0, 1, 1)]}, "drops"),
+            ({"crashes": [(0, 1)]}, "crashes"),
+            ({"link_downs": [(0, 1, 1, 1)]}, "link_downs"),
+        ):
+            counts = FaultPlan(**kwargs).describe()["counts"]
+            assert counts == {**FaultPlan().describe()["counts"], kind: 1}
 
     def test_describe_is_jsonable(self):
         plan = FaultPlan(

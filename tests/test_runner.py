@@ -1,10 +1,12 @@
 """Tests for the experiment-runner subsystem (the benchmark contract).
 
-Covers the registry (all 14 experiments discoverable with claim refs),
-the content-addressed cache (hit/miss/invalidation on code-version bump),
-parallel-vs-serial determinism (bit-identical rows on E1 and E9), the
-JSON artifact schema and provenance stamps, and the ``--compare``
-regression gate — i.e. the guarantees written down in docs/BENCHMARKS.md.
+Covers the registry (all 15 experiments discoverable with claim refs),
+the content-addressed cache the serve engine uses (hit/miss/invalidation
+on code-version bump), the runner's rows and fail-fast contract (a unit
+that raises stops ``run_experiments``, ``repro experiment`` and ``repro
+chaos run``), the JSON artifact schema and provenance stamps, and the
+``--compare`` regression gate — i.e. the guarantees written down in
+docs/BENCHMARKS.md.
 """
 
 from __future__ import annotations
@@ -62,6 +64,14 @@ class TestRegistry:
         units = registry.plan_units(spec, registry.resolve_params(spec, None, "default"))
         assert units == json.loads(json.dumps(units))
 
+    def test_duplicate_registration_rejected(self):
+        decorate = registry.experiment(
+            "e13", claim="dup", title="dup", units=lambda: [], run_unit=lambda u: []
+        )
+        with pytest.raises(ValueError, match="registered twice"):
+            decorate(lambda: [])
+        assert registry.get("e13").claim != "dup"
+
 
 # -- cache ------------------------------------------------------------------
 
@@ -76,18 +86,6 @@ class TestInstanceCache:
         hit, value = cache.get("diameter", key)
         assert hit and value == 18
         assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
-
-    def test_get_or_compute_computes_once(self, tmp_path):
-        cache = cache_mod.InstanceCache(tmp_path)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"rows": [1, 2]}
-
-        assert cache.get_or_compute("unit", ["e1", 0], compute) == {"rows": [1, 2]}
-        assert cache.get_or_compute("unit", ["e1", 0], compute) == {"rows": [1, 2]}
-        assert len(calls) == 1
 
     def test_code_version_bump_invalidates(self, tmp_path):
         old = cache_mod.InstanceCache(tmp_path, version="aaaa")
@@ -125,9 +123,8 @@ class TestInstanceCache:
         assert hit and value == [7]
 
     def test_fault_and_transport_sources_are_fingerprinted(self):
-        # Campaign units are cached by content address: an edit to the
-        # simulator, the fault machinery, the transport, or the chaos
-        # harness itself must invalidate them.
+        # The fingerprint covers the simulator, the fault machinery, the
+        # transport and the chaos harness, not only the algorithm.
         for rel in (
             "congest/network.py",
             "congest/faults.py",
@@ -139,9 +136,10 @@ class TestInstanceCache:
             assert rel in cache_mod._FINGERPRINTED_SOURCES
 
     def test_every_loaded_source_is_fingerprinted(self):
-        # Unit results hold separators and DFS trees, so an edit anywhere
-        # on the algorithm's path (core/, the LR port, centroids, ...)
-        # must invalidate them, not only edits to a hand-picked list.
+        # Cached serve results hold separators and DFS trees, so an edit
+        # anywhere on the algorithm's path (core/, the LR port,
+        # centroids, ...) must invalidate them, not only edits to a
+        # hand-picked list.
         from repro.core.config import PlanarConfiguration
         from repro.core.dfs import dfs_tree
         from repro.core.separator import cycle_separator
@@ -164,10 +162,6 @@ class TestInstanceCache:
         cache.put("diameter", ["grid", 100, 0], 18)
         hit, _ = cache.get("diameter", ["grid", 100, 0])
         assert not hit
-
-    def test_env_override_pins_version(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cache_mod.CODE_VERSION_ENV, "pinned00")
-        assert cache_mod.InstanceCache(tmp_path).version == "pinned00"
 
 
 # -- experiments ------------------------------------------------------------
@@ -212,29 +206,61 @@ class TestRunner:
 
         assert e13_run.rows == experiments.e13_charge_honesty()
 
-    def test_warm_rerun_is_fully_cached(self, tmp_path, e13_run):
-        cache = cache_mod.InstanceCache(tmp_path / "cache")
-        cold = runner.run_experiments(["e13"], cache=cache)["e13"]
-        warm = runner.run_experiments(
-            ["e13"], cache=cache_mod.InstanceCache(tmp_path / "cache")
-        )["e13"]
-        assert warm.rows == cold.rows == e13_run.rows
-        assert all(t["cached"] for t in warm.unit_timings)
-        assert not any(t["cached"] for t in cold.unit_timings)
-
-    def test_parallel_rows_bit_identical_on_e1_and_e9(self):
-        serial = runner.run_experiments(["e1", "e9"], grid="small")
-        fanned = runner.run_experiments(["e1", "e9"], grid="small", parallel=2)
-        assert fanned["e1"].rows == serial["e1"].rows
-        assert fanned["e9"].rows == serial["e9"].rows
-        assert fanned["e1"].mode == "parallel" and serial["e1"].mode == "serial"
-
     def test_unit_timings_cover_every_unit(self, e13_run):
-        assert e13_run.unit_timings
+        spec = registry.get("e13")
+        units = registry.plan_units(spec, registry.resolve_params(spec, None, "default"))
+        assert [t["unit"] for t in e13_run.unit_timings] == units
         for timing in e13_run.unit_timings:
+            assert set(timing) == {"unit", "wall_s", "max_rss_kb"}
             assert timing["wall_s"] >= 0.0
             assert timing["max_rss_kb"] > 0
-            assert timing["cached"] is False
+
+
+# -- fail-fast --------------------------------------------------------------
+
+
+class _UnitBroke(RuntimeError):
+    pass
+
+
+def _broken_unit(unit):
+    raise _UnitBroke(f"unit {unit} is broken")
+
+
+class TestFailFast:
+    """The algorithms are deterministic, so a unit that raises would raise
+    again: the exception propagates and no artifact is written."""
+
+    def test_run_experiments_raises_the_unit_error(self, monkeypatch):
+        monkeypatch.setattr(registry.get("e13"), "run_unit_fn", _broken_unit)
+        with pytest.raises(_UnitBroke):
+            runner.run_experiments(["e13"])
+
+    def test_experiment_command_fails(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(registry.get("e13"), "run_unit_fn", _broken_unit)
+        results = tmp_path / "results"
+        summary_path = tmp_path / "BENCH_SUMMARY.json"
+        # An exception out of main() exits ``python -m repro`` with status 1.
+        with pytest.raises(_UnitBroke):
+            main([
+                "experiment", "e13", "--json-only",
+                "--results-dir", str(results), "--summary", str(summary_path),
+            ])
+        assert not results.exists() and not summary_path.exists()
+
+    def test_chaos_run_fails(self, monkeypatch, tmp_path):
+        from repro.chaos import campaign
+
+        def broken_scenario(name, **kwargs):
+            raise _UnitBroke(f"scenario {name} is broken")
+
+        monkeypatch.setattr(campaign, "run_scenario", broken_scenario)
+        with pytest.raises(_UnitBroke):
+            main([
+                "chaos", "run", "--campaign", "smoke",
+                "--results-dir", str(tmp_path), "--fail-on-violation",
+            ])
+        assert not (tmp_path / "chaos_smoke.json").exists()
 
 
 # -- artifacts and provenance ----------------------------------------------
@@ -260,6 +286,7 @@ class TestArtifacts:
         assert artifact["experiment"] == "e13"
         assert artifact["claim_ref"]
         assert artifact["timings"]["units"]
+        assert artifact["trace_stats"] == {"units": len(e13_run.unit_timings)}
         json.dumps(artifact)  # must be pure JSON
 
     def test_write_artifacts_and_tables(self, tmp_path, e13_run):
@@ -273,7 +300,8 @@ class TestArtifacts:
         assert "# git-sha:" in text and "# generated-at:" in text
         prom = (tmp_path / "metrics.prom").read_text()
         assert "# TYPE repro_units_total counter" in prom
-        assert 'repro_units_total{experiment="e13",status="ok"}' in prom
+        assert 'repro_units_total{experiment="e13"} 6' in prom
+        assert "repro_units_cached_total" not in prom
 
     def test_json_only_skips_tables(self, tmp_path, e13_run):
         written = runner.write_artifacts({"e13": e13_run}, tmp_path, json_only=True)
@@ -301,6 +329,17 @@ class TestCompare:
     def test_self_compare_is_clean(self, e13_run):
         summary = runner.summary_dict({"e13": e13_run})
         assert runner.compare_summaries(summary, summary) == []
+
+    def test_committed_schema_1_baseline_still_gates(self):
+        # The committed baseline predates schema 2; the gate reads only
+        # its rows, so a schema-2 run compares against it unchanged.
+        path = Path(__file__).resolve().parents[1] / "benchmarks/baselines/small.json"
+        baseline = runner.load_summary(path)
+        assert baseline["schema_version"] == 1
+        baseline["experiments"] = {"e13": baseline["experiments"]["e13"]}
+        current = runner.summary_dict(runner.run_experiments(["e13"], grid="small"))
+        assert current["schema_version"] == runner.SCHEMA_VERSION == 2
+        assert runner.compare_summaries(current, baseline) == []
 
     def test_injected_round_change_is_flagged(self, e13_run):
         current = runner.summary_dict({"e13": e13_run})
@@ -352,8 +391,6 @@ class TestExperimentCli:
             str(results),
             "--summary",
             str(summary_path),
-            "--cache-dir",
-            str(tmp_path / "cache"),
         ]
         assert main(args) == 0
         assert (results / "e13.json").exists()

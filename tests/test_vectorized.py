@@ -13,8 +13,8 @@ parity, the wake-aware quiet and deadlock rules, a transport flood that
 must not strand mid-recovery, the budget error's context, metrics
 parity, the cache-fingerprint completeness guard, and that only
 ``Network.run`` takes ``scheduler=`` while numpy stays out of a scalar
-interpreter.  The file and class names keep the test ids they had when
-a third, columnar dispatcher existed.
+interpreter.  The file keeps the name it had when a third, columnar
+dispatcher existed, so the ids of the tests that survived it stay stable.
 """
 
 import ast
@@ -83,14 +83,6 @@ def _min_flood_program(values):
         return ctx.state["best"]
 
     return init, on_round, finalize
-
-
-class TestFastPathEngagement:
-    def test_unknown_scheduler_still_rejected(self):
-        g = nx.path_graph(3)
-        for name in ("simd", "vectorized"):
-            with pytest.raises(ValueError, match="unknown scheduler"):
-                Network(g).run(lambda c: None, lambda c, i: None, 5, scheduler=name)
 
 
 class TestPrimitiveParity:
@@ -217,7 +209,7 @@ class TestQuietSemantics:
         assert not dense_trace.warnings
 
 
-class TestFallbackUnderIrregularity:
+class TestTransportFlood:
     def test_flood_mid_recovery_not_stranded(self):
         # A flood under ReliableTransport with injected drops: the
         # retransmit timers keep firing through silent rounds, so the run
@@ -308,10 +300,9 @@ class TestCacheFingerprintCompleteness:
             f"cache._FINGERPRINTED_SOURCES: {missing}"
         )
 
-    def test_fingerprint_changes_when_vectorized_source_changes(self, tmp_path, monkeypatch):
+    def test_fingerprint_tracks_source_edits(self, tmp_path, monkeypatch):
         # The version is content-addressed over the enumerated sources:
         # stable without edits, different after an edit to the scheduler.
-        monkeypatch.delenv(analysis_cache.CODE_VERSION_ENV, raising=False)
         source = tmp_path / "congest" / "network.py"
         source.parent.mkdir()
         source.write_text("SCHEDULERS = ('active', 'dense')\n")
@@ -342,7 +333,13 @@ class TestDispatchChoice:
                         found.add((path.relative_to(src).as_posix(), node.name))
         assert found == {("congest/network.py", "run")}
 
-    def test_numpy_stays_unloaded_until_a_vectorized_run(self):
+    def test_unknown_scheduler_rejected(self):
+        g = nx.path_graph(3)
+        for name in ("simd", "vectorized"):
+            with pytest.raises(ValueError, match="unknown scheduler"):
+                Network(g).run(lambda c: None, lambda c, i: None, 5, scheduler=name)
+
+    def test_numpy_stays_unloaded_by_the_simulator(self):
         script = (
             "import sys\n"
             "import repro.core, repro.dynamic, repro.serve, repro.chaos\n"
