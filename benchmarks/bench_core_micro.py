@@ -171,7 +171,7 @@ def _slot_pair_certificate(graph, rotation, tree, path):
         return "real-edge"
     if next(planar_slot_pairs(cfg, a, b), None) is not None:
         return "virtual-edge"
-    return "root-slit" if tree.root in (a, b) else "none"
+    return "none"
 
 
 def oracle_speedup_rows():
@@ -186,7 +186,7 @@ def oracle_speedup_rows():
     for workload, graphs in ORACLE_WORKLOADS:
         states = _churn_states(graphs())
         calls = ORACLE_PASSES * len(states)
-        certificates = sorted({certify_cycle(g, rot, tree.root, path)
+        certificates = sorted({certify_cycle(g, rot, path)
                                for g, rot, tree, path in states})
         ab = (
             ("G - S report", [
@@ -202,7 +202,7 @@ def oracle_speedup_rows():
                  lambda: [_slot_pair_certificate(g, rot, tree, path)
                           for _ in range(ORACLE_PASSES) for g, rot, tree, path in states]),
                 ("certify_cycle (live rotation)",
-                 lambda: [certify_cycle(g, rot, tree.root, path)
+                 lambda: [certify_cycle(g, rot, path)
                           for _ in range(ORACLE_PASSES) for g, rot, tree, path in states]),
             ]),
         )

@@ -1,4 +1,4 @@
-"""Experiment runners E1–E14 (DESIGN.md §4), registered with the runner.
+"""Experiment runners E1–E15 (DESIGN.md §4), registered with the runner.
 
 Each public function ``e<N>_*`` regenerates one table of the reproduction
 and is registered via the :func:`repro.analysis.registry.experiment`

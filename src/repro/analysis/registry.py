@@ -1,6 +1,6 @@
 """The experiment registry: discovery layer of the runner subsystem.
 
-Every DESIGN.md §4 experiment (E1–E14) registers itself with the
+Every DESIGN.md §4 experiment (E1–E15) registers itself with the
 :func:`experiment` decorator over its public function in
 :mod:`repro.analysis.experiments`.  A registration declares
 

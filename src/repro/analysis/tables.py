@@ -1,6 +1,6 @@
 """Plain-text table rendering shared by the experiment harness.
 
-Every E1–E14 table (DESIGN.md §4) is rendered through
+Every E1–E15 table (DESIGN.md §4) is rendered through
 :func:`render_table`: the CLI prints it, the runner's
 :func:`repro.analysis.runner.write_table` persists it under
 ``benchmarks/results/`` with a provenance header, and

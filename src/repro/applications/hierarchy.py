@@ -72,12 +72,9 @@ class SeparatorHierarchy:
         self.root_region = root_region
         self.graph = graph
         self._level_of: Dict[Node, int] = {}
-        self._region_of: Dict[Node, Region] = {}
         for region in self.regions():
             for v in region.separator:
-                if v not in self._level_of:
-                    self._level_of[v] = region.level
-                    self._region_of[v] = region
+                self._level_of.setdefault(v, region.level)
 
     def regions(self) -> Iterator[Region]:
         """All regions, preorder."""
@@ -91,14 +88,6 @@ class SeparatorHierarchy:
     def depth(self) -> int:
         """Deepest recursion level (O(log n) by the 2/3 balance)."""
         return max(r.level for r in self.regions())
-
-    def level_of(self, v: Node) -> int:
-        """The level at which node ``v`` was separated out."""
-        return self._level_of[v]
-
-    def separator_region(self, v: Node) -> Region:
-        """The region whose separator removed ``v``."""
-        return self._region_of[v]
 
     def elimination_order(self) -> List[Node]:
         """Nested-dissection order: leaf separators first, the top

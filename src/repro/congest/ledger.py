@@ -115,7 +115,6 @@ class RoundLedger:
         self.total_rounds = 0
         self.by_subroutine: Dict[str, int] = {}
         self.invocations: Dict[str, int] = {}
-        self.measured_messages: Dict[str, int] = {}
         self._branch_totals: List[int] = []
         self._in_parallel = False
 
@@ -142,18 +141,6 @@ class RoundLedger:
             self._branch_totals[-1] += rounds
         else:
             self.total_rounds += rounds
-
-    def charge_run(self, label: str, result) -> None:
-        """Charge a measured message-level run (a ``RunResult``).
-
-        Books ``result.rounds`` under ``label`` like :meth:`charge_rounds`
-        and additionally records the run's message volume, so a ledger that
-        mixes charged and measured phases can report both dimensions.
-        """
-        self.charge_rounds(label, result.rounds)
-        self.measured_messages[label] = (
-            self.measured_messages.get(label, 0) + result.messages_sent
-        )
 
     # ------------------------------------------------------------------
     def begin_parallel(self) -> None:

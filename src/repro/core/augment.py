@@ -24,8 +24,10 @@ rotation is re-anchored at the new edge — in where the root's row starts,
 which moves whole root subtrees in the DFS orders.  The tree, depths and
 subtree sizes stay.  Definition 2 is read at the endpoints (Lemma 12) and
 exact (Lemmas 3/4), so the new face's interior size follows from those two
-rows without building anything (:func:`insertion_interiors`);
-:func:`balanced_insertion` certifies balance that way.
+rows without building anything (:func:`chord_interiors` at one slot pair,
+:func:`insertion_interiors` at all of them); :func:`balanced_insertion`
+certifies balance that way, and so does the separator's rescue scan over
+the chords of a face triangulation.
 :func:`insertion_variants` still builds each extended configuration, for
 callers that need its faces.
 
@@ -51,7 +53,9 @@ Edge = Tuple[Node, Node]
 __all__ = [
     "planar_slot_pairs",
     "insertion_variants",
+    "chord_interiors",
     "insertion_interiors",
+    "sides_light",
     "balanced_insertion",
     "heavy_nested_insertion",
     "AugmentationError",
@@ -214,6 +218,20 @@ class _Insertion:
         return inner
 
 
+def chord_interiors(
+    cfg: PlanarConfiguration,
+    a: Node,
+    b: Node,
+    ref_a: Optional[Node],
+    ref_b: Optional[Node],
+) -> Iterator[int]:
+    """The new face's interior size for the insertion of ``ab`` at the
+    planar slot pair ``(ref_a, ref_b)``, per root anchor (:func:`_anchors`),
+    building nothing: each is read in O(deg a + deg b) from ``cfg``."""
+    for reanchor in _anchors(cfg, a, b):
+        yield _Insertion(cfg, a, b, ref_a, ref_b, reanchor).interior_size(a, b)
+
+
 def insertion_interiors(
     cfg: PlanarConfiguration,
     a: Node,
@@ -222,12 +240,17 @@ def insertion_interiors(
     prefer_b: Optional[Node] = None,
 ) -> Iterator[int]:
     """The new face's interior size for every insertion
-    :func:`insertion_variants` would build, in its order, building none:
-    each is read in O(deg a + deg b) from ``cfg``."""
-    anchors = _anchors(cfg, a, b)
+    :func:`insertion_variants` would build, in its order
+    (:func:`chord_interiors` per planar slot pair)."""
     for ref_a, ref_b in planar_slot_pairs(cfg, a, b, prefer_a, prefer_b):
-        for reanchor in anchors:
-            yield _Insertion(cfg, a, b, ref_a, ref_b, reanchor).interior_size(a, b)
+        yield from chord_interiors(cfg, a, b, ref_a, ref_b)
+
+
+def sides_light(n: int, inside: int, path_len: int) -> bool:
+    """Whether a closed curve through ``path_len`` of ``n`` nodes with
+    ``inside`` nodes strictly inside leaves at most ``2n/3`` on each side
+    (Phase 3b's two-sided bound, Lemma 5's Jordan argument)."""
+    return 3 * inside <= 2 * n and 3 * (n - inside - path_len) <= 2 * n
 
 
 def balanced_insertion(
@@ -250,8 +273,7 @@ def balanced_insertion(
     """
     path_len = cfg.tree.path_length(a, b) + 1
     for inside in insertion_interiors(cfg, a, b, prefer_a, prefer_b):
-        outside = n - inside - path_len
-        if 3 * inside <= 2 * n and 3 * outside <= 2 * n:
+        if sides_light(n, inside, path_len):
             return inside
     return None
 

@@ -16,15 +16,12 @@ certificate a first-class artifact a downstream user can inspect:
   exactly "a planar slot pair exists"
   (:func:`repro.core.augment.planar_slot_pairs`), since the slot pairs
   enumerate every corner of both endpoints.  Nothing is copied or built;
-* ``"root-slit"`` — the path starts at the root and its closing curve runs
-  through the virtual root's outer corner (the Lemma 8 / Phase 2 shape:
-  cutting the disk from the outer anchor needs no crossing);
 * ``"none"`` — no certificate (the set still separates, but the cycle
   property could not be established).
 
-The certificate reads only the graph, the rotation and the root, so a
-caller holding a live rotation (the churn engine) certifies without
-building a configuration.  A rotation's faces do not depend on where its
+The certificate reads only the graph and the rotation, so a caller
+holding a live rotation (the churn engine) certifies without building a
+configuration.  A rotation's faces do not depend on where its
 rows start, so a configuration's normalized rotation gives the same
 answer as the rotation it was built from.
 """
@@ -38,13 +35,13 @@ import networkx as nx
 from ..planar.rotation import RotationSystem
 
 Node = Hashable
-Certificate = Literal["real-edge", "virtual-edge", "root-slit", "trivial", "none"]
+Certificate = Literal["real-edge", "virtual-edge", "trivial", "none"]
 
 __all__ = ["certify_cycle"]
 
 
 def certify_cycle(
-    graph: nx.Graph, rotation: RotationSystem, root: Node, path: Sequence[Node]
+    graph: nx.Graph, rotation: RotationSystem, path: Sequence[Node]
 ) -> Certificate:
     """Certify the cycle property of a separator path.
 
@@ -54,8 +51,6 @@ def certify_cycle(
         The (connected planar) graph the separator was computed on.
     rotation:
         A rotation system of ``graph``, any anchor.
-    root:
-        The root of the spanning tree the separator is a T-path of.
     path:
         The separator nodes in T-path order (as emitted by
         :func:`repro.core.separator.cycle_separator`).
@@ -67,6 +62,4 @@ def certify_cycle(
         return "real-edge"
     if rotation.shared_face_slots(a, b) is not None:
         return "virtual-edge"
-    if root in (a, b):
-        return "root-slit"
     return "none"

@@ -207,11 +207,6 @@ class PlanarConfiguration:
         lo = self.pi_left[v]
         return (lo, lo + self.tree.subtree_size[v] - 1)
 
-    def right_range(self, v: Node) -> Tuple[int, int]:
-        """Closed interval of :math:`\\pi_r` positions of :math:`T_v`."""
-        lo = self.pi_right[v]
-        return (lo, lo + self.tree.subtree_size[v] - 1)
-
     def is_ancestor(self, a: Node, b: Node) -> bool:
         """Ancestor test via order ranges (what the endpoints of a
         fundamental edge do with one exchanged message, Lemma 12)."""

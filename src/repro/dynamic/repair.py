@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 #: Certificates the oracle accepts on a (re)paired state.
-_SOUND_CERTIFICATES = frozenset({"real-edge", "virtual-edge", "root-slit", "trivial"})
+_SOUND_CERTIFICATES = frozenset({"real-edge", "virtual-edge", "trivial"})
 
 #: The injectable unsound-repair bugs the churn campaign knows how to
 #: catch and shrink (see docs/CHAOS.md, "Churn campaign").
@@ -307,7 +307,7 @@ class DynamicPipeline:
         sep = cycle_separator(cfg, ledger=ledger)
         self.separator_path: Tuple[Node, ...] = tuple(sep.path)
         self.separator_phase = sep.phase
-        self.certificate = certify_cycle(cfg.graph, cfg.rotation, cfg.tree.root, sep.path)
+        self.certificate = certify_cycle(cfg.graph, cfg.rotation, sep.path)
         self._sep_tree = cfg.tree
         if own_ledger:
             self._charge(ledger)
@@ -414,7 +414,7 @@ class DynamicPipeline:
                 raise ConfigurationError(f"rotation of {v!r} does not match the graph")
             if v != root and parent[v] not in nbrs:
                 raise ConfigurationError(f"tree edge {parent[v]!r}-{v!r} is not a graph edge")
-        return certify_cycle(self.dyn.graph, self.dyn.rotation, root, self.separator_path)
+        return certify_cycle(self.dyn.graph, self.dyn.rotation, self.separator_path)
 
     # -- DFS side ------------------------------------------------------
     def _dfs_after_insert(self, u: Node, v: Node) -> None:

@@ -289,7 +289,7 @@ def run_job(
             sep = cycle_separator(cfg)
             report = check_separator(graph, sep.path)
         with span("certify"):
-            certificate = certify_cycle(cfg.graph, cfg.rotation, cfg.tree.root, sep.path)
+            certificate = certify_cycle(cfg.graph, cfg.rotation, sep.path)
         with span("dfs"):
             dfs = dfs_tree(graph, root, rotation=rotation)
             check_dfs_tree(graph, dfs.parent, root)

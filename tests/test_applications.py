@@ -1,6 +1,7 @@
 """Tests for the applications package (hierarchy, biconnectivity)."""
 
 import math
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -44,10 +45,13 @@ class TestHierarchy:
     def test_level_of_consistent(self):
         g = gen.grid(7, 7)
         h = build_hierarchy(g)
-        for v in g.nodes:
-            region = h.separator_region(v)
-            assert v in region.separator
-            assert h.level_of(v) == region.level
+        # The first region in preorder whose separator holds a node removed it.
+        removed_by = {}
+        for region in h.regions():
+            for v in region.separator:
+                removed_by.setdefault(v, region)
+        assert set(removed_by) == set(g.nodes)
+        assert h.level_sizes() == Counter(r.level for r in removed_by.values())
 
     def test_leaf_size_respected(self):
         g = gen.delaunay(60, seed=4)
@@ -115,7 +119,7 @@ class TestCertify:
         g = gen.delaunay(60, seed=0)
         cfg = PlanarConfiguration.build(g, root=0)
         res = cycle_separator(cfg)
-        cert = certify_cycle(cfg.graph, cfg.rotation, cfg.tree.root, res.path)
+        cert = certify_cycle(cfg.graph, cfg.rotation, res.path)
         if res.phase in ("phase3", "phase3b"):
             assert cert == "real-edge"
         assert cert != "none"
@@ -125,9 +129,9 @@ class TestCertify:
         for name, g in gen.FAMILIES(3):
             cfg = PlanarConfiguration.build(g, root=0)
             res = cycle_separator(cfg)
-            cert = certify_cycle(cfg.graph, cfg.rotation, cfg.tree.root, res.path)
+            cert = certify_cycle(cfg.graph, cfg.rotation, res.path)
             certs[name] = (res.phase, cert)
-            assert cert in {"real-edge", "virtual-edge", "root-slit", "trivial"}, certs
+            assert cert in {"real-edge", "virtual-edge", "trivial"}, certs
         assert any(c == "real-edge" for _, c in certs.values())
 
 

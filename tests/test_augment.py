@@ -97,19 +97,24 @@ def _count_lr_and_certificates(monkeypatch):
     return lr_runs, certificates
 
 
-def _count_builds_in_balanced_insertion(monkeypatch):
-    """Count ``balanced_insertion`` calls, and the rotation systems, graphs
-    and configurations built or copied while one is running."""
+def _count_builds_while_sizing(monkeypatch):
+    """Count the separator's insertion sizings (``balanced_insertion`` and
+    the rescue's ``chord_interiors``), and the rotation systems, graphs and
+    configurations built or copied while one is running."""
     calls, builds, depth = [], [], []
-    real_balanced = augment.balanced_insertion
 
-    def counted_balanced(*args, **kwargs):
-        calls.append(1)
-        depth.append(1)
-        try:
-            return real_balanced(*args, **kwargs)
-        finally:
-            depth.pop()
+    def counted(real):
+        def sizing(*args, **kwargs):
+            calls.append(1)
+            depth.append(1)
+            try:
+                # chord_interiors is a generator: drain it inside the watch.
+                result = real(*args, **kwargs)
+                return list(result) if real is augment.chord_interiors else result
+            finally:
+                depth.pop()
+
+        return sizing
 
     def watch(owner, name):
         real = getattr(owner, name)
@@ -121,8 +126,8 @@ def _count_builds_in_balanced_insertion(monkeypatch):
 
         monkeypatch.setattr(owner, name, watched)
 
-    monkeypatch.setattr(augment, "balanced_insertion", counted_balanced)
-    monkeypatch.setattr(separator_module, "balanced_insertion", counted_balanced)
+    for name in ("balanced_insertion", "chord_interiors"):
+        monkeypatch.setattr(separator_module, name, counted(getattr(augment, name)))
     for owner in (RotationSystem, nx.Graph):
         watch(owner, "__init__")
         watch(owner, "copy")
@@ -148,23 +153,15 @@ class TestHotPath:
         def no_validate(self):
             raise AssertionError("validate() is a test oracle, not an algorithm step")
 
-        corner_tests = []
-        real_corners = RotationSystem.corner_faces
-
-        def counted_corners(self, *args):
-            corner_tests.append(1)
-            return real_corners(self, *args)
-
         monkeypatch.setattr(RotationSystem, "validate", no_validate)
-        monkeypatch.setattr(RotationSystem, "corner_faces", counted_corners)
         lr_runs, certificates = _count_lr_and_certificates(monkeypatch)
-        calls, builds = _count_builds_in_balanced_insertion(monkeypatch)
+        calls, builds = _count_builds_while_sizing(monkeypatch)
         g = gen.grid(12, 12)
         result = dfs_tree(g, 0)
         check_dfs_tree(g, result.parent, 0)
         assert len(lr_runs) == 1
         assert not certificates
-        assert corner_tests  # the grid reaches the rooted sweep's insertions
+        assert result.separator_phases.get("rescue")  # the grid reaches the rescue
         # Insertions are sized from the parent configuration: nothing is
         # copied or built to certify balance.
         assert calls and not builds, builds

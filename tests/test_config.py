@@ -65,9 +65,9 @@ class TestOrders:
                 lo, hi = cfg.left_range(v)
                 members = sorted(cfg.pi_left[x] for x in cfg.tree.subtree_nodes(v))
                 assert members == list(range(lo, hi + 1))
-                lo, hi = cfg.right_range(v)
+                lo = cfg.pi_right[v]
                 members = sorted(cfg.pi_right[x] for x in cfg.tree.subtree_nodes(v))
-                assert members == list(range(lo, hi + 1))
+                assert members == list(range(lo, lo + cfg.tree.subtree_size[v]))
 
     def test_left_right_are_mirrors_on_children(self):
         cfg = make_config(gen.triangulated_grid(4, 5))

@@ -3,12 +3,15 @@
 import gc
 import hashlib
 import math
+from collections import Counter
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import dfs as dfs_module
+from repro.core.certify import certify_cycle
 from repro.core.config import PlanarConfiguration
 from repro.core.dfs import DFSError, dfs_tree
 from repro.core.separator import cycle_separator
@@ -305,9 +308,7 @@ def _path_chord_cases():
 
 class TestPathWithOneChordSweep:
     """``path_graph(n)`` plus one chord ``(a, a + k)``, n 5..18, k 2..4,
-    every chord start, rooted at either path end.  18 of the 714 cases
-    need the checked centroid last resort: phase 4.2's emission is
-    unbalanced and the rooted sweep finds no insertable window edge."""
+    every chord start, rooted at either path end."""
 
     @pytest.mark.parametrize("n,a,k,root", _path_chord_cases())
     def test_sweep(self, n, a, k, root):
@@ -325,23 +326,35 @@ def _star_with_hub_triangle(k=8):
     return g
 
 
-class TestLastResortEveryRoot:
-    """Inputs where the rooted sweep finds no insertable window edge at some
-    roots, so only the checked centroid path separates: every root must
-    yield a verified DFS tree."""
+class TestRescueEveryRoot:
+    """Inputs where the paper's phases leave some roots without a balanced
+    separator (a lattice, hub roots), so the rescue's face-chord scan
+    separates: every root must yield a verified DFS tree, and every
+    separator ``dfs_tree`` asks for must certify as a cycle separator."""
 
     @pytest.mark.parametrize(
         "graph",
-        [gen.grid(12, 12), nx.windmill_graph(5, 3), _star_with_hub_triangle()],
-        ids=["grid-12x12", "friendship-F5", "star8-hub-triangle"],
+        [gen.grid(12, 12), nx.windmill_graph(5, 3), nx.windmill_graph(12, 3),
+         _star_with_hub_triangle()],
+        ids=["grid-12x12", "friendship-F5", "friendship-F12", "star8-hub-triangle"],
     )
-    def test_every_root(self, graph):
+    def test_every_root(self, graph, monkeypatch):
+        separate = dfs_module.cycle_separator
+        certificates = Counter()
+
+        def certified(cfg, **kwargs):
+            result = separate(cfg, **kwargs)
+            certificates[certify_cycle(cfg.graph, cfg.rotation, result.path)] += 1
+            return result
+
+        monkeypatch.setattr(dfs_module, "cycle_separator", certified)
         fired = 0
         for root in graph.nodes:
             res = dfs_tree(graph, root)
             check_dfs_tree(graph, res.parent, root)
-            fired += res.separator_phases.get("last-resort", 0)
+            fired += res.separator_phases.get("rescue", 0)
         assert fired > 0
+        assert set(certificates) <= {"real-edge", "virtual-edge", "trivial"}, certificates
 
 
 @st.composite
@@ -363,8 +376,8 @@ def spines_with_legs_and_chords(draw):
 
 
 class TestSpineCensusSlice:
-    """The spine family of the failure census, where the proof gaps behind
-    the checked centroid last resort first showed up (from n = 14).  A
+    """The spine family of the failure census, where the paper's phases
+    first left inputs without a balanced separator (from n = 14).  A
     1,500-case sweep found no failure; tier-1 runs a seeded slice."""
 
     @given(spines_with_legs_and_chords())

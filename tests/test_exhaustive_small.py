@@ -117,7 +117,7 @@ class TestTreeChordCensus:
                 cfg = PlanarConfiguration.build(graph, root=root)
                 path = cycle_separator(cfg).path
                 check_separator(graph, path, cfg.tree)
-                cert = certify_cycle(cfg.graph, cfg.rotation, root, path)
+                cert = certify_cycle(cfg.graph, cfg.rotation, path)
                 assert cert in CYCLE_CERTIFICATES, (sorted(graph.edges), root, path, cert)
 
 
@@ -174,9 +174,10 @@ def _trace_digest(trace):
 
 
 def _ledger_totals(graph, result):
+    """A measured run booked on a charged ledger, and its message volume."""
     ledger = RoundLedger(CostModel(len(graph), nx.diameter(graph)))
-    ledger.charge_run("ab", result)
-    return ledger.total_rounds, ledger.measured_messages
+    ledger.charge_rounds("ab", result.rounds)
+    return ledger.total_rounds, result.messages_sent
 
 
 def _assert_all_equal(per_scheduler, context):

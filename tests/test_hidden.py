@@ -6,7 +6,6 @@ import pytest
 from repro.core import separator
 from repro.core.augment import balanced_insertion, insertion_variants
 from repro.core.config import PlanarConfiguration
-from repro.core.dfs import dfs_tree
 from repro.core.faces import FaceView, face_view
 from repro.core.hidden import hiding_edges, is_hidden
 from repro.planar import generators as gen
@@ -197,7 +196,8 @@ class TestHidingEdgesFromOrders:
 
         monkeypatch.setattr(FaceView, "interior", counted_interior)
         monkeypatch.setattr(separator, "hiding_edges", counted_hiding_edges)
-        dfs_tree(gen.triangulated_grid(63, 63), 0)
+        cfg = make_config(gen.delaunay(200, seed=196), root=0, kind="rand", seed=196)
+        assert separator.cycle_separator(cfg).phase == "phase4.1-hidden"
         assert calls
         for edge, others, found in calls:
             assert found and others == [], (edge, others)

@@ -88,7 +88,6 @@ class TestSeparatorReportParity:
 def _assert_virtual_edge_parity(graph, rotation, cfg):
     """For every non-adjacent pair, the face certificate on ``rotation``
     says "virtual-edge" exactly when ``cfg`` has a planar slot pair."""
-    root = cfg.tree.root
     nodes = list(graph.nodes)
     checked = 0
     for i, a in enumerate(nodes):
@@ -96,7 +95,7 @@ def _assert_virtual_edge_parity(graph, rotation, cfg):
             if graph.has_edge(a, b):
                 continue
             path = cfg.tree.path(a, b)
-            cert = certify_cycle(graph, rotation, root, path)
+            cert = certify_cycle(graph, rotation, path)
             has_slot = next(planar_slot_pairs(cfg, a, b), None) is not None
             assert (cert == "virtual-edge") == has_slot, (a, b, cert)
             checked += 1
@@ -112,7 +111,7 @@ def _slot_pair_certificate(cfg, path):
         return "real-edge"
     if next(planar_slot_pairs(cfg, a, b), None) is not None:
         return "virtual-edge"
-    return "root-slit" if cfg.tree.root in (a, b) else "none"
+    return "none"
 
 
 class TestCertificateParity:
@@ -131,7 +130,7 @@ class TestCertificateParity:
         for name, graph in gen.FAMILIES(seed):
             cfg = PlanarConfiguration.build(graph, root=0)
             path = cycle_separator(cfg).path
-            cert = certify_cycle(graph, cfg.rotation, cfg.tree.root, path)
+            cert = certify_cycle(graph, cfg.rotation, path)
             assert cert == _slot_pair_certificate(cfg, path), name
             assert cert != "none", name
 

@@ -302,8 +302,8 @@ class TestCertifyProperty:
 
         g, cfg = instance
         res = cycle_separator(cfg)
-        cert = certify_cycle(cfg.graph, cfg.rotation, cfg.tree.root, res.path)
-        assert cert in {"real-edge", "virtual-edge", "root-slit", "trivial"}
+        cert = certify_cycle(cfg.graph, cfg.rotation, res.path)
+        assert cert in {"real-edge", "virtual-edge", "trivial"}
 
 
 class TestMessageLevelProperty:
