@@ -88,7 +88,7 @@ def cycle_regions(
         cycle_edges.add(frozenset((a, b)))
 
     # Enumerate faces and index half-edges.
-    faces = rotation.faces()
+    faces = list(rotation.faces())
     face_of: Dict[HalfEdge, int] = {}
     for idx, walk in enumerate(faces):
         for a, b in zip(walk, walk[1:] + walk[:1]):
