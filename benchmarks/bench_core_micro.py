@@ -465,8 +465,9 @@ def dfs_scaling_rows():
     generated graph, untimed, and a collected heap, so no run pays for
     another's inputs or garbage.
 
-    ``separator_nodes`` sums the component sizes over every separator
-    call: the work Theorem 2's algorithm does, about ``n`` per phase.  Its
+    ``separator_nodes`` sums the part sizes over every part of every
+    phase, parts of at most two nodes (which skip the separator call)
+    included: the work Theorem 2's algorithm does, about ``n`` per phase.  Its
     growth is the algorithm's, not the implementation's (Delaunay's
     phase count varies by instance), so ``ratio_per_4x`` (the median over
     the previous size's) is also given per 4x of that work, which is
@@ -482,11 +483,13 @@ def dfs_scaling_rows():
     shape = {}
     counted = []
 
-    def counting(cfg, **kwargs):
-        counted.append(cfg.n)
-        return cycle_separator(cfg, **kwargs)
+    absorb = dfs_module._absorb_part
 
-    dfs_module.cycle_separator = counting
+    def counting(graph, rotation, component, *args):
+        counted.append(len(component))
+        return absorb(graph, rotation, component, *args)
+
+    dfs_module._absorb_part = counting
     try:
         for i in range(SCALING_REPEATS):
             shift = i % len(instances)
@@ -501,7 +504,7 @@ def dfs_scaling_rows():
                 work[(family, size)].add(sum(counted))
                 del graph
     finally:
-        dfs_module.cycle_separator = cycle_separator
+        dfs_module._absorb_part = absorb
     rows = []
     for key, seconds in times.items():
         (family, size), (done,) = key, work[key]  # deterministic: one count

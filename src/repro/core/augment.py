@@ -161,7 +161,8 @@ def insertion_variants(
 class _Insertion:
     """The configuration inserting ``ab`` at ``(ref_a, ref_b)`` would build,
     as far as :func:`~repro.core.weights.endpoint_weights` reads it at ``a``
-    and ``b``: their rows, order positions, depths and subtree sizes.
+    and ``b``: their rows' position maps and prefix sums of child subtree
+    sizes, order positions, depths and subtree sizes.
 
     Each endpoint's row gains the other endpoint right after ``ref``
     (``None``: last, as normalization keeps the parent or the root's first
@@ -173,9 +174,6 @@ class _Insertion:
     """
 
     __slots__ = ("tree", "pi_left", "pi_right", "_pos", "_child_prefix")
-
-    # The configuration's O(1) range sum, over these rows' prefix sums.
-    child_size_between = PlanarConfiguration.child_size_between
 
     def __init__(
         self,
@@ -206,9 +204,6 @@ class _Insertion:
                 prefix.append(total)
             self._pos[x] = {c: i for i, c in enumerate(row)}
             self._child_prefix[x] = prefix
-
-    def t_position(self, x: Node, y: Node) -> int:
-        return self._pos[x][y]
 
     def interior_size(self, a: Node, b: Node) -> int:
         """:math:`|\\mathring{F}_{ab}|` of the new face, from its exact

@@ -72,17 +72,21 @@ class PlanarConfiguration:
         self.graph = graph
         self.tree = tree
         self.n = len(graph)
+        # Per node: neighbor -> position in the normalized t_v (the
+        # rotation's own map, which the endpoint frame of
+        # :mod:`repro.core.faces` reads directly), the T-children in
+        # rotation order, and the prefix sums of their subtree sizes over
+        # rotation positions (entry i covers positions 0..i-1).
+        self._pos: Dict[Node, Dict[Node, int]] = {}
+        self._order_children_right: Dict[Node, List[Node]] = {}
+        self._child_prefix: Dict[Node, List[int]] = {}
         rows = self._normalize(graph, rotation, tree, root_anchor)
-        self.rotation = RotationSystem.adopt(rows)
-        # DFS orders, 1-based, plus subtree position ranges in both orders.
+        self.rotation = RotationSystem.adopt(rows, self._pos)
+        # DFS orders, 1-based.
         self.pi_left: Dict[Node, int] = {}
         self.pi_right: Dict[Node, int] = {}
         self._order_children_left: Dict[Node, List[Node]] = {}
-        self._order_children_right: Dict[Node, List[Node]] = {}
-        # Per node, prefix sums of child subtree sizes over rotation
-        # positions: entry i covers positions 0..i-1.
-        self._child_prefix: Dict[Node, List[int]] = {}
-        self._compute_orders(rows)
+        self._compute_orders()
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -114,8 +118,8 @@ class PlanarConfiguration:
             tree = bfs_tree(graph, root)
         return cls(graph, rotation, tree)
 
-    @staticmethod
     def _normalize(
+        self,
         graph: nx.Graph,
         rotation: RotationSystem,
         tree: RootedTree,
@@ -127,7 +131,10 @@ class PlanarConfiguration:
         to :math:`G[P_i]`" of Section 5.2.1; restriction keeps the relative
         clockwise order, so the result is again an embedding), checked
         against the node's adjacency, and rotated to start at its parent,
-        or at the anchor for the root.
+        or at the anchor for the root.  The walk that writes a row also
+        fills the node's position map, T-children and child prefix sums
+        (see :meth:`__init__`); a row that matches the adjacency has no
+        repeated neighbor, so the map has one entry per position.
 
         Nodes of ``rotation`` outside ``graph`` are ignored, so a part can
         be handed the rotation of the graph it is induced in.  The graph
@@ -138,7 +145,8 @@ class PlanarConfiguration:
         adj, parent, source = graph._adj, tree.parent, rotation._order
         if parent.keys() != adj.keys():
             raise ConfigurationError("tree is not spanning")
-        root = tree.root
+        sizes, root = tree.subtree_size, tree.root
+        positions, children, prefixes = self._pos, self._order_children_right, self._child_prefix
         rows: Dict[Node, List[Node]] = {}
         for v, nbrs in adj.items():
             full = source.get(v)
@@ -147,57 +155,67 @@ class PlanarConfiguration:
             row = [u for u in full if u in adj]
             if len(row) != len(nbrs) or nbrs.keys() - row:
                 raise ConfigurationError(f"rotation of {v!r} does not match the graph")
-            if v == root:
-                if not row:
-                    rows[v] = row
-                    continue
+            if v != root:
+                first = parent[v]
+                if first not in nbrs:
+                    raise ConfigurationError(f"tree edge {first!r}-{v!r} is not a graph edge")
+            elif row:
                 first = root_anchor if root_anchor is not None else row[0]
                 if first not in nbrs:
                     raise ConfigurationError(
                         f"normalization target {first!r} is not a neighbor of {v!r}"
                     )
-            else:
-                first = parent[v]
-                if first not in nbrs:
-                    raise ConfigurationError(f"tree edge {first!r}-{v!r} is not a graph edge")
-            i = row.index(first)
-            rows[v] = row[i:] + row[:i] if i else row
+            if row:
+                i = row.index(first)
+                if i:
+                    row = row[i:] + row[:i]
+            rows[v] = row
+            # One walk of t_v.
+            at: Dict[Node, int] = {}
+            kids: List[Node] = []
+            prefix = [0]
+            total = 0
+            for j, y in enumerate(row):
+                at[y] = j
+                if parent[y] == v:
+                    kids.append(y)
+                    total += sizes[y]
+                prefix.append(total)
+            positions[v], children[v], prefixes[v] = at, kids, prefix
         return rows
 
     # ------------------------------------------------------------------
     # DFS orders (paper Section 3.1.1)
     # ------------------------------------------------------------------
-    def _compute_orders(self, rows: Dict[Node, List[Node]]) -> None:
-        tree = self.tree
-        parent, sizes = tree.parent, tree.subtree_size
-        for v in tree.nodes:
-            # One walk of t_v: the T-children in rotation order and the
-            # prefix sums of their subtree sizes.
-            in_rot: List[Node] = []
-            prefix = [0]
-            total = 0
-            for y in rows[v]:
-                if parent[y] == v:
-                    in_rot.append(y)
-                    total += sizes[y]
-                prefix.append(total)
-            # RIGHT-DFS-ORDER explores children by ascending rotation
-            # position (the paper: "smaller position in t_v first");
-            # LEFT-DFS-ORDER by descending position.
-            self._order_children_right[v] = in_rot
-            self._order_children_left[v] = in_rot[::-1]
-            self._child_prefix[v] = prefix
-        self._preorder(self._order_children_left, self.pi_left)
-        self._preorder(self._order_children_right, self.pi_right)
+    def _compute_orders(self) -> None:
+        """Both DFS orders in one top-down walk of the tree.
 
-    def _preorder(self, child_order: Dict[Node, List[Node]], out: Dict[Node, int]) -> None:
-        counter = 1
-        stack = [self.tree.root]
+        RIGHT-DFS-ORDER explores children by ascending rotation position
+        (the paper: "smaller position in t_v first"), LEFT-DFS-ORDER by
+        descending position.  So a child's preorder position is its
+        parent's plus one plus the subtree sizes of the siblings explored
+        before it: those at smaller positions for the right order, at
+        larger ones for the left — two reads of the parent's prefix sums.
+        """
+        positions, prefixes = self._pos, self._child_prefix
+        right = self._order_children_right
+        left, pi_left, pi_right = self._order_children_left, self.pi_left, self.pi_right
+        root = self.tree.root
+        pi_left[root] = pi_right[root] = 1
+        stack = [root]
         while stack:
             v = stack.pop()
-            out[v] = counter
-            counter += 1
-            stack.extend(reversed(child_order[v]))
+            kids = right[v]
+            left[v] = kids[::-1]
+            if not kids:
+                continue
+            at, prefix = positions[v], prefixes[v]
+            after_l, after_r, total = pi_left[v] + 1, pi_right[v] + 1, prefix[-1]
+            for c in kids:
+                p = at[c]
+                pi_right[c] = after_r + prefix[p]
+                pi_left[c] = after_l + total - prefix[p + 1]
+            stack.extend(kids)
 
     # ------------------------------------------------------------------
     # queries used throughout the algorithm

@@ -155,21 +155,45 @@ def certified_dfs_tree(
         for component in components:
             if ledger is not None:
                 ledger.begin_branch()
-            subgraph = induced_copy(graph, component)
-            anchor = _deepest_attachment(graph, component, result)
-            separator = _component_separator(rotation, subgraph, anchor[0], ledger)
-            result.separator_phases[separator.phase] = (
-                result.separator_phases.get(separator.phase, 0) + 1
-            )
-            iterations = _join(
-                graph, component, set(separator.path), result, ledger, (subgraph, anchor)
-            )
+            phase, iterations = _absorb_part(graph, rotation, component, result, ledger)
+            result.separator_phases[phase] = result.separator_phases.get(phase, 0) + 1
             max_join = max(max_join, iterations)
         if ledger is not None:
             ledger.end_parallel()
         in_tree = set(result.parent)
         result.join_iterations.append(max_join)
     return result
+
+
+def _absorb_part(
+    graph: nx.Graph,
+    rotation: RotationSystem,
+    component: Set[Node],
+    result: DFSResult,
+    ledger,
+) -> Tuple[str, int]:
+    """One component of :math:`G - T_d` in one phase: its separator
+    (step 1), then JOIN (step 2).  Returns the separator's phase and the
+    number of JOIN iterations.
+
+    A part of at most two nodes is its own separator (Theorem 1's trivial
+    case, which charges nothing) and a path from its attachment node, so
+    it is hung below the attachment point in one charged JOIN iteration,
+    the one :func:`_join` would take, without the induced copy, spanning
+    tree and configuration a larger part needs.
+    """
+    anchor = _deepest_attachment(graph, component, result)
+    if len(component) <= 2:
+        if ledger is not None:
+            ledger.charge_subroutine("join-iteration")
+        _hang(result, anchor[1], [anchor[0], *(component - {anchor[0]})])
+        return "trivial", 1
+    subgraph = induced_copy(graph, component)
+    separator = _component_separator(rotation, subgraph, anchor[0], ledger)
+    iterations = _join(
+        graph, component, set(separator.path), result, ledger, (subgraph, anchor)
+    )
+    return separator.phase, iterations
 
 
 # ----------------------------------------------------------------------
@@ -296,14 +320,7 @@ def _join(
                 subgraph, (r, attach) = first
                 first = None
             path = _join_path(subgraph, r, todo)
-            # DFS-RULE: hang the path below the attachment point; parents
-            # and depths are final from now on.
-            base = result.depth[attach]
-            previous = attach
-            for offset, x in enumerate(path):
-                result.parent[x] = previous
-                result.depth[x] = base + 1 + offset
-                previous = x
+            _hang(result, attach, path)
             added = set(path)
             rest = nodes - added
             still = todo - added
@@ -314,6 +331,17 @@ def _join(
                     next_pending.append((sub, sub & still))
         pending = next_pending
     return iterations
+
+
+def _hang(result: DFSResult, attach: Node, path: List[Node]) -> None:
+    """DFS-RULE: hang ``path`` below the attachment point ``attach``;
+    parents and depths are final from now on."""
+    base = result.depth[attach]
+    previous = attach
+    for offset, x in enumerate(path):
+        result.parent[x] = previous
+        result.depth[x] = base + 1 + offset
+        previous = x
 
 
 def _join_path(subgraph: nx.Graph, root: Node, marked: Set[Node]) -> List[Node]:

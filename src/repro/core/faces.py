@@ -104,14 +104,26 @@ def endpoint_frame(
     or to ``u``'s parent, and enters ``v`` from its parent; parents sit at
     position 0 of a normalized rotation, and neither endpoint of a
     non-ancestor pair is the root.
+
+    Everything is read directly: the position maps of the two rows
+    (``cfg._pos``) and the tree's Euler intervals, where ``a`` is an
+    ancestor of ``b`` iff ``tin[a] <= tin[b] < tout[a]``.  ``cfg`` may be
+    anything holding those for ``u`` and ``v``, such as the rows a
+    virtual-edge insertion would build (:mod:`repro.core.augment`).
     """
     tree = cfg.tree
-    at_u = cfg.t_position(u, v)
-    at_v = cfg.t_position(v, u)
-    if not tree.is_ancestor(u, v):
+    pos_u = cfg._pos[u]
+    at_u = pos_u[v]
+    at_v = cfg._pos[v][u]
+    tin, tout = tree._tin, tree._tout
+    t_v = tin[v]
+    if not tin[u] <= t_v < tout[u]:
         return None, False, (0, at_u), (at_v, 0)
-    z = tree.first_step(u, v)
-    to_z = cfg.t_position(u, z)
+    # z: the child of u whose Euler interval holds v (first_step, inlined).
+    for z in tree.children[u]:
+        if tin[z] <= t_v < tout[z]:
+            break
+    to_z = pos_u[z]
     if at_u < to_z:
         return z, True, (at_u, to_z), (0, at_v)
     return z, False, (to_z, at_u), (at_v, 0)

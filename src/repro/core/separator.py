@@ -424,20 +424,27 @@ def _hidden_fallback(
     ablation: frozenset = frozenset(),
 ) -> SeparatorResult:
     """Claim 6: mark the path to the far endpoint of a containment-maximal
-    hiding edge of ``z``."""
+    hiding edge of ``z``.
+
+    Lemma 6 says a window node that no insertion certifies is hidden, but
+    on some legal rotations (churned embeddings, DESIGN.md §3) its hiding
+    set is empty; the emission then falls back to :func:`_rescue`, as an
+    unbalanced one does.  The ``no-emit-check`` ablation keeps the paper's
+    statement and raises instead.
+    """
     hidden = hiding_edges(cfg, fv, z)
     _charge(ledger, "hidden-problem")
     _charge(ledger, "not-contained")
+    n = len(cfg.graph)
     if not hidden:
-        raise SeparatorError(
-            f"node {z!r} is neither insertable nor hidden in {fv.edge!r}; "
-            "Lemma 6 rules this out"
-        )
+        what = f"node {z!r} is neither insertable nor hidden in {fv.edge!r}"
+        if "no-emit-check" in ablation:
+            raise SeparatorError(f"{what}; Lemma 6 rules this out")
+        return _rescue(cfg, n, ledger, what)
     views = {f: view for f, view in hidden}
     f = _containment_maximal(cfg, views, list(views))
     a, b = f
     z2 = b if cfg.pi_left[a] < cfg.pi_left[b] else a
-    n = len(cfg.graph)
     if "no-emit-check" in ablation:
         _charge(ledger, "mark-path")
         return SeparatorResult(cfg.tree.path(fv.u, z2), "phase4.1-hidden" + suffix)

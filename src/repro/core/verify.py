@@ -143,11 +143,18 @@ def check_dfs_tree(graph: nx.Graph, parent: Dict[Node, Optional[Node]], root: No
         if not graph.has_edge(p, c):
             raise VerificationError(f"tree edge {p!r}-{c!r} is not a graph edge")
     # ``graph.edges()``'s order, read from the adjacency dict: the cached
-    # edge view would make the caller's graph cyclic garbage.
+    # edge view would make the caller's graph cyclic garbage.  ``a`` and
+    # ``b`` are related iff one's Euler interval [tin, tout) holds the
+    # other's entry time (``RootedTree.is_ancestor``, read once per node).
+    tin, tout = tree._tin, tree._tout
     done = set()
     for a, nbrs in graph._adj.items():
+        in_a, out_a = tin[a], tout[a]
         for b in nbrs:
-            if b not in done and not (tree.is_ancestor(a, b) or tree.is_ancestor(b, a)):
+            if b in done:
+                continue
+            in_b = tin[b]
+            if not (in_a <= in_b < out_a or in_b <= in_a < tout[b]):
                 raise VerificationError(
                     f"cross edge {a!r}-{b!r}: endpoints are unrelated in the tree, "
                     "so this is not a DFS tree"

@@ -130,19 +130,22 @@ def endpoint_weights(cfg: PlanarConfiguration, edges: Iterable[Edge]) -> Dict[Ed
     only: equal to :func:`weight` of its view without building the view.
 
     Each edge reads its :func:`~repro.core.faces.endpoint_frame` and two
-    O(1) range sums of child subtree sizes (``cfg.child_size_between``),
-    plus order positions, depths and subtree sizes, so ``cfg`` may be
-    anything that answers those reads at the endpoints — such as the
-    configuration a virtual-edge insertion would build
+    O(1) range sums over the endpoints' prefix sums of child subtree
+    sizes (``cfg._child_prefix``, as
+    :meth:`~repro.core.config.PlanarConfiguration.child_size_between`
+    reads them), plus order positions, depths and subtree sizes, so
+    ``cfg`` may be anything that holds those at the endpoints — such as
+    the rows a virtual-edge insertion would build
     (:mod:`repro.core.augment`).
     """
-    between = cfg.child_size_between
+    prefix = cfg._child_prefix
     out: Dict[Edge, int] = {}
     for u, v in edges:
-        z, inside_is_A, arc_u, arc_v = endpoint_frame(cfg, u, v)
-        out[u, v] = _definition2(
-            cfg, u, v, z, inside_is_A, between(u, *arc_u), between(v, *arc_v)
-        )
+        z, inside_is_A, (s_u, e_u), (s_v, e_v) = endpoint_frame(cfg, u, v)
+        pre_u, pre_v = prefix[u], prefix[v]
+        p_u = pre_u[e_u] - pre_u[s_u + 1] + (0 if s_u < e_u else pre_u[-1])
+        p_v = pre_v[e_v] - pre_v[s_v + 1] + (0 if s_v < e_v else pre_v[-1])
+        out[u, v] = _definition2(cfg, u, v, z, inside_is_A, p_u, p_v)
     return out
 
 

@@ -59,12 +59,22 @@ class RotationSystem:
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def adopt(cls, order: Dict[Node, List[Node]]) -> "RotationSystem":
+    def adopt(
+        cls,
+        order: Dict[Node, List[Node]],
+        pos: Optional[Dict[Node, Dict[Node, int]]] = None,
+    ) -> "RotationSystem":
         """A rotation system over ``order`` and its lists themselves, not
         copies: for a caller that has just built fresh rows and hands them
-        over, keeping no reference of its own."""
+        over, keeping no reference of its own.  A caller that built each
+        row's position map alongside it (neighbor -> index, one entry per
+        position) hands those over as ``pos``; otherwise they are indexed
+        here."""
         rotation = cls.__new__(cls)
         rotation._order = order
+        if pos is not None:
+            rotation._pos = pos
+            return rotation
         rotation._pos = {}
         for v in order:
             rotation._index_row(v)

@@ -37,6 +37,21 @@ BUG_UNIT = {
 }
 
 
+#: A unit whose churned rotations leave a Sub-phase 4.1 window node
+#: neither insertable nor hidden (DESIGN.md §3): the separator falls back
+#: to the rescue there instead of raising out of the campaign.
+EMPTY_HIDING_UNIT = {
+    "campaign": "empty-hiding-set",
+    "kind": "churn",
+    "family": "triangulated_grid",
+    "n": 16,
+    "graph_seed": 15,
+    "seed": 27,
+    "flap_rate": 0.2,
+    "rounds": 16,
+}
+
+
 class TestUnitGrid:
     def test_smoke_grid_has_at_least_hundred_units(self):
         units = churn_campaign_units(CHURN_CAMPAIGNS["smoke"])
@@ -56,6 +71,11 @@ class TestUnitGrid:
     def test_unit_updates_deterministic(self):
         unit = churn_campaign_units(CHURN_CAMPAIGNS["smoke"])[1]
         assert churn_unit_updates(unit) == churn_unit_updates(unit)
+
+    def test_empty_hiding_set_unit_passes(self):
+        row = run_churn_unit(EMPTY_HIDING_UNIT)
+        assert row["ok"], row["violation"]
+        assert row["updates"] > 0
 
     def test_clean_unit_has_no_updates_and_passes(self):
         unit = churn_campaign_units(CHURN_CAMPAIGNS["smoke"])[0]

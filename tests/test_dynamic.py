@@ -273,6 +273,33 @@ class TestDynamicPipeline:
             check_separator(pipeline.graph, list(pipeline.separator_path))
             check_dfs_tree(pipeline.graph, pipeline.parent, pipeline.root)
 
+    def test_empty_hiding_set_falls_back_to_the_rescue(self, monkeypatch):
+        # On one of these churned rotations a Sub-phase 4.1 window node is
+        # neither insertable nor hidden, which Lemma 6 rules out on the
+        # paper's terms (DESIGN.md §3): the separator recompute takes the
+        # rescue instead of raising, and every batch still passes the
+        # oracles and matches a full recompute.
+        import repro.core.separator as separator_module
+
+        rescued = []
+        rescue = separator_module._rescue
+
+        def recording(cfg, n, ledger, what):
+            rescued.append(what)
+            return rescue(cfg, n, ledger, what)
+
+        monkeypatch.setattr(separator_module, "_rescue", recording)
+        g = gen.triangulated_grid(5, 5)
+        pipeline = DynamicPipeline(g)
+        reference = DynamicPipeline(g, mode="recompute")
+        for batch in flap_updates(g, seed=48, rate=0.2, rounds=8):
+            pipeline.apply(batch)
+            reference.apply(batch)
+            check_separator(pipeline.graph, list(pipeline.separator_path))
+            check_dfs_tree(pipeline.graph, pipeline.parent, pipeline.root)
+        assert pipeline.state_fingerprint() == reference.state_fingerprint()
+        assert any("neither insertable nor hidden" in what for what in rescued)
+
     def test_certification_leaves_the_live_rotation_unchanged_and_unaliased(
         self, monkeypatch
     ):

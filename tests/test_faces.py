@@ -148,7 +148,14 @@ class TestFaceView:
             calls.append(v)
             return original(self, v, u)
 
+        class CountingRows(dict):
+            # The endpoint frame reads position maps row by row.
+            def __getitem__(self, v):
+                calls.append(v)
+                return dict.__getitem__(self, v)
+
         monkeypatch.setattr(PlanarConfiguration, "t_position", counting)
+        cfg._pos = CountingRows(cfg._pos)
         for name in ("path", "lca"):
             walk = getattr(RootedTree, name)
 
@@ -165,7 +172,8 @@ class TestFaceView:
             # One per endpoint for the other endpoint's slot, one for z
             # (ancestor pairs only); parents sit at position 0.
             bound = 3 if fv.z is not None else 2
-            assert len(calls) <= bound, (e, len(calls))
+            assert 0 < len(calls) <= bound, (e, len(calls))
+            assert set(calls) <= {fv.u, fv.v}, (e, calls)
             assert walks == [], (e, walks)
             # p-values are range sums: no set of inside positions is built.
             assert fv._inside_positions == {}, e

@@ -10,11 +10,13 @@ weights of Phase 4 (exact for compatible leaves in the not-ancestor case).
 import networkx as nx
 import pytest
 
-from repro.core.augment import insertion_variants
-from repro.core.faces import face_view
+from repro.core.augment import _anchors, _Insertion, insertion_variants, planar_slot_pairs
+from repro.core.faces import endpoint_frame, face_view
 from repro.core.weights import (
     augmented_weight,
+    endpoint_weights,
     face_order,
+    fundamental_weights,
     interior_by_orders,
     orientation,
     side_sets,
@@ -31,6 +33,105 @@ def expected_weight(cfg, fv):
     if tree.is_ancestor(fv.u, fv.v):
         return len(interior)
     return len(interior) + (tree.depth[fv.v] - tree.depth[fv.lca] + 1)
+
+
+def reference_frame(cfg, u, v):
+    """:func:`~repro.core.faces.endpoint_frame` through the configuration's
+    and the tree's methods: the rotation position lookups, the ancestor
+    test and the first step."""
+    tree = cfg.tree
+    at_u = cfg.t_position(u, v)
+    at_v = cfg.t_position(v, u)
+    if not tree.is_ancestor(u, v):
+        return None, False, (0, at_u), (at_v, 0)
+    z = tree.first_step(u, v)
+    to_z = cfg.t_position(u, z)
+    if at_u < to_z:
+        return z, True, (at_u, to_z), (0, at_v)
+    return z, False, (to_z, at_u), (at_v, 0)
+
+
+def reference_weights(cfg, edges):
+    """Definition 2 per edge from :func:`reference_frame` and
+    ``cfg.child_size_between``'s range sums: the method-call form of
+    :func:`~repro.core.weights.endpoint_weights`."""
+    tree = cfg.tree
+    out = {}
+    for u, v in edges:
+        z, inside_is_A, arc_u, arc_v = reference_frame(cfg, u, v)
+        p = cfg.child_size_between(u, *arc_u) + cfg.child_size_between(v, *arc_v)
+        if z is None:
+            out[u, v] = p + cfg.pi_left[v] - (cfg.pi_left[u] + tree.subtree_size[u]) + 2
+        else:
+            pi = cfg.pi_right if inside_is_A else cfg.pi_left
+            out[u, v] = p + (pi[v] - pi[z]) - (tree.depth[v] - tree.depth[z])
+    return out
+
+
+class TestEndpointFrameOracle:
+    """The endpoint frame and the weight pass read position maps, Euler
+    intervals and prefix sums directly.  ``fundamental_weights`` and
+    ``weight(face_view)`` both go through that one frame, so their parity
+    cannot catch a frame bug; the method-call reference above can."""
+
+    @staticmethod
+    def _check(cfg):
+        edges = cfg.real_fundamental_edges()
+        for u, v in edges:
+            assert endpoint_frame(cfg, u, v) == reference_frame(cfg, u, v), (u, v)
+        expected = reference_weights(cfg, edges)
+        assert endpoint_weights(cfg, edges) == expected
+        assert fundamental_weights(cfg) == expected
+        return len(edges)
+
+    @pytest.mark.parametrize("family", ["grid", "triangulated_grid"])
+    @pytest.mark.parametrize("kind", ["bfs", "dfs"])
+    def test_every_root_of_the_6x6_lattices(self, family, kind):
+        graph = getattr(gen, family)(6, 6)
+        edges = sum(self._check(make_config(graph, root=root, kind=kind)) for root in graph)
+        assert edges > 10 * len(graph)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_delaunay(self, seed):
+        graph = gen.delaunay(100, seed=seed)
+        for root in (0, 37 + seed, 99):
+            for kind, cfg in configs_for(graph, root=root, seed=seed):
+                self._check(cfg)
+
+    @pytest.mark.parametrize("family", ["grid", "triangulated_grid", "delaunay"])
+    def test_insertion_rows_match_the_built_configuration(self, family):
+        # ``_Insertion`` holds only the two endpoint rows a virtual edge
+        # ``ab`` would change; the configuration insertion_variants builds
+        # for the same slot pair and anchor is the reference.
+        graph = gen.delaunay(24, seed=5) if family == "delaunay" else getattr(gen, family)(4, 4)
+        # Root the trees on the longest face, so re-anchored insertions
+        # at the root occur.
+        root = max(make_config(graph).rotation.faces(), key=len)[0]
+        seen = {False: 0, True: 0}
+        for kind in ("bfs", "dfs"):
+            cfg = make_config(graph, root=root, kind=kind)
+            pairs = {
+                (a, b)
+                for walk in cfg.rotation.faces()
+                for a in walk
+                for b in walk
+                if a != b and not graph.has_edge(a, b)
+            }
+            for a, b in sorted(pairs, key=repr):
+                slots = [
+                    (ref_a, ref_b, reanchor)
+                    for ref_a, ref_b in planar_slot_pairs(cfg, a, b)
+                    for reanchor in _anchors(cfg, a, b)
+                ]
+                built = list(insertion_variants(cfg, a, b))
+                assert len(built) == len(slots)
+                for (ref_a, ref_b, reanchor), (cfg2, _) in zip(slots, built):
+                    rows = _Insertion(cfg, a, b, ref_a, ref_b, reanchor)
+                    e = (a, b) if cfg.pi_left[a] < cfg.pi_left[b] else (b, a)
+                    assert endpoint_frame(rows, *e) == reference_frame(cfg2, *e), (e, reanchor)
+                    assert endpoint_weights(rows, [e]) == reference_weights(cfg2, [e])
+                    seen[reanchor] += 1
+        assert seen[False] > 50 and seen[True] > 5, seen
 
 
 class TestDefinition2Exactness:
